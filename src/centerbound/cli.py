@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 
-from .arith import prime_factors
 from .config import Config, build_config
 from .corpus import Corpus, build_group, default_corpus, parse_group_spec
 from .errors import (ArgOutOfRange, CapExceeded, CenterboundError,
@@ -360,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--enumeration-cap", type=int, dest="enumeration_cap")
     common.add_argument("--subgroup-cap", type=int, dest="subgroup_cap")
     common.add_argument("--coset-cap", type=int, dest="coset_cap")
-    common.add_argument("--sample-pairs", type=int, dest="sample_pairs")
     common.add_argument("--tuple-cap", type=int, dest="tuple_cap")
     common.add_argument("--seed", type=int)
     common.add_argument("--format", dest="output_format",
@@ -398,7 +396,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     flags = {key: getattr(args, key, None)
              for key in ("enumeration_cap", "subgroup_cap", "coset_cap",
-                         "sample_pairs", "tuple_cap", "seed",
+                         "tuple_cap", "seed",
                          "output_format")}
     try:
         config = build_config(flags, args.config)

@@ -15,6 +15,11 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
+                    DEFAULT_SUBGROUP_CAP, DEFAULT_TUPLE_CAP)
+
+DEFAULT_SAMPLE_PAIRS = 1000
+
 ENV_PREFIX = "CENTERBOUND_"
 
 OUTPUT_FORMATS = ("json", "csv", "table")
@@ -22,11 +27,11 @@ OUTPUT_FORMATS = ("json", "csv", "table")
 
 @dataclass(frozen=True)
 class Config:
-    enumeration_cap: int = 200_000
-    subgroup_cap: int = 512
-    coset_cap: int = 100_000
-    sample_pairs: int = 1000
-    tuple_cap: int = 2_000_000
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+    subgroup_cap: int = DEFAULT_SUBGROUP_CAP
+    coset_cap: int = DEFAULT_COSET_CAP
+    sample_pairs: int = DEFAULT_SAMPLE_PAIRS
+    tuple_cap: int = DEFAULT_TUPLE_CAP
     output_format: str = "table"
     seed: int = 0
 

@@ -3,8 +3,14 @@
 The stabilizer chain is built by the classic deterministic Schreier-Sims
 procedure (no randomisation), so orders, membership answers and element
 enumeration order are bit-stable across runs.  Groups are immutable after
-construction; lazily filled caches (chain, element list) are write-once, so
+construction; the lazily built chain and element list are write-once, so
 a group may be shared freely once built.
+
+Every derived result (center, quotients, subgroup lattice, ranks, ...) lives
+in one memo per group, ``Group.memo``.  Caps are admission checks through
+``admit``, never keys, so a call raises CapExceeded exactly when the same
+call on a fresh group would.  The bookkeeping is module state, so groups are
+not for concurrent threads.
 
 Element enumeration walks the transversal chain in sorted-orbit order and is
 guarded by a configurable cap: operations that need the full element list
@@ -14,12 +20,37 @@ fail loudly with CapExceeded rather than subsample.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch
 from .perm import Perm, identity
 
 DEFAULT_ENUMERATION_CAP = 200_000
+DEFAULT_COSET_CAP = 100_000
+DEFAULT_SUBGROUP_CAP = 512
+DEFAULT_TUPLE_CAP = 2_000_000
+TABLE_CAP = 1024
+
+# cap kind: (what CapExceeded reports, the default limit)
+_CAPS = {
+    "elements": ("element enumeration", DEFAULT_ENUMERATION_CAP),
+    "cosets": ("coset enumeration", DEFAULT_COSET_CAP),
+    "subgroups": ("subgroup enumeration", DEFAULT_SUBGROUP_CAP),
+    "table": ("multiplication table", TABLE_CAP),
+    "tuples": ("generator tuple search", DEFAULT_TUPLE_CAP),
+}
+
+# demand records of the memo entries being computed, innermost last
+_computing: list[dict[str, int]] = []
+
+
+def admit(kind: str, limit: int, value: int) -> None:
+    """The one cap check: raise CapExceeded when value exceeds limit, and
+    otherwise record value in the memo entry being computed."""
+    if value > limit:
+        raise CapExceeded(_CAPS[kind][0], limit, value)
+    if _computing and _computing[-1].get(kind, -1) < value:
+        _computing[-1][kind] = value
 
 
 class _Level:
@@ -54,12 +85,26 @@ class _Level:
                     queue.append(b)
 
 
+def _sift(levels: Sequence[_Level], h: Perm) -> Perm:
+    """Strip h through the given levels of a chain; the residue is the
+    identity exactly when h lies in the group of the first of them."""
+    for level in levels:
+        delta = h._img[level.point]
+        if delta == level.point:
+            continue
+        u = level.transversal.get(delta)
+        if u is None:
+            return h
+        h = h * u.inverse()
+    return h
+
+
 def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
     """Deterministic stabilizer chain (textbook Schreier-Sims).
 
     Base points are chosen as the smallest point moved by the generator
     that forces a new level; orbits are BFS in generator-list order; level
-    i is complete once every Schreier generator at level i strips to the
+    i is complete once every Schreier generator at level i sifts to the
     identity through the deeper levels.
     """
     levels: list[_Level] = []
@@ -72,18 +117,6 @@ def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
 
     def rebuild(i: int):
         levels[i].rebuild(degree, gens_at(i))
-
-    def strip(p: Perm, start: int) -> Perm:
-        h = p
-        for level in levels[start:]:
-            delta = h._img[level.point]
-            if delta == level.point:
-                continue
-            u = level.transversal.get(delta)
-            if u is None:
-                return h
-            h = h * u.inverse()
-        return h
 
     def place(h: Perm) -> int:
         """File a new strong generator at the first level whose base point
@@ -111,7 +144,7 @@ def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
                     schreier = u * s * target.inverse()
                     if schreier.is_identity():
                         continue
-                    residue = strip(schreier, i + 1)
+                    residue = _sift(levels[i + 1:], schreier)
                     if residue.is_identity():
                         continue
                     j = place(residue)
@@ -153,7 +186,7 @@ class Group:
         self._order: int | None = None
         self._elements: tuple[Perm, ...] | None = None
         self._element_set: frozenset[Perm] | None = None
-        self._cache: dict = {}
+        self._memo: dict = {}
 
     # -- stabilizer chain ------------------------------------------------
 
@@ -189,16 +222,7 @@ class Group:
         if p.degree != self.degree:
             raise DegreeMismatch(
                 f"perm degree {p.degree} != group degree {self.degree}")
-        h = p
-        for level in self._chain():
-            delta = h._img[level.point]
-            if delta == level.point:
-                continue
-            u = level.transversal.get(delta)
-            if u is None:
-                return h
-            h = h * u.inverse()
-        return h
+        return _sift(self._chain(), p)
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
@@ -215,17 +239,14 @@ class Group:
 
     def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Perm, ...]:
         """All elements exactly once, in deterministic transversal order."""
+        admit("elements", cap, self.order())
         if self._elements is None:
-            if self.order() > cap:
-                raise CapExceeded("element enumeration", cap, self.order())
             elems = [identity(self.degree)]
             for level in reversed(self._chain()):
                 reps = [level.transversal[d] for d in sorted(level.transversal)]
                 elems = [e * u for u in reps for e in elems]
             self._elements = tuple(elems)
             self._element_set = frozenset(elems)
-        elif len(self._elements) > cap:
-            raise CapExceeded("element enumeration", cap, len(self._elements))
         return self._elements
 
     def element_set(self, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[Perm]:
@@ -238,6 +259,29 @@ class Group:
             self._elements = tuple(elems)
             self._element_set = frozenset(elems)
             self._order = len(self._elements)
+
+    # -- the memo ----------------------------------------------------------
+
+    def memo(self, key, compute: Callable[[], Any], **limits: int) -> Any:
+        """compute() once per key; a key never holds a cap.  The entry keeps
+        the largest value compute asked each cap to admit, nested entries
+        included, and every call re-admits those against limits (the
+        caller's cap per kind, else its default).  An entry they would refuse
+        is computed again, so the refusal is the one a fresh group gives.
+        compute must let CapExceeded pass: a caught refusal leaves no trace."""
+        entry = self._memo.get(key)
+        if entry is None or any(n > limits.get(kind, _CAPS[kind][1])
+                                for kind, n in entry[1].items()):
+            _computing.append({})
+            try:
+                value = compute()
+            finally:
+                demand = _computing.pop()
+            entry = self._memo[key] = (value, demand)
+        value, demand = entry
+        for kind, n in demand.items():
+            admit(kind, limits.get(kind, _CAPS[kind][1]), n)
+        return value
 
     def random_element(self, rng: random.Random) -> Perm:
         """Uniform random element, drawn level-by-level from the transversals."""
@@ -277,13 +321,6 @@ class Subgroup(Group):
             for g in self.generators:
                 if not parent.contains(g):
                     raise ValueError(f"generator {g} lies outside the parent group")
-
-    @property
-    def root(self) -> Group:
-        g = self.parent
-        while isinstance(g, Subgroup):
-            g = g.parent
-        return g
 
     def __repr__(self) -> str:
         return f"Sub{super().__repr__()}"

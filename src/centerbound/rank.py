@@ -1,7 +1,10 @@
 """Minimal generator numbers and ranks.
 
 d(G) is the least size of a generating set; the rank of G is the maximum of
-d(H) over all subgroups H.  The strategy ladder for d is:
+d(H) over all subgroups H.  One strategy ladder computes d, written once
+against two representations of the elements: Perm with BSGS membership
+(``_PermLadder``, behind min_generators) and indices into the Cayley table
+(``_Table``, behind the subgroups of a lattice).  The rungs:
 
 * trivial group: 0;
 * abelian: the number of invariant factors, read off socle sizes (for each
@@ -10,11 +13,13 @@ d(H) over all subgroups H.  The strategy ladder for d is:
   subgroup generated by commutators and p-th powers, normally closed;
 * general: squeeze between the abelianization lower bound and a greedily
   pruned generating set, then exhaustive search over element subsets under
-  a tuple cap.
+  a tuple cap.  The search runs on the Cayley table, so a group above
+  TABLE_CAP elements gets d only when the squeeze closes.
 
 Exact rank needs the full subgroup list, which is exponential; the default
-cap is small and deliberate, and past it rank evaluates to Unknown -- a
-value, never a guess.
+cap is small and deliberate, and past any cap rank evaluates to Unknown -- a
+value, never a guess.  Unknown is made at the edge (group_rank) and never
+memoized, so a later call with larger caps computes the rank.
 """
 
 from __future__ import annotations
@@ -25,13 +30,10 @@ from math import gcd
 
 from .arith import integer_log, is_prime_power, prime_factors
 from .errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
-from .group import DEFAULT_ENUMERATION_CAP, Group, Subgroup
+from .group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
+                    DEFAULT_TUPLE_CAP, TABLE_CAP, Group, Subgroup, admit)
 from .perm import Perm, commutator
-from .structure import derived_subgroup
-
-DEFAULT_SUBGROUP_CAP = 512
-DEFAULT_TUPLE_CAP = 2_000_000
-_INDEX_TABLE_CAP = 1024
+from .structure import _Perms, normal_closure
 
 
 @dataclass(frozen=True)
@@ -52,32 +54,37 @@ class RankReport:
     method: str
 
 
-def _cached(G: Group, key, compute):
-    if key not in G._cache:
-        G._cache[key] = compute()
-    return G._cache[key]
+# -- the two representations -------------------------------------------------
 
 
-# -- multiplication-table world ----------------------------------------------
-#
-# Subgroup enumeration and generator searches run over element indices with a
-# precomputed Cayley table: tight integer loops instead of tuple composition.
+class _Table:
+    """Elements as indices into G's element list, subgroups as frozensets of
+    indices: tight integer loops over a Cayley table instead of tuple
+    composition."""
 
-
-class _Indexed:
     def __init__(self, G: Group, cap: int):
         elems = G.elements(cap)
         n = len(elems)
-        if n > _INDEX_TABLE_CAP:
-            raise CapExceeded("multiplication table", _INDEX_TABLE_CAP, n)
+        admit("table", TABLE_CAP, n)
         index = {e: i for i, e in enumerate(elems)}
         self.elems = elems
-        self.index = index
         self.table = [tuple(index[a * b] for b in elems) for a in elems]
         self.inv = tuple(index[e.inverse()] for e in elems)
         self.orders = tuple(e.order() for e in elems)
         self.identity = index[G.identity_element()]
         self.n = n
+
+    size = staticmethod(len)
+
+    @staticmethod
+    def members(hset: frozenset[int]) -> frozenset[int]:
+        return hset
+
+    def order_of(self, x: int) -> int:
+        return self.orders[x]
+
+    def commute(self, a: int, b: int) -> bool:
+        return self.table[a][b] == self.table[b][a]
 
     def power(self, x: int, k: int) -> int:
         result = self.identity
@@ -89,7 +96,7 @@ class _Indexed:
             k >>= 1
         return result
 
-    def closure(self, gens: tuple[int, ...]) -> frozenset[int]:
+    def closure(self, gens) -> frozenset[int]:
         known = {self.identity}
         frontier = [self.identity]
         table = self.table
@@ -109,94 +116,117 @@ class _Indexed:
         t = self.table
         return t[t[t[self.inv[x]][self.inv[y]]][x]][y]
 
-    def normal_closure(self, seed: list[int],
-                       conjugators: tuple[int, ...]) -> frozenset[int]:
-        gens = [g for g in seed if g != self.identity]
-        current = self.closure(tuple(gens))
-        while True:
-            new = [self.conjugate(k, t)
-                   for k in gens for t in conjugators
-                   if self.conjugate(k, t) not in current]
-            if not new:
-                return current
-            gens.extend(new)
-            current = self.closure(tuple(gens))
-
-    # d(H) for a subgroup given by its element set and a known generating list
-    def min_generators_of(self, hset: frozenset[int], gens: tuple[int, ...],
-                          tuple_cap: int) -> tuple[int, bool]:
-        """(d, used_exhaustive_search)."""
+    def search(self, hset: frozenset[int], lower: int, upper: int,
+               tuple_cap: int) -> int:
+        """The least k in [lower, upper) for which some k members generate
+        hset, else upper; every k-subset tried counts against tuple_cap."""
         size = len(hset)
-        if size == 1:
-            return 0, False
-        if self._abelian(gens):
-            return self._abelian_invariants(hset), False
-        p = is_prime_power(size)
-        if p is not None:
-            phi = self.normal_closure(
-                [self.commutator(a, b) for a, b in
-                 itertools.combinations(gens, 2)]
-                + [self.power(g, p) for g in gens], gens)
-            return integer_log(size // len(phi), p), False
-        lower = max(2, self._abelianization_d(hset, gens))
-        pruned = self._prune(hset, gens)
-        if len(pruned) == lower:
-            return lower, False
-        return self._search(hset, lower, len(pruned), tuple_cap), True
-
-    def _abelian(self, gens) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a]
-                   for a, b in itertools.combinations(gens, 2))
-
-    def _abelian_invariants(self, hset: frozenset[int]) -> int:
-        size = len(hset)
-        best = 0
-        for p in prime_factors(size):
-            count = sum(1 for x in hset if self.orders[x] in (1, p))
-            best = max(best, integer_log(count, p))
-        return best
-
-    def _abelianization_d(self, hset, gens) -> int:
-        derived = self.normal_closure(
-            [self.commutator(a, b) for a, b in
-             itertools.combinations(gens, 2)], gens)
-        index = len(hset) // len(derived)
-        if index == 1:
-            return 0
-        best = 0
-        for p in prime_factors(index):
-            count = sum(1 for x in hset if self.power(x, p) in derived)
-            best = max(best, integer_log(count // len(derived), p))
-        return best
-
-    def _prune(self, hset, gens) -> tuple[int, ...]:
-        kept = list(gens)
-        i = 0
-        while i < len(kept):
-            trial = kept[:i] + kept[i + 1:]
-            if len(self.closure(tuple(trial))) == len(hset):
-                kept = trial
-            else:
-                i += 1
-        return tuple(kept)
-
-    def _search(self, hset, lower: int, upper: int, tuple_cap: int) -> int:
         members = sorted(hset - {self.identity})
-        size = len(hset)
-        tried = 0
-        for k in range(lower, upper):
-            for combo in itertools.combinations(members, k):
-                tried += 1
-                if tried > tuple_cap:
-                    raise CapExceeded("generator tuple search", tuple_cap, k)
-                if len(self.closure(combo)) == size:
-                    return k
-        return upper
+        tried, d = 0, upper
+        for combo in itertools.chain.from_iterable(
+                itertools.combinations(members, k)
+                for k in range(lower, upper)):
+            tried += 1
+            if tried > tuple_cap or len(self.closure(combo)) == size:
+                d = len(combo)
+                break
+        admit("tuples", tuple_cap, tried)  # refuses a search the cap stopped
+        return d
 
 
-def _indexed(G: Group, cap: int) -> _Indexed:
-    return _cached(G, "indexed", lambda: _Indexed(G, cap))
+class _PermLadder(_Perms):
+    """The Perm representation with the rest of what the ladder needs.  Its
+    search runs on the group's Cayley table, which refuses groups above
+    TABLE_CAP elements."""
+
+    power = staticmethod(pow)
+    commutator = staticmethod(commutator)
+    order_of = staticmethod(Perm.order)
+
+    @staticmethod
+    def size(K: Group) -> int:
+        return K.order()
+
+    def members(self, K: Group):
+        return K.elements(self.cap)
+
+    @staticmethod
+    def commute(a: Perm, b: Perm) -> bool:
+        return a * b == b * a
+
+    def search(self, K: Group, lower: int, upper: int, tuple_cap: int) -> int:
+        table = _table(K, self.cap)
+        return table.search(frozenset(range(table.n)), lower, upper,
+                            tuple_cap)
+
+
+def _table(G: Group, cap: int) -> _Table:
+    return G.memo("table", lambda: _Table(G, cap), elements=cap)
+
+
+# -- the d ladder -------------------------------------------------------------
+
+
+def _d(world, H, gens, tuple_cap: int) -> int:
+    """d(H) for H generated by gens, in either representation."""
+    size = world.size(H)
+    if size == 1:
+        return 0
+    if all(world.commute(a, b) for a, b in itertools.combinations(gens, 2)):
+        return _socle_rank(world, H)
+    p = is_prime_power(size)
+    if p is not None:
+        return integer_log(size // world.size(_frattini(world, gens, p)), p)
+    lower = max(2, _abelianization_d(world, H, gens))
+    upper = len(_prune(world, gens, size))
+    if upper == lower:
+        return lower
+    return world.search(H, lower, upper, tuple_cap)
+
+
+def _socle_rank(world, A) -> int:
+    """Invariant-factor count of an abelian A: the largest p-socle rank."""
+    best = 0
+    for p in prime_factors(world.size(A)):
+        count = sum(1 for x in world.members(A) if world.order_of(x) in (1, p))
+        best = max(best, integer_log(count, p))
+    return best
+
+
+def _frattini(world, gens, p: int):
+    """For a p-group: the normal closure of generator commutators and
+    generator p-th powers."""
+    seed = [world.commutator(a, b) for a, b in itertools.combinations(gens, 2)]
+    seed += [world.power(g, p) for g in gens]
+    return normal_closure(world, seed, gens)
+
+
+def _abelianization_d(world, H, gens) -> int:
+    derived = normal_closure(
+        world, [world.commutator(a, b)
+                for a, b in itertools.combinations(gens, 2)], gens)
+    index = world.size(H) // world.size(derived)
+    if index == 1:
+        return 0
+    best = 0
+    for p in prime_factors(index):
+        count = sum(1 for x in world.members(H)
+                    if world.power(x, p) in derived)
+        best = max(best, integer_log(count // world.size(derived), p))
+    return best
+
+
+def _prune(world, gens, size: int) -> list:
+    """Greedily drop generators the rest still generate without."""
+    kept = list(gens)
+    i = 0
+    while i < len(kept):
+        trial = kept[:i] + kept[i + 1:]
+        if world.size(world.closure(trial)) == size:
+            kept = trial
+        else:
+            i += 1
+    return kept
 
 
 # -- public operations ---------------------------------------------------------
@@ -209,21 +239,8 @@ def frattini_p(G: Group, p: int,
     order = G.order()
     if order > 1 and is_prime_power(order) != p:
         raise NotPGroup(f"order {order} is not a power of {p}")
-
-    def compute():
-        seed = [commutator(a, b) for a, b in
-                itertools.combinations(G.generators, 2)]
-        seed += [g ** p for g in G.generators]
-        seed = [s for s in seed if not s.is_identity()]
-        K = Subgroup(G, seed, _trusted=True)
-        while True:
-            new = [t.inverse() * k * t
-                   for k in K.generators for t in G.generators
-                   if (t.inverse() * k * t) not in K]
-            if not new:
-                return K
-            K = Subgroup(G, tuple(K.generators) + tuple(new), _trusted=True)
-    return _cached(G, ("frattini", p), compute)
+    return G.memo(("frattini", p), lambda: _frattini(
+        _PermLadder(G, cap), G.generators, p))
 
 
 def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -231,89 +248,25 @@ def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     rank over primes p dividing the order."""
     if not A.is_abelian():
         raise NotAbelian("abelian_rank requires an abelian group")
-    order = A.order()
-    if order == 1:
-        return 0
-    best = 0
-    for p in prime_factors(order):
-        count = sum(1 for x in A.elements(cap) if x.order() in (1, p))
-        best = max(best, integer_log(count, p))
-    return best
+    return _socle_rank(_PermLadder(A, cap), A)
 
 
 def min_generators(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                    tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Exact d(G) by the strategy ladder (see module docstring)."""
+    return G.memo("d", lambda: _d(_PermLadder(G, cap), G, G.generators,
+                                  tuple_cap),
+                  elements=cap, tuples=tuple_cap)
+
+
+def _lattice(G: Group, subgroup_cap: int,
+             cap: int) -> tuple[_Table, dict[frozenset[int], tuple[int, ...]]]:
+    """G's table, and every subgroup of G as its set of table indices mapped
+    to the generators it was found with (see all_subgroups)."""
     def compute():
         order = G.order()
-        if order == 1:
-            return 0
-        if G.is_abelian():
-            return abelian_rank(G, cap)
-        p = is_prime_power(order)
-        if p is not None:
-            phi = frattini_p(G, p, cap)
-            return integer_log(order // phi.order(), p)
-        lower = max(2, _abelianization_d_perm(G, cap))
-        pruned = _pruned_generators(G)
-        if len(pruned) == lower:
-            return lower
-        try:
-            idx = _indexed(G, cap)
-        except CapExceeded:
-            raise CapExceeded(f"generator tuple search (k={lower})",
-                              tuple_cap, order ** lower)
-        d, _ = idx.min_generators_of(frozenset(range(idx.n)),
-                                     tuple(idx.index[g] for g in pruned),
-                                     tuple_cap)
-        return d
-    return _cached(G, "min_generators", compute)
-
-
-def _abelianization_d_perm(G: Group, cap: int) -> int:
-    derived = derived_subgroup(G)
-    index = G.order() // derived.order()
-    if index == 1:
-        return 0
-    best = 0
-    for p in prime_factors(index):
-        count = sum(1 for x in G.elements(cap) if (x ** p) in derived)
-        best = max(best, integer_log(count // derived.order(), p))
-    return best
-
-
-def _pruned_generators(G: Group) -> tuple[Perm, ...]:
-    """Greedily drop redundant generators (order test on the rest)."""
-    kept = list(G.generators)
-    target = G.order()
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1:]
-        if Group(G.degree, trial).order() == target:
-            kept = trial
-        else:
-            i += 1
-    return tuple(kept)
-
-
-def all_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> list[Subgroup]:
-    """Every subgroup exactly once, by bottom-up closure: all cyclic
-    subgroups, then repeated one-element extensions, deduplicated by
-    element-set fingerprint.
-
-    Extensions only need elements of prime-power order (every subgroup is
-    generated by such elements), and for a fixed H the candidates g, g^k
-    (for <g^k> = <g>) and g^h (h in H) all generate the same extension, so
-    one representative per such orbit is tried.
-    """
-    def compute():
-        order = G.order()
-        if order > subgroup_cap:
-            raise CapExceeded("subgroup enumeration", subgroup_cap, order)
-        idx = _Indexed(G, cap) if "indexed" not in G._cache \
-            else G._cache["indexed"]
-        G._cache.setdefault("indexed", idx)
+        admit("subgroups", subgroup_cap, order)
+        idx = _table(G, cap)
         table = idx.table
 
         found: dict[frozenset[int], tuple[int, ...]] = {}
@@ -358,41 +311,51 @@ def all_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
                 for gk in gen_powers:
                     for h in hset:
                         skip.add(idx.conjugate(gk, h))
+        return idx, found
+    return G.memo("lattice", compute, subgroups=subgroup_cap, elements=cap)
 
+
+def all_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
+                  cap: int = DEFAULT_ENUMERATION_CAP) -> list[Subgroup]:
+    """Every subgroup exactly once, by bottom-up closure: all cyclic
+    subgroups, then repeated one-element extensions, deduplicated by
+    element-set fingerprint.
+
+    Extensions only need elements of prime-power order (every subgroup is
+    generated by such elements), and for a fixed H the candidates g, g^k
+    (for <g^k> = <g>) and g^h (h in H) all generate the same extension, so
+    one representative per such orbit is tried.
+    """
+    def compute():
+        table, found = _lattice(G, subgroup_cap, cap)
+        elems = table.elems
         handles = []
         for hset, gens in found.items():
-            handle = Subgroup(G, [idx.elems[g] for g in gens], _trusted=True)
-            handle._adopt_elements([idx.elems[i] for i in sorted(hset)])
+            handle = Subgroup(G, [elems[g] for g in gens], _trusted=True)
+            handle._adopt_elements([elems[i] for i in sorted(hset)])
             handles.append(handle)
-        handles.sort(key=lambda h: (h.order(),
-                                    tuple(sorted(e._img for e in h.elements()))))
-        G._cache["subgroup_sets"] = dict(found)
+        handles.sort(key=lambda h: (
+            h.order(), tuple(sorted(e._img for e in h.elements(cap)))))
         return handles
-    return _cached(G, "all_subgroups", compute)
-
+    return G.memo("subgroups", compute, subgroups=subgroup_cap, elements=cap)
 
 
 def group_rank(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
                tuple_cap: int = DEFAULT_TUPLE_CAP) -> "int | UnknownRank":
     """max d(H) over subgroups; abelian groups shortcut through socle ranks.
-    Past the subgroup cap the result is Unknown, never a guess."""
+    Past any cap the result is Unknown, never a guess."""
     def compute():
-        if G.order() == 1:
-            return 0
         if G.is_abelian():
             return abelian_rank(G, cap)
-        try:
-            all_subgroups(G, subgroup_cap, cap)
-        except CapExceeded as exc:
-            return UnknownRank(exc.what, exc.limit, exc.value)
-        idx = G._cache["indexed"]
-        best = 0
-        for hset, gens in G._cache["subgroup_sets"].items():
-            d, _ = idx.min_generators_of(hset, gens, tuple_cap)
-            best = max(best, d)
-        return best
-    return _cached(G, "group_rank", compute)
+        table, found = _lattice(G, subgroup_cap, cap)
+        return max(_d(table, hset, gens, tuple_cap)
+                   for hset, gens in found.items())
+    try:
+        return G.memo("rank", compute, elements=cap, subgroups=subgroup_cap,
+                      tuples=tuple_cap)
+    except CapExceeded as exc:
+        return UnknownRank(exc.what, exc.limit, exc.value)
 
 
 def rank_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,

@@ -35,10 +35,9 @@ from .arith import is_prime_power, prime_factors
 from .config import Config
 from .errors import CapExceeded
 from .group import Group, Subgroup, subgroup_from_elements
-from .perm import Perm
-from .rank import (UnknownRank, all_subgroups, group_rank, min_generators,
-                   _pruned_generators)
-from .structure import (centralizer, intersection, is_normal,
+from .rank import (UnknownRank, _PermLadder, _prune, all_subgroups,
+                   group_rank, min_generators)
+from .structure import (centralizing, intersection, is_normal,
                         mutual_commutator, quotient_by_center,
                         structure_report, sylow)
 from .witness import (WitnessRecord, _section_rank, also_witness,
@@ -108,8 +107,9 @@ def _inclusion(tag: str, violations: int, extra: str = "") -> Verdict:
 
 
 class _Evaluator:
-    """Evaluation context for one group: structure report, section ranks
-    and quotients computed once and shared across statements."""
+    """One group under one config.  It holds nothing of its own: the
+    structure report, quotients and ranks it asks for live in the group's
+    memo, so evaluators are built per call."""
 
     def __init__(self, G: Group, config: Config):
         self.G = G
@@ -118,12 +118,6 @@ class _Evaluator:
         self.coset_cap = config.coset_cap
         self.subgroup_cap = config.subgroup_cap
         self.tuple_cap = config.tuple_cap
-        self._memo: dict = {}
-
-    def _get(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
 
     @property
     def sr(self):
@@ -138,13 +132,11 @@ class _Evaluator:
 
     @property
     def r_derived_mod_zed(self):
-        return self._get("r_dz", lambda: self.section_rank(
-            self.sr.derived, self.sr.zed))
+        return self.section_rank(self.sr.derived, self.sr.zed)
 
     @property
     def central_quotient(self):
-        return self._get("quot_center", lambda: quotient_by_center(
-            self.G, self.coset_cap, self.cap))
+        return quotient_by_center(self.G, self.coset_cap, self.cap)
 
     @property
     def p_group_prime(self):
@@ -156,9 +148,6 @@ class _Evaluator:
     # -- individual statements -------------------------------------------
 
     def evaluate(self, tag: str) -> Verdict:
-        return self._get(("verdict", tag), lambda: self._dispatch(tag))
-
-    def _dispatch(self, tag: str) -> Verdict:
         try:
             return getattr(self, "_eval_" + tag.lower())()
         except CapExceeded as exc:
@@ -271,9 +260,8 @@ class _Evaluator:
             gprime_meets = {}
             for K in normals:
                 pairs += 1
-                ck = sum(1 for k in K.elements(self.cap)
-                         if all(k * h == h * k for h in H.generators))
-                lhs = K.order() // ck
+                ck = centralizing(K.elements(self.cap), H.generators)
+                lhs = K.order() // len(ck)
                 key = K.element_set(self.cap)
                 if key not in gprime_meets:
                     gprime_meets[key] = intersection(
@@ -306,7 +294,8 @@ class _Evaluator:
                 d = min_generators(H, self.cap, self.tuple_cap)
                 note = ""
             except CapExceeded:
-                d = len(_pruned_generators(H))
+                d = len(_prune(_PermLadder(H, self.cap), H.generators,
+                               H.order()))
                 note = ", upper bound"
             out.append((H, name, d, note))
         return out
@@ -335,9 +324,8 @@ class _Evaluator:
         checked = []
         for p in sorted(prime_factors(sr.orders["dee"])):
             P = sylow(sr.dee, p, self.cap)
-            cgp = sum(1 for c in sr.derived.elements(self.cap)
-                      if all(c * g == g * c for g in P.generators))
-            index = sr.orders["derived"] // cgp
+            cgp = centralizing(sr.derived.elements(self.cap), P.generators)
+            index = sr.orders["derived"] // len(cgp)
             if index > 1 and is_prime_power(index) != p:
                 failing += 1
             checked.append(p)
@@ -421,23 +409,14 @@ def _worse(lhs1: int, rhs1: int, lhs2: int, rhs2: int) -> bool:
     return lhs1 * rhs2 > lhs2 * rhs1
 
 
-def _evaluator(G: Group, config: Config) -> _Evaluator:
-    key = ("evaluator", config)
-    if key not in G._cache:
-        G._cache[key] = _Evaluator(G, config)
-    return G._cache[key]
-
-
 def evaluate(tag: str, G: Group, config: Config | None = None) -> Verdict:
     """Evaluate one statement on one group."""
     if tag not in STATEMENT_TAGS:
         raise ValueError(f"unknown statement {tag!r}")
-    config = config or Config()
-    return _evaluator(G, config).evaluate(tag)
+    return _Evaluator(G, config or Config()).evaluate(tag)
 
 
 def evaluate_all(G: Group, config: Config | None = None) -> list[Verdict]:
     """All statements in catalog order."""
-    config = config or Config()
-    ev = _evaluator(G, config)
+    ev = _Evaluator(G, config or Config())
     return [ev.evaluate(tag) for tag in STATEMENT_TAGS]

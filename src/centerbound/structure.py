@@ -10,8 +10,9 @@ explicitly, never assumed from theory, so implementation bugs surface as
 NotNormal instead of silently wrong answers.
 
 Results that are expensive and reused (derived subgroup, center, second
-center, the quotient by the center) are cached on the group object, which
-is immutable once built.
+center, zed, D, Sylow subgroups, quotients, the structure report) live in
+the group's one memo, keyed without caps: a cap is an admission check that
+every hit reruns (see ``Group.memo``).
 """
 
 from __future__ import annotations
@@ -21,17 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .arith import p_part, prime_factors
-from .errors import (CapExceeded, NotAbelian, NotCoprime, NotNormal,
-                     NotPGroup)
-from .group import (DEFAULT_ENUMERATION_CAP, Group, Subgroup,
-                    generated_subgroup, subgroup_from_elements)
+from .errors import NotAbelian, NotCoprime, NotNormal, NotPGroup
+from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
+                    Subgroup, admit, subgroup_from_elements)
 from .perm import Perm, commutator, identity
-
-
-def _cached(G: Group, key, compute: Callable):
-    if key not in G._cache:
-        G._cache[key] = compute()
-    return G._cache[key]
 
 
 def _ambient(A: Group) -> Group:
@@ -41,56 +35,90 @@ def _ambient(A: Group) -> Group:
     return g
 
 
+# -- the permutation representation and the normal closure -----------------
+
+
+class _Perms:
+    """Elements as Perm and subgroups as handles on G, with membership by
+    sifting through their chains: one of the two representations the normal
+    closure (and, in rank.py, the d ladder) runs on.  The other is the
+    Cayley table of rank.py."""
+
+    def __init__(self, G: Group, cap: int = DEFAULT_ENUMERATION_CAP):
+        self.G = G
+        self.cap = cap
+        self.identity = G.identity_element()
+
+    def closure(self, gens: Sequence[Perm]) -> Subgroup:
+        return Subgroup(self.G, gens, _trusted=True)
+
+    @staticmethod
+    def conjugate(x: Perm, t: Perm) -> Perm:
+        return t.inverse() * x * t
+
+
+def normal_closure(world, seed, conjugators):
+    """The closure of seed under multiplication and conjugation by the
+    conjugators, in either representation.  The generators are the seed,
+    then each round's new conjugates, without repeats or the identity."""
+    gens = list(dict.fromkeys(s for s in seed if s != world.identity))
+    K = world.closure(gens)
+    while True:
+        new = [c for k in gens for t in conjugators
+               if (c := world.conjugate(k, t)) not in K]
+        if not new:
+            return K
+        gens += dict.fromkeys(new)
+        K = world.closure(gens)
+
+
 # -- centralizer-style filters ---------------------------------------------
+
+
+def centralizing(elems: Sequence[Perm], S: Sequence[Perm]) -> list[Perm]:
+    """The members of elems commuting with every s in S, in order: the one
+    centralizer filter."""
+    targets = [s for s in S if not s.is_identity()]
+    return [g for g in elems if all(g * s == s * g for s in targets)]
 
 
 def centralizer(G: Group, S: Sequence[Perm],
                 cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """{g in G | gs = sg for all s in S}, by exhaustive filter."""
-    targets = [s for s in S if not s.is_identity()]
-    if not targets:
-        return subgroup_from_elements(G, list(G.elements(cap)))
-    selected = [g for g in G.elements(cap)
-                if all(g * s == s * g for s in targets)]
-    return subgroup_from_elements(G, selected)
+    return subgroup_from_elements(G, centralizing(G.elements(cap), S))
 
 
 def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """Z(G) = centralizer of a generating set."""
-    return _cached(G, "center", lambda: centralizer(G, G.generators, cap))
+    return G.memo("center", lambda: centralizer(G, G.generators, cap),
+                  elements=cap)
+
+
+def _central_commutators(G: Group, X: Sequence[Perm], cap: int) -> Subgroup:
+    """{g | [g, x] lies in Z(G) for every x in X}, which is
+    {g | [g, <X>] <= Z(G)}: for central [g, x] and [g, y] one has
+    [g, xy] = [g, y][g, x]^y = [g, y][g, x]."""
+    zset = center(G, cap).element_set(cap)
+    pairs = [(x, x.inverse()) for x in X]
+    selected = []
+    for g in G.elements(cap):
+        ginv = g.inverse()
+        if all(ginv * xinv * g * x in zset for x, xinv in pairs):
+            selected.append(g)
+    return subgroup_from_elements(G, selected)
 
 
 def second_center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """{g | [g, x] lies in Z(G) for every generator x}.
-
-    Sufficient because for central [g, x] and [g, y] one has
-    [g, xy] = [g, y][g, x]^y = [g, y][g, x].
-    """
-    def compute():
-        zset = center(G, cap).element_set(cap)
-        gens = [(x, x.inverse()) for x in G.generators]
-        selected = []
-        for g in G.elements(cap):
-            ginv = g.inverse()
-            if all(ginv * xinv * g * x in zset for x, xinv in gens):
-                selected.append(g)
-        return subgroup_from_elements(G, selected)
-    return _cached(G, "second_center", compute)
+    """Z2(G) = {g | [g, x] lies in Z(G) for every generator x}."""
+    return G.memo("second_center",
+                  lambda: _central_commutators(G, G.generators, cap),
+                  elements=cap)
 
 
 def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """{g | [g, c] central for every generator c of the derived subgroup};
-    this is exactly {g | [g, G'] <= Z(G)} since the conditions multiply."""
-    def compute():
-        zset = center(G, cap).element_set(cap)
-        dgens = [(c, c.inverse()) for c in derived_subgroup(G).generators]
-        selected = []
-        for g in G.elements(cap):
-            ginv = g.inverse()
-            if all(ginv * cinv * g * c in zset for c, cinv in dgens):
-                selected.append(g)
-        return subgroup_from_elements(G, selected)
-    return _cached(G, "dee", compute)
+    """D = {g | [g, G'] <= Z(G)}, filtered on the generators of G'."""
+    return G.memo("dee", lambda: _central_commutators(
+        G, derived_subgroup(G).generators, cap), elements=cap)
 
 
 def normalizer(G: Group, H: Group,
@@ -128,29 +156,13 @@ def is_subgroup_of(A: Group, B: Group) -> bool:
 
 def mutual_commutator(A: Group, B: Group) -> Subgroup:
     """[A, B]: the normal closure in <A, B> of the generator commutators."""
-    ambient = _ambient(A)
-    seed = []
-    for a in A.generators:
-        for b in B.generators:
-            c = commutator(a, b)
-            if not c.is_identity():
-                seed.append(c)
-    K = Subgroup(ambient, seed, _trusted=True)
-    conjugators = tuple(A.generators) + tuple(B.generators)
-    while True:
-        new = []
-        for k in K.generators:
-            for t in conjugators:
-                c = t.inverse() * k * t
-                if c not in K:
-                    new.append(c)
-        if not new:
-            return K
-        K = Subgroup(ambient, tuple(K.generators) + tuple(new), _trusted=True)
+    seed = [commutator(a, b) for a in A.generators for b in B.generators]
+    return normal_closure(_Perms(_ambient(A)), seed,
+                          A.generators + B.generators)
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    return _cached(G, "derived", lambda: mutual_commutator(G, G))
+    return G.memo("derived", lambda: mutual_commutator(G, G))
 
 
 def zed_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
@@ -159,7 +171,7 @@ def zed_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
         gp = derived_subgroup(G)
         selected = [z for z in center(G, cap).elements(cap) if z in gp]
         return subgroup_from_elements(G, selected)
-    return _cached(G, "zed", compute)
+    return G.memo("zed", compute, elements=cap)
 
 
 # -- Sylow subgroups ---------------------------------------------------------
@@ -185,7 +197,7 @@ def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
                 raise AssertionError(
                     f"sylow ascent stalled at order {P.order()} of {target}")
         return P
-    return _cached(G, ("sylow", p), compute)
+    return G.memo(("sylow", p), compute, elements=cap)
 
 
 # -- quotients ----------------------------------------------------------------
@@ -256,14 +268,20 @@ class _IdentityQuotient(QuotientPresentation):
         return list(elems)
 
 
-def quotient(G: Group, N: Group, coset_cap: int = 100_000,
+def quotient(G: Group, N: Group, coset_cap: int = DEFAULT_COSET_CAP,
              cap: int = DEFAULT_ENUMERATION_CAP) -> QuotientPresentation:
-    """The right-coset action of G on the cosets of a normal subgroup N."""
+    """The right-coset action of G on the cosets of a normal subgroup N,
+    memoized on G per N."""
+    return G.memo(("quotient", N), lambda: _coset_action(G, N, coset_cap, cap),
+                  cosets=coset_cap, elements=cap)
+
+
+def _coset_action(G: Group, N: Group, coset_cap: int,
+                  cap: int) -> QuotientPresentation:
     if not is_normal(G, N):
         raise NotNormal("quotient requires a normal subgroup")
     index = G.order() // N.order()
-    if index > coset_cap:
-        raise CapExceeded("coset enumeration", coset_cap, index)
+    admit("cosets", coset_cap, index)
     if N.order() == 1:
         return _IdentityQuotient(G, N)
 
@@ -300,10 +318,9 @@ def quotient(G: Group, N: Group, coset_cap: int = 100_000,
     return presentation
 
 
-def quotient_by_center(G: Group, coset_cap: int = 100_000,
+def quotient_by_center(G: Group, coset_cap: int = DEFAULT_COSET_CAP,
                        cap: int = DEFAULT_ENUMERATION_CAP) -> QuotientPresentation:
-    return _cached(G, "quotient_by_center",
-                   lambda: quotient(G, center(G, cap), coset_cap, cap))
+    return quotient(G, center(G, cap), coset_cap, cap)
 
 
 # -- socles and Fitting decompositions ---------------------------------------
@@ -338,8 +355,7 @@ def fitting_decomposition(P: Group, Q: Group,
                for x in P.generators for q in Q.generators):
         raise NotNormal("P must be normalised by Q")
     commutator_part = mutual_commutator(P, Q)
-    fixed = [x for x in P.elements(cap)
-             if all(x * q == q * x for q in Q.generators)]
+    fixed = centralizing(P.elements(cap), Q.generators)
     fixed_part = subgroup_from_elements(_ambient(P), fixed)
     meet = [x for x in fixed if x in commutator_part]
     product_order = commutator_part.order() * fixed_part.order() // len(meet)
@@ -377,7 +393,7 @@ class StructureReport:
 
 
 def structure_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
-                     coset_cap: int = 100_000) -> StructureReport:
+                     coset_cap: int = DEFAULT_COSET_CAP) -> StructureReport:
     """Compute all the named subgroups for one group and sanity-check the
     containments between them (a failure here is an implementation bug,
     not a property of the group)."""
@@ -429,4 +445,5 @@ def structure_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
             raise AssertionError("p-parts do not multiply back")
         return StructureReport(G, derived, zent, second, cent_derived, dee,
                                zed, orders, p_parts)
-    return _cached(G, "structure_report", compute)
+    return G.memo("structure_report", compute, elements=cap,
+                  cosets=coset_cap)

@@ -26,12 +26,16 @@ from dataclasses import dataclass, field
 from .arith import is_prime_power, prime_factors
 from .errors import (BadAnchors, BadFamily, CapExceeded, NotInDerived,
                      NotPGroup)
-from .group import DEFAULT_ENUMERATION_CAP, Group, Subgroup, subgroup_from_elements
+from .config import DEFAULT_SAMPLE_PAIRS
+from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
+                    DEFAULT_SUBGROUP_CAP, DEFAULT_TUPLE_CAP, Group, Subgroup,
+                    subgroup_from_elements)
 from .perm import Perm, commutator, format_perm
 from .rank import abelian_rank, group_rank, shrink_generating_set, UnknownRank
-from .structure import (QuotientPresentation, _cached, center, centralizer,
+from .structure import (center, centralizer, centralizing, derived_subgroup,
                         intersection, is_normal, quotient, socle_p,
-                        structure_report, sylow)
+                        StructureReport, structure_report, sylow,
+                        zed_subgroup)
 
 
 @dataclass
@@ -167,7 +171,6 @@ def factorize_commutator(P: Group, anchors: list[Perm], w: Perm,
                          cap: int = DEFAULT_ENUMERATION_CAP) -> list[Perm]:
     """Write w from the derived subgroup of the p-group P = <anchors, Z(P)>
     as [x_1,a_1][x_2,a_2]...[x_d,a_d]; the returned witness re-verifies."""
-    from .structure import derived_subgroup
     order = P.order()
     if order > 1 and is_prime_power(order) is None:
         raise NotPGroup(f"order {order} is not a prime power")
@@ -199,12 +202,6 @@ def factorize_commutator(P: Group, anchors: list[Perm], w: Perm,
 # -- the T/M witness constructions ------------------------------------------
 
 
-def _quotient_by_zed(G: Group, coset_cap: int, cap: int) -> QuotientPresentation:
-    from .structure import zed_subgroup
-    return _cached(G, "quotient_by_zed",
-                   lambda: quotient(G, zed_subgroup(G, cap), coset_cap, cap))
-
-
 def _section_rank(num: Group, den: Group, cap: int, subgroup_cap: int,
                   tuple_cap: int, coset_cap: int):
     """rank of num/den (den normal in num), Unknown past caps."""
@@ -215,11 +212,14 @@ def _section_rank(num: Group, den: Group, cap: int, subgroup_cap: int,
     return group_rank(pres.quotient, cap, subgroup_cap, tuple_cap)
 
 
-def _require_rank(value, what: str) -> int:
-    if isinstance(value, UnknownRank):
-        raise CapExceeded(f"{what} (rank {value.what})",
-                          value.limit, value.value)
-    return value
+def _derived_mod_zed_rank(sr: StructureReport, cap: int, subgroup_cap: int,
+                          tuple_cap: int, coset_cap: int) -> int:
+    """r = rank(G'/zed); a cap that fires is raised, not made Unknown."""
+    r = _section_rank(sr.derived, sr.zed, cap, subgroup_cap, tuple_cap,
+                      coset_cap)
+    if isinstance(r, UnknownRank):
+        raise CapExceeded(f"derived mod zed (rank {r.what})", r.limit, r.value)
+    return r
 
 
 def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
@@ -227,7 +227,7 @@ def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
     """T = <xs> and M = the full preimage of the centralizer of the image
     of T in the quotient by zed = G' n Z(G)."""
     T = Subgroup(G, xs)
-    pres = _quotient_by_zed(G, coset_cap, cap)
+    pres = quotient(G, zed_subgroup(G, cap), coset_cap, cap)
     image_gens = [pres.projection(x) for x in xs]
     centre_above = centralizer(pres.quotient, image_gens, cap)
     m_elems = pres.preimage_elements(centre_above.elements(cap), cap)
@@ -236,17 +236,15 @@ def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
 
 
 def also_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
-                 coset_cap: int = 100_000,
-                 subgroup_cap: int = 512,
-                 tuple_cap: int = 2_000_000) -> WitnessRecord:
+                 coset_cap: int = DEFAULT_COSET_CAP,
+                 subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
+                 tuple_cap: int = DEFAULT_TUPLE_CAP) -> WitnessRecord:
     """Per prime p dividing |C_G(G')|: pick elements x_1..x_l (l <= r) whose
     centralizers cut the socle of (P n G')/(P n Z) down to nothing, build
     T = <x_i> and M, check M n P <= Z_2(G), and verify
     |P : P n Z_2(G)| <= n_p^r."""
     sr = structure_report(G, cap, coset_cap)
-    r = _require_rank(
-        _section_rank(sr.derived, sr.zed, cap, subgroup_cap, tuple_cap,
-                      coset_cap), "derived mod zed")
+    r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap, coset_cap)
     record = WitnessRecord()
     cent = sr.centralizer_of_derived
     z2set = sr.second_center.element_set(cap)
@@ -273,9 +271,8 @@ def also_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
             family_x: dict[int, Perm] = {}
             seen_sets: dict[frozenset, int] = {}
             pig_elems = p_meet_derived.elements(cap)
-            projected: dict[frozenset, list[Perm]] = {}
             for x in G.elements(cap):
-                cx = frozenset(c for c in pig_elems if c * x == x * c)
+                cx = frozenset(centralizing(pig_elems, [x]))
                 if cx in seen_sets:
                     continue
                 seen_sets[cx] = len(family)
@@ -303,17 +300,15 @@ def also_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
 
 
 def szivas_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
-                   coset_cap: int = 100_000,
-                   subgroup_cap: int = 512,
-                   tuple_cap: int = 2_000_000) -> WitnessRecord:
+                   coset_cap: int = DEFAULT_COSET_CAP,
+                   subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
+                   tuple_cap: int = DEFAULT_TUPLE_CAP) -> WitnessRecord:
     """Per prime p dividing |D|, with P the Sylow p-subgroup of D: check
     that G'/C_{G'}(P) is a p-group, pick commutators [x_i,y_i] whose images
     generate it (at most r after shrinking), build T = <x_i, y_i> and M,
     check M n P <= C_G(G') n P, and verify |P : P n C_G(G')| <= n_p^(2r)."""
     sr = structure_report(G, cap, coset_cap)
-    r = _require_rank(
-        _section_rank(sr.derived, sr.zed, cap, subgroup_cap, tuple_cap,
-                      coset_cap), "derived mod zed")
+    r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap, coset_cap)
     record = WitnessRecord()
     dee = sr.dee
     cent = sr.centralizer_of_derived
@@ -324,8 +319,7 @@ def szivas_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
         if not is_normal(G, P):
             raise AssertionError("Sylow subgroup of D not normal in G")
         cgp = subgroup_from_elements(
-            G, [c for c in sr.derived.elements(cap)
-                if all(c * g == g * c for g in P.generators)])
+            G, centralizing(sr.derived.elements(cap), P.generators))
         quotient_order = sr.derived.order() // cgp.order()
         if quotient_order > 1 and is_prime_power(quotient_order) != p:
             raise AssertionError(
@@ -405,7 +399,7 @@ def _commutator_pair_stream(G: Group, cap: int):
 
 def check_commutator_homomorphism(G: Group, x: Perm,
                                   cap: int = DEFAULT_ENUMERATION_CAP,
-                                  sample_pairs: int = 1000,
+                                  sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
                                   seed: int = 0) -> bool:
     """a -> [a, x] is a homomorphism from C_G(G') into G': check
     [ab, x] = [a, x][b, x] on all pairs (or a seeded sample past the pair
@@ -442,10 +436,10 @@ class EmbeddingReport:
 
 def rank_embedding_pl(G: Group, which: str,
                       cap: int = DEFAULT_ENUMERATION_CAP,
-                      coset_cap: int = 100_000,
-                      subgroup_cap: int = 512,
-                      tuple_cap: int = 2_000_000,
-                      sample_pairs: int = 1000,
+                      coset_cap: int = DEFAULT_COSET_CAP,
+                      subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
+                      tuple_cap: int = DEFAULT_TUPLE_CAP,
+                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
                       seed: int = 0) -> EmbeddingReport:
     """Replay the rank embeddings: for pl1 the maps a -> [a, x_i] embed
     C_G(G')/(M n C_G(G')) into a power of G'/zed, giving
@@ -458,9 +452,7 @@ def rank_embedding_pl(G: Group, which: str,
     if order > 1 and p is None:
         raise NotPGroup(f"order {order} is not a prime power")
     sr = structure_report(G, cap, coset_cap)
-    r = _require_rank(
-        _section_rank(sr.derived, sr.zed, cap, subgroup_cap, tuple_cap,
-                      coset_cap), "derived mod zed")
+    r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap, coset_cap)
     zed_set = sr.zed.element_set(cap)
 
     if which == "pl1":

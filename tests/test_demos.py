@@ -1,0 +1,29 @@
+"""Every demo script runs to completion against this checkout's sources.
+
+The demos call the public names that route through the memo and the shared
+ladder (frattini_p, abelian_rank, rank_report, mutual_commutator, socle_p,
+...), so a demo that stops exiting 0 flags a broken public surface.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_all_six_demos_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_exits_0(demo):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -225,3 +225,46 @@ class TestCorpusRankChain:
                 or G.order() == 1, spec.label
             checked += 1
         assert checked >= 100
+
+
+def refusal(call):
+    """(what, limit, value) of the CapExceeded that call() raises."""
+    with pytest.raises(CapExceeded) as exc:
+        call()
+    return exc.value.what, exc.value.limit, exc.value.value
+
+
+class TestHistoryIndependence:
+    """Each call gives what the same call gives on a fresh group, whatever
+    ran on the group before: caps are admission checks, never cache keys."""
+
+    @pytest.mark.parametrize("caps", [(64, 1600), (1600, 64)])
+    def test_group_rank_either_cap_order(self, caps):
+        G = group("symmetric(5)")
+        for cap in caps:
+            assert group_rank(G, subgroup_cap=cap) == \
+                group_rank(group("symmetric(5)"), subgroup_cap=cap)
+
+    def test_all_subgroups_refuses_after_a_larger_cap(self):
+        G = group("symmetric(5)")
+        assert len(all_subgroups(G, subgroup_cap=1600)) == 156
+        assert refusal(lambda: all_subgroups(G, subgroup_cap=64)) == \
+            refusal(lambda: all_subgroups(group("symmetric(5)"),
+                                          subgroup_cap=64))
+
+    def test_center_refuses_after_a_default_cap_call(self):
+        from centerbound.structure import center
+        G = group("symmetric(4)")
+        assert center(G).order() == 1
+        assert refusal(lambda: center(G, 5)) == \
+            refusal(lambda: center(group("symmetric(4)"), 5))
+
+    def test_tuple_search_refuses_after_a_default_cap_call(self):
+        # d comes from an exhaustive tuple search here; a fresh search under
+        # tuple_cap=5 stops at its sixth tuple, and so must a memo hit
+        text = "direct_product(alternating(4),cyclic(3))"
+        G = group(text)
+        assert min_generators(G) == 2
+        assert refusal(lambda: min_generators(G, tuple_cap=5)) == \
+            refusal(lambda: min_generators(group(text), tuple_cap=5)) == \
+            ("generator tuple search", 5, 6)

@@ -216,3 +216,19 @@ class TestLkSampling:
         G2 = group("symmetric(5)")
         b = evaluate("LK", G2, CFG)
         assert a.notes == b.notes and a.lhs == b.lhs and a.rhs == b.rhs
+
+
+class TestHistoryIndependence:
+    """A verdict under one config does not depend on what ran on the group
+    under another config."""
+
+    @pytest.mark.parametrize("caps", [(64, 1600), (1600, 64)])
+    def test_t1_under_two_configs_on_one_group(self, caps):
+        text = "direct_product(symmetric(5),cyclic(2))"
+        G = group(text)
+        for cap in caps:
+            cfg = Config(subgroup_cap=cap)
+            assert evaluate("T1", G, cfg).to_json() == \
+                evaluate("T1", group(text), cfg).to_json()
+        assert evaluate("T1", G, Config(subgroup_cap=1600)).notes \
+            .startswith("r=2;")
