@@ -8,8 +8,11 @@ Commands:
 * witness LEMMA SPEC        -- dump a re-verified constructive witness
 
 Exit codes: 0 all applicable+computable verdicts hold; 2 a verdict is
-violated (or witness hypotheses fail); 3 something was not computable under
-the caps; 4 build/parse errors; 5 output I/O errors.
+violated, a hypothesis error (NotPGroup, NotNormal, BadAnchors, ...) was
+raised, or an internal assertion failed; 3 something was not computable
+under the caps; 4 build/parse errors, including DegreeMismatch; 5 output
+I/O errors.  Errors end in a one-line message on stderr, never a
+traceback.
 
 Reports are byte-identical across runs for a fixed config and seed: record
 lists are sorted, JSON keys are sorted, and all sampling is seeded.
@@ -24,7 +27,7 @@ import sys
 from .config import Config, build_config
 from .corpus import Corpus, build_group, default_corpus, parse_group_spec
 from .errors import (ArgOutOfRange, CapExceeded, CenterboundError,
-                     NotAbelian, NotPGroup, ParseError, UnknownFamily)
+                     DegreeMismatch, ParseError, UnknownFamily)
 from .group import Group
 from .perm import format_perm
 from .rank import (UnknownRank, all_subgroups, group_rank, min_generators,
@@ -266,16 +269,12 @@ def cmd_witness(args, config: Config) -> int:
     spec = parse_group_spec(args.spec)
     G = build_group(spec)
     cap, coset = config.enumeration_cap, config.coset_cap
-    try:
-        if args.lemma == "abel":
-            return _witness_abel(G, spec.label, config)
-        if args.lemma == "factorize":
-            return _witness_factorize(G, spec.label, config)
-        record = (also_witness if args.lemma == "also" else szivas_witness)(
-            G, cap, coset, config.subgroup_cap, config.tuple_cap)
-    except (NotPGroup, NotAbelian, ArgOutOfRange) as exc:
-        print(f"hypotheses not met: {exc}", file=sys.stderr)
-        return 2
+    if args.lemma == "abel":
+        return _witness_abel(G, spec.label, config)
+    if args.lemma == "factorize":
+        return _witness_factorize(G, spec.label, config)
+    record = (also_witness if args.lemma == "also" else szivas_witness)(
+        G, cap, coset, config.subgroup_cap, config.tuple_cap)
     payload = {"label": spec.label, "lemma": args.lemma,
                "witness": record.to_json()}
     if config.output_format == "json":
@@ -407,12 +406,20 @@ def main(argv=None) -> int:
                "corpus": cmd_corpus, "witness": cmd_witness}[args.command]
     try:
         return handler(args, config)
-    except (UnknownFamily, ArgOutOfRange, ParseError, OSError) as exc:
+    except (UnknownFamily, ArgOutOfRange, ParseError, DegreeMismatch,
+            OSError) as exc:
         print(f"cannot build group: {exc}", file=sys.stderr)
         return 4
     except CapExceeded as exc:
         print(f"not computable under caps: {exc}", file=sys.stderr)
         return 3
+    except CenterboundError as exc:  # NotPGroup, NotNormal, BadAnchors, ...
+        print(f"hypotheses not met: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        print(f"internal invariant failed (implementation bug): {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

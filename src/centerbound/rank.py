@@ -16,10 +16,17 @@ against two representations of the elements: Perm with BSGS membership
   a tuple cap.  The search runs on the Cayley table, so a group above
   TABLE_CAP elements gets d only when the squeeze closes.
 
+The Cayley table is built from generator rows: n Perm products per
+generator, and every other entry is an index lookup (see ``_Table``).
+
 Exact rank needs the full subgroup list, which is exponential; the default
 cap is small and deliberate, and past any cap rank evaluates to Unknown -- a
 value, never a guess.  Unknown is made at the edge (group_rank) and never
 memoized, so a later call with larger caps computes the rank.
+
+The normal subgroups do not need the lattice: they are the joins of the
+normal closures of conjugacy classes (normal_subgroups), under the same
+caps as all_subgroups.
 """
 
 from __future__ import annotations
@@ -60,18 +67,47 @@ class RankReport:
 class _Table:
     """Elements as indices into G's element list, subgroups as frozensets of
     indices: tight integer loops over a Cayley table instead of tuple
-    composition."""
+    composition.
+
+    Row a is left multiplication by elems[a]: table[a][b] is the index of
+    elems[a] * elems[b].  The rows come from the generators.  For each
+    generator g, left[x] = index of g * elems[x] costs n Perm products, and
+    since (g c) b = g (c b), the row of a = g c is left composed with the
+    row of c.  A breadth-first walk from the identity reaches every a that
+    way, so the table costs n |gens| products and the rest is index lookups
+    that run in C.  inv[a] is where row a meets the identity."""
 
     def __init__(self, G: Group, cap: int):
         elems = G.elements(cap)
         n = len(elems)
         admit("table", TABLE_CAP, n)
         index = {e: i for i, e in enumerate(elems)}
-        self.elems = elems
-        self.table = [tuple(index[a * b] for b in elems) for a in elems]
-        self.inv = tuple(index[e.inverse()] for e in elems)
-        self.orders = tuple(e.order() for e in elems)
         self.identity = index[G.identity_element()]
+        self.gens = tuple(index[g] for g in G.generators)
+        lefts = [tuple(index[g * e] for e in elems) for g in G.generators]
+        rows: list = [None] * n
+        rows[self.identity] = tuple(range(n))
+        reached = [self.identity]
+        for c in reached:
+            for left in lefts:
+                a = left[c]
+                if rows[a] is None:
+                    rows[a] = tuple(map(left.__getitem__, rows[c]))
+                    reached.append(a)
+        self.elems = elems
+        self.table = rows
+        self.inv = tuple(row.index(self.identity) for row in rows)
+        # x^k has order m / gcd(k, m) when x has order m
+        orders = [0] * n
+        for x in range(n):
+            if not orders[x]:
+                powers = [x]
+                while powers[-1] != self.identity:
+                    powers.append(rows[powers[-1]][x])
+                m = len(powers)
+                for k, y in enumerate(powers, 1):
+                    orders[y] = m // gcd(k, m)
+        self.orders = tuple(orders)
         self.n = n
 
     size = staticmethod(len)
@@ -115,6 +151,24 @@ class _Table:
     def commutator(self, x: int, y: int) -> int:
         t = self.table
         return t[t[t[self.inv[x]][self.inv[y]]][x]][y]
+
+    def classes(self) -> list[list[int]]:
+        """The conjugacy classes, as orbits under conjugation by the
+        generators, in order of their least member."""
+        seen = [False] * self.n
+        out = []
+        for x in range(self.n):
+            if seen[x]:
+                continue
+            seen[x] = True
+            orbit = [x]
+            for y in orbit:
+                for g in self.gens:
+                    if not seen[z := self.conjugate(y, g)]:
+                        seen[z] = True
+                        orbit.append(z)
+            out.append(orbit)
+        return out
 
     def search(self, hset: frozenset[int], lower: int, upper: int,
                tuple_cap: int) -> int:
@@ -326,18 +380,55 @@ def all_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
     (for <g^k> = <g>) and g^h (h in H) all generate the same extension, so
     one representative per such orbit is tried.
     """
+    return G.memo("subgroups", lambda: _handles(
+        G, *_lattice(G, subgroup_cap, cap), cap),
+        subgroups=subgroup_cap, elements=cap)
+
+
+def normal_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> list[Subgroup]:
+    """Every normal subgroup exactly once, in the order of all_subgroups and
+    under the same caps, without the lattice.
+
+    A normal subgroup is a union of conjugacy classes, so it is the join of
+    the normal closures of the classes it contains.  Each class's closure
+    is closed over a greedy generating subset of the class, and the distinct
+    closures are then closed under joins.
+    """
     def compute():
-        table, found = _lattice(G, subgroup_cap, cap)
-        elems = table.elems
-        handles = []
-        for hset, gens in found.items():
-            handle = Subgroup(G, [elems[g] for g in gens], _trusted=True)
-            handle._adopt_elements([elems[i] for i in sorted(hset)])
-            handles.append(handle)
-        handles.sort(key=lambda h: (
-            h.order(), tuple(sorted(e._img for e in h.elements(cap)))))
-        return handles
-    return G.memo("subgroups", compute, subgroups=subgroup_cap, elements=cap)
+        admit("subgroups", subgroup_cap, G.order())
+        idx = _table(G, cap)
+        closures: dict[frozenset[int], tuple[int, ...]] = {}
+        for cls in idx.classes():
+            hset, gens = frozenset({idx.identity}), []
+            for x in cls:
+                if x not in hset:
+                    gens.append(x)
+                    hset = idx.closure(gens)
+            closures.setdefault(hset, tuple(gens))
+        found = {frozenset({idx.identity}): ()}
+        for nset, ngens in closures.items():
+            for aset, agens in list(found.items()):
+                if not nset <= aset:
+                    joined = agens + ngens
+                    found.setdefault(idx.closure(joined), joined)
+        return _handles(G, idx, found, cap)
+    return G.memo("normals", compute, subgroups=subgroup_cap, elements=cap)
+
+
+def _handles(G: Group, idx: _Table, found: dict[frozenset[int], tuple[int, ...]],
+             cap: int) -> list[Subgroup]:
+    """Handles on G for index sets mapped to their generators, sorted by
+    order, then by sorted element images."""
+    elems = idx.elems
+    handles = []
+    for hset, gens in found.items():
+        handle = Subgroup(G, [elems[g] for g in gens], _trusted=True)
+        handle._adopt_elements([elems[i] for i in sorted(hset)])
+        handles.append(handle)
+    handles.sort(key=lambda h: (
+        h.order(), tuple(sorted(e._img for e in h.elements(cap)))))
+    return handles
 
 
 def group_rank(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,

@@ -35,10 +35,9 @@ from .arith import is_prime_power, prime_factors
 from .config import Config
 from .errors import CapExceeded
 from .group import Group, Subgroup, subgroup_from_elements
-from .rank import (UnknownRank, _PermLadder, _prune, all_subgroups,
-                   group_rank, min_generators)
-from .structure import (centralizing, intersection, is_normal,
-                        mutual_commutator, quotient_by_center,
+from .rank import (UnknownRank, _PermLadder, _prune, group_rank,
+                   min_generators, normal_subgroups)
+from .structure import (centralizing, mutual_commutator, quotient_by_center,
                         structure_report, sylow)
 from .witness import (WitnessRecord, _section_rank, also_witness,
                       szivas_witness)
@@ -238,8 +237,7 @@ class _Evaluator:
         G = self.G
         sr = self.sr
         try:
-            subs = all_subgroups(G, self.subgroup_cap, self.cap)
-            normals = [K for K in subs if is_normal(G, K)]
+            normals = normal_subgroups(G, self.subgroup_cap, self.cap)
             source = "all normal subgroups"
         except CapExceeded:
             normals = []
@@ -253,25 +251,22 @@ class _Evaluator:
                     seen.add((fp, K.element_set(self.cap)))
                     normals.append(K)
             source = "canonical normal subgroups (subgroup cap fired)"
+        derived = sr.derived.element_set(self.cap)
+        ks = [(K.order(), K.element_set(self.cap)) for K in normals]
+        meets = [len(kset & derived) for _, kset in ks]
         library = self._lk_library()
         worst = None
-        pairs = 0
         for H, h_name, d, d_note in library:
-            gprime_meets = {}
-            for K in normals:
-                pairs += 1
-                ck = centralizing(K.elements(self.cap), H.generators)
-                lhs = K.order() // len(ck)
-                key = K.element_set(self.cap)
-                if key not in gprime_meets:
-                    gprime_meets[key] = intersection(
-                        K, sr.derived, self.cap).order()
-                rhs = gprime_meets[key] ** d
-                descriptor = (f"H={h_name} (d={d}{d_note}), "
-                              f"|K|={K.order()}")
+            # |C_K(H)| = |K n C_G(H)|, with C_G(H) filtered once per H
+            cgh = frozenset(centralizing(G.elements(self.cap), H.generators))
+            for (order, kset), meet in zip(ks, meets):
+                lhs = order // len(kset & cgh)
+                rhs = meet ** d
                 if worst is None or _worse(lhs, rhs, worst[0], worst[1]):
-                    worst = (lhs, rhs, descriptor)
+                    worst = (lhs, rhs, f"H={h_name} (d={d}{d_note}), "
+                                       f"|K|={order}")
         lhs, rhs, descriptor = worst
+        pairs = len(library) * len(normals)
         return _bound("LK", lhs, rhs,
                       extra=f"{pairs} pairs, K from {source}; worst: {descriptor}")
 

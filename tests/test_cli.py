@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from centerbound import cli, errors
 from centerbound.cli import REPORT_SCHEMA, main
 from centerbound.statements import Verdict, STATEMENT_TAGS
 from centerbound.cli import _verdict_exit_code
@@ -187,6 +188,29 @@ class TestWitnessCommand:
 
     def test_factorize_needs_p_group(self, capsys):
         assert main(["witness", "factorize", "family:symmetric(3)"]) == 2
+
+
+class TestErrorExits:
+    """Every package error and internal assertion ends in its exit code and
+    a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.NotNormal("N is not normal"), 2),
+        (errors.BadFamily("intersection is not trivial"), 2),
+        (errors.BadAnchors("anchors do not generate"), 2),
+        (errors.NotInDerived("w is not in G'"), 2),
+        (AssertionError("sylow ascent stalled"), 2),
+        (errors.DegreeMismatch("degree 3 vs 4"), 4),
+        (errors.CapExceeded("element enumeration", 5, 24), 3),
+    ])
+    def test_handler_error(self, monkeypatch, capsys, error, code):
+        def handler(args, config):
+            raise error
+        monkeypatch.setattr(cli, "cmd_check", handler)
+        assert main(["check", "family:cyclic(2)"]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(error) in err
+        assert "Traceback" not in err
 
 
 class TestConfigSources:

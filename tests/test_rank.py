@@ -7,11 +7,12 @@ import pytest
 from centerbound.corpus import build_group, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from centerbound.group import Group
-from centerbound.perm import parse_perm
-from centerbound.rank import (RankReport, UnknownRank, abelian_rank,
+from centerbound.perm import Perm, parse_perm
+from centerbound.rank import (RankReport, UnknownRank, _Table, abelian_rank,
                               all_subgroups, frattini_p, group_rank,
-                              min_generators, rank_report,
+                              min_generators, normal_subgroups, rank_report,
                               shrink_generating_set)
+from centerbound.structure import is_normal, quotient_by_center
 
 from _oracles import closure, min_generators_oracle, subgroups_oracle
 
@@ -127,6 +128,85 @@ class TestAllSubgroups:
     def test_cap_is_loud(self):
         with pytest.raises(CapExceeded):
             all_subgroups(group("symmetric(5)"), subgroup_cap=100)
+
+
+def central_quotient(text):
+    return quotient_by_center(group(text)).quotient
+
+
+class TestTable:
+    """The table built from generator rows against the definitional one."""
+
+    @pytest.mark.parametrize("G", [
+        group("cyclic(1)"), group("symmetric(4)"), group("dicyclic(3)"),
+        group("direct_product(alternating(4),cyclic(3))"),
+        make(4, "(1 2)", "(1 2 3 4)", "(1 3)", "(1 2)(3 4)"),
+        central_quotient("direct_product(symmetric(4),dihedral(4))"),
+    ], ids=["trivial", "S4", "dicyclic3", "A4xC3", "redundant_gens",
+            "S4xD4_mod_center"])
+    def test_matches_definition(self, G):
+        elems = G.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        table = _Table(G, 200_000)
+        assert table.elems == elems
+        assert table.table == [tuple(index[a * b] for b in elems)
+                               for a in elems]
+        assert table.inv == tuple(index[e.inverse()] for e in elems)
+        assert table.orders == tuple(e.order() for e in elems)
+        assert table.identity == index[G.identity_element()]
+
+    def test_products_per_generator_not_per_pair(self, monkeypatch):
+        G = central_quotient("direct_product(symmetric(4),dihedral(4))")
+        G.elements()
+        calls = 0
+        product = Perm.__mul__
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return product(a, b)
+        monkeypatch.setattr(Perm, "__mul__", counting)
+        _Table(G, 200_000)
+        assert 0 < calls <= G.order() * len(G.generators)
+
+
+class TestNormalSubgroups:
+    @pytest.mark.parametrize("text", [
+        "symmetric(4)", "direct_product(dihedral(4),dihedral(4))",
+        "dicyclic(8)", "elem_abelian(5,2)",
+        "direct_product(heisenberg(3),cyclic(3))",
+        "direct_product(alternating(5),cyclic(2))",
+    ])
+    def test_equals_filtered_lattice(self, text):
+        normals = [K.elements() for K in normal_subgroups(group(text))]
+        G = group(text)
+        subs = all_subgroups(G)
+        assert normals == [K.elements() for K in subs if is_normal(G, K)]
+        if text == "elem_abelian(5,2)":
+            assert len(normals) == len(subs) == 8
+
+    @pytest.mark.parametrize("text", ["dihedral(4)", "alternating(4)"])
+    def test_matches_oracle(self, text):
+        G = group(text)
+        elems = closure(G.degree, G.generators)
+        oracle = {H for H in subgroups_oracle(G.degree, elems)
+                  if all(g.inverse() * h * g in H for g in elems for h in H)}
+        mine = [frozenset(K.elements()) for K in normal_subgroups(G)]
+        assert len(mine) == len(set(mine))
+        assert set(mine) == oracle
+
+    def test_refuses_where_the_lattice_does(self):
+        assert refusal(lambda: normal_subgroups(group("symmetric(6)"))) == \
+            ("subgroup enumeration", 512, 720)
+
+    def test_small_cap_then_large_cap(self):
+        G = group("symmetric(5)")
+        assert refusal(lambda: normal_subgroups(G, 64)) == \
+            refusal(lambda: normal_subgroups(group("symmetric(5)"), 64))
+        normals = [K.elements() for K in normal_subgroups(G, 1600)]
+        assert normals == [K.elements() for K in
+                           normal_subgroups(group("symmetric(5)"), 1600)]
+        assert [len(K) for K in normals] == [1, 60, 120]
 
 
 class TestGroupRank:

@@ -218,6 +218,27 @@ class TestLkSampling:
         assert a.notes == b.notes and a.lhs == b.lhs and a.rhs == b.rhs
 
 
+    # recorded with LK's normals filtered from the whole subgroup lattice
+    # and C_K(H) filtered per K, so that the class-based normal list and
+    # the per-H centralizer filter are checked group by group
+    @pytest.mark.parametrize("text, pairs, source, d", [
+        ("symmetric(4)", 28, "all normal subgroups", 2),
+        ("dicyclic(8)", 48, "all normal subgroups", 1),
+        ("direct_product(dihedral(4),dihedral(4))", 546,
+         "all normal subgroups", 2),
+        ("direct_product(symmetric(4),cyclic(6))", 126,
+         "all normal subgroups", 2),
+        ("symmetric(6)", 24,
+         "canonical normal subgroups (subgroup cap fired)", 2),
+    ])
+    def test_lk_pinned_verdicts(self, text, pairs, source, d):
+        assert evaluate("LK", group(text), CFG).to_json() == {
+            "statement": "LK", "applicable": True, "computable": True,
+            "lhs": 1, "rhs": 1, "holds": True,
+            "notes": f"{pairs} pairs, K from {source}; worst: H=G' "
+                     f"(d={d}), |K|=1; tightness=trivial"}
+
+
 class TestHistoryIndependence:
     """A verdict under one config does not depend on what ran on the group
     under another config."""
