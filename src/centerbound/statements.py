@@ -39,8 +39,8 @@ from .rank import (UnknownRank, _PermLadder, _prune, group_rank,
                    min_generators, normal_subgroups)
 from .structure import (centralizing, mutual_commutator, quotient_by_center,
                         structure_report, sylow)
-from .witness import (WitnessRecord, _section_rank, also_witness,
-                      szivas_witness)
+from .witness import (WitnessRecord, _lb_section, _section_rank,
+                      also_witness, szivas_witness)
 
 STATEMENT_TAGS = ("T1", "T2", "T3", "C4", "T5", "T6", "T7", "L9", "LK",
                   "CK", "LA", "LB", "LS", "P1", "P2", "AUT", "FOC")
@@ -319,9 +319,7 @@ class _Evaluator:
         checked = []
         for p in sorted(prime_factors(sr.orders["dee"])):
             P = sylow(sr.dee, p, self.cap)
-            cgp = centralizing(sr.derived.elements(self.cap), P.generators)
-            index = sr.orders["derived"] // len(cgp)
-            if index > 1 and is_prime_power(index) != p:
+            if not _lb_section(sr, p, P, self.cap)[1]:
                 failing += 1
             checked.append(p)
         return _inclusion(

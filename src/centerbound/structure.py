@@ -179,9 +179,11 @@ def zed_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 
 def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """A Sylow p-subgroup by normalizer ascent; trivial when p doesn't
-    divide the order."""
+    divide the order, and G itself (on G's generators) when G is a p-group."""
     def compute():
         target = p_part(G.order(), p)
+        if target == G.order():
+            return Subgroup(G, G.generators, _trusted=True)
         P = Subgroup(G, (), _trusted=True)
         while P.order() < target:
             N = normalizer(G, P, cap) if P.order() > 1 else G

@@ -10,11 +10,12 @@ be re-verified and audited:
 * factorize_commutator: write any element of the derived subgroup of a
   p-group P = <a_1..a_d, Z(P)> as [x_1,a_1]...[x_d,a_d], by layered
   product-set search with predecessor tracking.
-* also_witness / szivas_witness: the per-prime T/M constructions bounding
-  |C_G(G') : Z_2(G)| and |D : C_G(G')| by powers of |G' : G' n Z(G)|.
+* also_witness / szivas_witness: the per-prime T/M construction bounding
+  |C_G(G') : Z_2(G)| and |D : C_G(G')| by powers of |G' : G' n Z(G)|,
+  written once in _tm_witness; each record is kept in the group's memo.
 * check_commutator_homomorphism: a -> [a, x] is a homomorphism on C_G(G').
 * rank_embedding_pl: the commutator-map embeddings bounding the ranks of
-  C_G(G')/Z_2(G) and D/C_G(G') in p-groups.
+  C_G(G')/Z_2(G) and D/C_G(G') in p-groups; it says if its pairs sampled.
 """
 
 from __future__ import annotations
@@ -235,6 +236,130 @@ def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
     return T, M
 
 
+def _lb_section(sr: StructureReport, p: int, P: Group,
+                cap: int) -> tuple[list[Perm], bool]:
+    """The elements of C_{G'}(P), and whether |G' : C_{G'}(P)| is a power of
+    p (1 included): lemma LB for a Sylow p-subgroup P of D."""
+    cgp = centralizing(sr.derived.elements(cap), P.generators)
+    index = sr.orders["derived"] // len(cgp)
+    return cgp, index == 1 or is_prime_power(index) == p
+
+
+def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
+             cap: int, coset_cap: int) -> list[Perm]:
+    """x_1..x_l (l <= r) whose centralizers cut the socle of
+    (P n G')/(P n zed) down to nothing; none when that section is trivial."""
+    p_meet_derived = intersection(P, sr.derived, cap)
+    p_meet_zed = intersection(P, sr.zed, cap)
+    if p_meet_derived.order() == p_meet_zed.order():
+        return []
+    pres = quotient(p_meet_derived, p_meet_zed, coset_cap, cap)
+    A = pres.quotient
+    # the first x in G per distinct centralizer in P n G'; images in A
+    first_x: dict[frozenset, Perm] = {}
+    pig_elems = p_meet_derived.elements(cap)
+    for x in G.elements(cap):
+        first_x.setdefault(frozenset(centralizing(pig_elems, [x])), x)
+    family = [subgroup_from_elements(
+        A, sorted({pres.projection(c) for c in cx})) for cx in first_x]
+    x_of = {id(H): x for H, x in zip(family, first_x.values())}
+    xs = [x_of[id(H)] for H in select_socle_chain(A, family, cap).chosen]
+    if len(xs) > r:
+        raise AssertionError(f"{len(xs)} chain elements exceed rank {r}")
+    return xs
+
+
+def _szivas_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
+               cap: int, coset_cap: int) -> list[Perm]:
+    """x_1, y_1, x_2, y_2, ... with commutators [x_i, y_i] whose images
+    generate G'/C_{G'}(P), at most r pairs after shrinking; none when that
+    quotient is trivial."""
+    cgp_elems, p_power = _lb_section(sr, p, P, cap)
+    if not p_power:
+        raise AssertionError("G' modulo C_G'(P) is not a p-group")
+    if len(cgp_elems) == sr.orders["derived"]:
+        return []
+    pres = quotient(sr.derived, subgroup_from_elements(G, cgp_elems),
+                    coset_cap, cap)
+    image = pres.quotient
+    preimage_of_current = set(cgp_elems)
+    # candidates: generator pairs, then generator by element, then element
+    # pairs; each image kept lies outside <the images so far>
+    gens, elems = G.generators, G.elements(cap)
+    pair_of: dict[Perm, tuple[Perm, Perm]] = {}
+    for x, y in itertools.chain(itertools.product(gens, gens),
+                                itertools.product(gens, elems),
+                                itertools.product(elems, elems)):
+        c = commutator(x, y)
+        if c in preimage_of_current:
+            continue
+        pair_of[pres.projection(c)] = (x, y)
+        current = Subgroup(image, pair_of, _trusted=True)
+        if current.order() == image.order():
+            break
+        preimage_of_current = set(
+            pres.preimage_elements(current.elements(cap), cap))
+    else:
+        raise AssertionError("commutator images never generated the quotient")
+    kept = [pair_of[img]
+            for img in shrink_generating_set(image, list(pair_of), cap)]
+    if len(kept) > r:
+        raise AssertionError(f"{len(kept)} commutator pairs exceed rank {r}")
+    return [z for pair in kept for z in pair]
+
+
+# lemma: (top, bottom, exponent) with |top : bottom| <= |G' : zed|^exponent,
+# from the structure report and r = rank(G'/zed); the picker of the xs
+_LEMMAS = {
+    "also": (lambda sr, r: (sr.centralizer_of_derived, sr.second_center, r),
+             _also_xs),
+    "szivas": (lambda sr, r: (sr.dee, sr.centralizer_of_derived, 2 * r),
+               _szivas_xs),
+}
+
+
+def _tm_witness(G: Group, lemma: str, cap: int, coset_cap: int,
+                subgroup_cap: int, tuple_cap: int) -> WitnessRecord:
+    """The per-prime T/M construction of a lemma, memoized on G.  For each
+    prime p of |top|, with P the Sylow p-subgroup of top (normal in G):
+    verify |P : P n bottom| <= n_p^exponent, let the lemma pick the xs, build
+    T = <xs> and M, and check M n P <= bottom."""
+    section, pick = _LEMMAS[lemma]
+
+    def compute() -> WitnessRecord:
+        sr = structure_report(G, cap, coset_cap)
+        r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap,
+                                  coset_cap)
+        top, bottom, exponent = section(sr, r)
+        bottom_set = bottom.element_set(cap)
+        record = WitnessRecord()
+        total = 1
+        for p in sorted(prime_factors(top.order())):
+            P = sylow(top, p, cap)
+            if not is_normal(G, P):
+                raise AssertionError(f"{lemma}: Sylow {p}-subgroup not normal")
+            n_p = sr.p_parts.get(p, 1)
+            index = P.order() // sum(x in bottom_set for x in P.elements(cap))
+            bound = n_p ** exponent
+            xs = pick(G, sr, p, P, r, cap, coset_cap)
+            T = M = None
+            if xs:
+                T, M = _tm_construction(G, xs, coset_cap, cap)
+                if any(g not in bottom_set
+                       for g in intersection(M, P, cap).elements(cap)):
+                    raise AssertionError(f"{lemma}: M n P escapes the bottom")
+                if record.tee is None:
+                    record.xs, record.tee, record.em = xs, T, M
+            record.per_prime[p] = PrimeWitness(p, xs, T, M, index, n_p,
+                                               exponent, bound, index <= bound)
+            total *= index
+        if total != top.order() // bottom.order():
+            raise AssertionError(f"{lemma}: indices miss |top : bottom|")
+        return record
+    return G.memo(("witness", lemma), compute, elements=cap,
+                  cosets=coset_cap, subgroups=subgroup_cap, tuples=tuple_cap)
+
+
 def also_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                  coset_cap: int = DEFAULT_COSET_CAP,
                  subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
@@ -243,60 +368,7 @@ def also_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
     centralizers cut the socle of (P n G')/(P n Z) down to nothing, build
     T = <x_i> and M, check M n P <= Z_2(G), and verify
     |P : P n Z_2(G)| <= n_p^r."""
-    sr = structure_report(G, cap, coset_cap)
-    r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap, coset_cap)
-    record = WitnessRecord()
-    cent = sr.centralizer_of_derived
-    z2set = sr.second_center.element_set(cap)
-    total = 1
-    for p in sorted(prime_factors(cent.order())):
-        P = sylow(cent, p, cap)
-        if not is_normal(G, P):
-            raise AssertionError("Sylow subgroup of C_G(G') not normal in G")
-        n_p = sr.p_parts.get(p, 1)
-        p_meet_z2 = [x for x in P.elements(cap) if x in z2set]
-        index = P.order() // len(p_meet_z2)
-        bound = n_p ** r
-        ok = index <= bound
-        witness = PrimeWitness(p, [], None, None, index, n_p, r, bound, ok)
-
-        p_meet_derived = intersection(P, sr.derived, cap)
-        p_meet_zed = intersection(P, sr.zed, cap)
-        if p_meet_derived.order() > p_meet_zed.order():
-            pres = quotient(p_meet_derived, p_meet_zed, coset_cap, cap)
-            A = pres.quotient
-            # family: images of the centralizers of each x in P n G',
-            # deduplicated by element set, remembering the first x apiece
-            family: list[Subgroup] = []
-            family_x: dict[int, Perm] = {}
-            seen_sets: dict[frozenset, int] = {}
-            pig_elems = p_meet_derived.elements(cap)
-            for x in G.elements(cap):
-                cx = frozenset(centralizing(pig_elems, [x]))
-                if cx in seen_sets:
-                    continue
-                seen_sets[cx] = len(family)
-                # the image of the subgroup cx is itself a subgroup
-                image = sorted({pres.projection(c) for c in cx})
-                handle = subgroup_from_elements(A, image)
-                family.append(handle)
-                family_x[id(handle)] = x
-            selection = select_socle_chain(A, family, cap)
-            xs = [family_x[id(H)] for H in selection.chosen]
-            if len(xs) > r:
-                raise AssertionError(f"{len(xs)} chain elements exceed rank {r}")
-            T, M = _tm_construction(G, xs, coset_cap, cap)
-            for g in intersection(M, P, cap).elements(cap):
-                if g not in z2set:
-                    raise AssertionError("M n P escapes the second center")
-            witness.xs, witness.tee, witness.em = xs, T, M
-            if record.tee is None:
-                record.xs, record.tee, record.em = xs, T, M
-        record.per_prime[p] = witness
-        total *= index
-    if total != cent.order() // sr.second_center.order():
-        raise AssertionError("per-prime indices do not multiply to |C : Z2|")
-    return record
+    return _tm_witness(G, "also", cap, coset_cap, subgroup_cap, tuple_cap)
 
 
 def szivas_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
@@ -307,94 +379,24 @@ def szivas_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
     that G'/C_{G'}(P) is a p-group, pick commutators [x_i,y_i] whose images
     generate it (at most r after shrinking), build T = <x_i, y_i> and M,
     check M n P <= C_G(G') n P, and verify |P : P n C_G(G')| <= n_p^(2r)."""
-    sr = structure_report(G, cap, coset_cap)
-    r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap, coset_cap)
-    record = WitnessRecord()
-    dee = sr.dee
-    cent = sr.centralizer_of_derived
-    cent_set = cent.element_set(cap)
-    total = 1
-    for p in sorted(prime_factors(dee.order())):
-        P = sylow(dee, p, cap)
-        if not is_normal(G, P):
-            raise AssertionError("Sylow subgroup of D not normal in G")
-        cgp = subgroup_from_elements(
-            G, centralizing(sr.derived.elements(cap), P.generators))
-        quotient_order = sr.derived.order() // cgp.order()
-        if quotient_order > 1 and is_prime_power(quotient_order) != p:
-            raise AssertionError(
-                "derived subgroup modulo the P-centralizer is not a p-group")
-        n_p = sr.p_parts.get(p, 1)
-        p_meet_cent = [x for x in P.elements(cap) if x in cent_set]
-        index = P.order() // len(p_meet_cent)
-        exponent = 2 * r
-        bound = n_p ** exponent
-        ok = index <= bound
-        witness = PrimeWitness(p, [], None, None, index, n_p, exponent,
-                               bound, ok)
-
-        if quotient_order > 1:
-            pres = quotient(sr.derived, cgp, coset_cap, cap)
-            image = pres.quotient
-            preimage_of_current = set(cgp.elements(cap))
-            pairs: list[tuple[Perm, Perm]] = []
-            images: list[Perm] = []
-            for x, y in _commutator_pair_stream(G, cap):
-                c = commutator(x, y)
-                if c in preimage_of_current:
-                    continue
-                pairs.append((x, y))
-                images.append(pres.projection(c))
-                current = Subgroup(image, images, _trusted=True)
-                if current.order() == image.order():
-                    break
-                preimage_of_current = set(
-                    pres.preimage_elements(current.elements(cap), cap))
-            else:
-                raise AssertionError(
-                    "commutator images never generated the quotient")
-            kept_images = shrink_generating_set(image, images, cap)
-            by_image: dict[Perm, tuple[Perm, Perm]] = {}
-            for img, pair in zip(images, pairs):
-                by_image.setdefault(img, pair)
-            kept_pairs = [by_image[img] for img in kept_images]
-            if len(kept_pairs) > r:
-                raise AssertionError(
-                    f"{len(kept_pairs)} commutator pairs exceed rank {r}")
-            xs: list[Perm] = []
-            for x, y in kept_pairs:
-                xs.extend((x, y))
-            T, M = _tm_construction(G, xs, coset_cap, cap)
-            for g in intersection(M, P, cap).elements(cap):
-                if g not in cent_set:
-                    raise AssertionError("M n P escapes C_G(G')")
-            witness.xs, witness.tee, witness.em = xs, T, M
-            if record.tee is None:
-                record.xs, record.tee, record.em = xs, T, M
-        record.per_prime[p] = witness
-        total *= index
-    if total != dee.order() // cent.order():
-        raise AssertionError("per-prime indices do not multiply to |D : C|")
-    return record
-
-
-def _commutator_pair_stream(G: Group, cap: int):
-    """Deterministic candidate pairs: generator pairs first, then generator
-    by element, then all element pairs."""
-    gens = G.generators
-    for x in gens:
-        for y in gens:
-            yield x, y
-    elems = G.elements(cap)
-    for x in gens:
-        for y in elems:
-            yield x, y
-    for x in elems:
-        for y in elems:
-            yield x, y
+    return _tm_witness(G, "szivas", cap, coset_cap, subgroup_cap, tuple_cap)
 
 
 # -- commutator homomorphism and the rank embeddings -------------------------
+
+
+def _pairs(elems: tuple[Perm, ...], maps: int, sample_pairs: int,
+           key: str) -> tuple[list[tuple[Perm, Perm]], bool]:
+    """The pairs each of a check's maps runs over, and whether they were
+    sampled: all pairs while len(elems)^2 * maps fits max(sample_pairs, 2500),
+    past it sample_pairs pairs drawn with the seed key; none without maps."""
+    if not maps:
+        return [], False
+    if len(elems) ** 2 * maps <= max(sample_pairs, 2500):
+        return list(itertools.product(elems, repeat=2)), False
+    rng = random.Random(key)
+    return [(rng.choice(elems), rng.choice(elems))
+            for _ in range(sample_pairs)], True
 
 
 def check_commutator_homomorphism(G: Group, x: Perm,
@@ -405,20 +407,10 @@ def check_commutator_homomorphism(G: Group, x: Perm,
     [ab, x] = [a, x][b, x] on all pairs (or a seeded sample past the pair
     budget) and that every [a, x] lands in the derived subgroup."""
     sr = structure_report(G, cap)
-    cent_elems = sr.centralizer_of_derived.elements(cap)
-    derived = sr.derived
-    if len(cent_elems) ** 2 <= max(sample_pairs, 2500):
-        candidates = itertools.product(cent_elems, repeat=2)
-    else:
-        rng = random.Random(f"{seed}:homom")
-        candidates = ((rng.choice(cent_elems), rng.choice(cent_elems))
-                      for _ in range(sample_pairs))
-    for a, b in candidates:
-        if commutator(a * b, x) != commutator(a, x) * commutator(b, x):
-            return False
-        if commutator(a, x) not in derived:
-            return False
-    return True
+    pairs, _ = _pairs(sr.centralizer_of_derived.elements(cap), 1,
+                      sample_pairs, f"{seed}:homom")
+    return all(commutator(a * b, x) == commutator(a, x) * commutator(b, x)
+               and commutator(a, x) in sr.derived for a, b in pairs)
 
 
 @dataclass
@@ -432,6 +424,12 @@ class EmbeddingReport:
     section_rank: "int | UnknownRank"
     bound: int
     bound_holds: bool | None
+    sampled: bool
+
+
+# embedding: the lemma whose xs it uses, and the commutator map of each x
+_MAPS = {"pl1": ("also", lambda a, t: commutator(a, t)),
+         "pl2": ("szivas", lambda a, t: commutator(t, a))}
 
 
 def rank_embedding_pl(G: Group, which: str,
@@ -444,8 +442,8 @@ def rank_embedding_pl(G: Group, which: str,
     """Replay the rank embeddings: for pl1 the maps a -> [a, x_i] embed
     C_G(G')/(M n C_G(G')) into a power of G'/zed, giving
     rank(C_G(G')/Z_2) <= r^2; for pl2 the maps a -> [x_i, a], [y_i, a] on D
-    give rank(D/C_G(G')) <= 2 r^2."""
-    if which not in ("pl1", "pl2"):
+    give rank(D/C_G(G')) <= 2 r^2.  The xs come from the lemma's witness."""
+    if which not in _MAPS:
         raise ValueError("which must be 'pl1' or 'pl2'")
     order = G.order()
     p = is_prime_power(order)
@@ -453,53 +451,23 @@ def rank_embedding_pl(G: Group, which: str,
         raise NotPGroup(f"order {order} is not a prime power")
     sr = structure_report(G, cap, coset_cap)
     r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap, coset_cap)
+    lemma, fmap = _MAPS[which]
+    domain, target, exponent = _LEMMAS[lemma][0](sr, r)
+    xs = _tm_witness(G, lemma, cap, coset_cap, subgroup_cap, tuple_cap).xs
     zed_set = sr.zed.element_set(cap)
-
-    if which == "pl1":
-        record = also_witness(G, cap, coset_cap, subgroup_cap, tuple_cap)
-        domain = sr.centralizer_of_derived
-        target = sr.second_center
-        bound = r * r
-    else:
-        record = szivas_witness(G, cap, coset_cap, subgroup_cap, tuple_cap)
-        domain = sr.dee
-        target = sr.centralizer_of_derived
-        bound = 2 * r * r
-    xs = record.xs
-
-    homs_ok = True
     dom_elems = domain.elements(cap)
-    if len(dom_elems) ** 2 * max(len(xs), 1) <= max(sample_pairs, 2500):
-        candidates = list(itertools.product(dom_elems, repeat=2))
-    else:
-        rng = random.Random(f"{seed}:{which}")
-        candidates = [(rng.choice(dom_elems), rng.choice(dom_elems))
-                      for _ in range(sample_pairs)]
-    for t in xs:
-        for a, b in candidates:
-            if which == "pl1":
-                lhs, rhs = commutator(a * b, t), commutator(a, t) * commutator(b, t)
-            else:
-                lhs, rhs = commutator(t, a * b), commutator(t, a) * commutator(t, b)
-            if lhs * rhs.inverse() not in zed_set:
-                homs_ok = False
-
-    kernel = []
-    for a in dom_elems:
-        if which == "pl1":
-            in_kernel = all(commutator(a, t) in zed_set for t in xs)
-        else:
-            in_kernel = all(commutator(t, a) in zed_set for t in xs)
-        if in_kernel:
-            kernel.append(a)
+    pairs, sampled = _pairs(dom_elems, len(xs), sample_pairs,
+                            f"{seed}:{which}")
+    homs_ok = all(fmap(a * b, t) * (fmap(a, t) * fmap(b, t)).inverse()
+                  in zed_set for t in xs for a, b in pairs)
     target_set = target.element_set(cap)
-    kernel_contained = all(a in target_set for a in kernel)
-
+    kernel_contained = all(a in target_set for a in dom_elems
+                           if all(fmap(a, t) in zed_set for t in xs))
     section_rank = _section_rank(domain, target, cap, subgroup_cap,
                                  tuple_cap, coset_cap)
-    bound_holds = None
-    if not isinstance(section_rank, UnknownRank):
-        bound_holds = section_rank <= bound
+    bound = exponent * r
+    bound_holds = (None if isinstance(section_rank, UnknownRank)
+                   else section_rank <= bound)
     return EmbeddingReport(which, p if p is not None else 0, len(xs),
                            homs_ok, kernel_contained, section_rank, bound,
-                           bound_holds)
+                           bound_holds, sampled)

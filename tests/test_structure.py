@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from centerbound import structure
 from centerbound.corpus import build_group, parse_group_spec
 from centerbound.errors import (CapExceeded, NotAbelian, NotCoprime,
                                 NotNormal, NotPGroup)
@@ -149,6 +150,24 @@ class TestSylow:
                 assert P.order() == expected
                 assert all(x.order() == 1 or x.order() % p == 0
                            or p % x.order() == 0 for x in P.elements())
+
+    @pytest.mark.parametrize("text,p,ascends", [
+        ("dicyclic(32)", 2, False), ("heisenberg(3)", 3, False),
+        ("symmetric(4)", 2, True)])
+    def test_p_group_is_its_own_sylow(self, monkeypatch, text, p, ascends):
+        calls = []
+        ascent = structure.normalizer
+
+        def counting(*args):
+            calls.append(args)
+            return ascent(*args)
+        monkeypatch.setattr(structure, "normalizer", counting)
+        G = group(text)
+        P = sylow(G, p)
+        assert bool(calls) == ascends
+        if not ascends:
+            assert P.generators == G.generators
+            assert P.element_set() == G.element_set()
 
 
 class TestNormalizer:

@@ -2,11 +2,16 @@
 T/M witnesses, the commutator homomorphism, and the rank embeddings."""
 
 import random
+from dataclasses import astuple
 
 import pytest
 
-from centerbound.corpus import build_group, direct_product, parse_group_spec
-from centerbound.errors import BadAnchors, BadFamily, NotInDerived, NotPGroup
+from centerbound import witness
+from centerbound.arith import is_prime_power
+from centerbound.corpus import (build_group, default_corpus, direct_product,
+                                parse_group_spec)
+from centerbound.errors import (BadAnchors, BadFamily, CapExceeded,
+                                NotInDerived, NotPGroup)
 from centerbound.group import Group, Subgroup
 from centerbound.perm import commutator, parse_perm
 from centerbound.rank import abelian_rank, shrink_generating_set
@@ -300,3 +305,128 @@ class TestRankEmbeddings:
             rank_embedding_pl(group("symmetric(3)"), "pl1")
         with pytest.raises(ValueError):
             rank_embedding_pl(group("dihedral(4)"), "pl3")
+
+
+X4 = "(1 9 5 13)(2 10 6 14)(3 11 7 15)(4 12 8 16)"
+X8 = ("(1 17 9 25)(2 18 10 26)(3 19 11 27)(4 20 12 28)(5 21 13 29)"
+      "(6 22 14 30)(7 23 15 31)(8 24 16 32)")
+
+# per prime: (prime, index, n_p, exponent, bound, |T|, |M|, xs); every
+# witness here is ok
+PINNED_WITNESSES = {
+    ("dicyclic(4)", "also"): [(2, 2, 2, 1, 2, 4, 8, [X4])],
+    ("dicyclic(4)", "szivas"): [
+        (2, 2, 2, 2, 4, 16, 4,
+         ["(1 2 3 4 5 6 7 8)(9 16 15 14 13 12 11 10)", X4])],
+    ("dihedral(16)", "also"): [
+        (2, 4, 4, 1, 4, 2, 8, ["(2 16)(3 15)(4 14)(5 13)(6 12)(7 11)(8 10)"])],
+    ("dihedral(16)", "szivas"): [(2, 1, 4, 2, 16, 1, None, [])],
+    ("dicyclic(8)", "also"): [(2, 4, 4, 1, 4, 4, 8, [X8])],
+    ("dicyclic(8)", "szivas"): [(2, 1, 4, 2, 16, 1, None, [])],
+    ("direct_product(symmetric(3),dihedral(4))", "also"): [
+        (2, 1, 1, 1, 1, 1, None, []), (3, 3, 3, 1, 3, 2, 16, ["(2 3)"])],
+    ("direct_product(symmetric(3),dihedral(4))", "szivas"): [
+        (2, 1, 1, 2, 1, 1, None, []), (3, 1, 3, 2, 9, 1, None, [])],
+    ("heisenberg(5)", "also"): [(5, 1, 1, 0, 1, 1, None, [])],
+    ("heisenberg(5)", "szivas"): [(5, 1, 1, 0, 1, 1, None, [])],
+}
+
+# (which, prime, map_count, homomorphisms_ok, kernel_contained,
+#  section_rank, bound, bound_holds, sampled)
+PINNED_EMBEDDINGS = {
+    ("dihedral(16)", "pl1"): ("pl1", 2, 1, True, True, 1, 1, True, False),
+    ("dihedral(16)", "pl2"): ("pl2", 2, 0, True, True, 0, 2, True, False),
+    ("dicyclic(8)", "pl1"): ("pl1", 2, 1, True, True, 1, 1, True, False),
+    ("dicyclic(8)", "pl2"): ("pl2", 2, 0, True, True, 0, 2, True, False),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("text,lemma", sorted(PINNED_WITNESSES))
+    def test_witness_json(self, text, lemma):
+        rows = PINNED_WITNESSES[text, lemma]
+        expected = {
+            "xs": next((xs for *_, xs in rows if xs), []),
+            "per_prime": {
+                str(p): {"prime": p, "xs": xs, "tee_order": tee,
+                         "em_order": em, "index": index, "n_p": n_p,
+                         "exponent": exponent, "bound": bound, "ok": True}
+                for p, index, n_p, exponent, bound, tee, em, xs in rows},
+        }
+        fn = also_witness if lemma == "also" else szivas_witness
+        assert fn(group(text)).to_json() == expected
+
+    @pytest.mark.parametrize("text,which", sorted(PINNED_EMBEDDINGS))
+    def test_embedding_fields(self, text, which):
+        rep = rank_embedding_pl(group(text), which)
+        assert astuple(rep) == PINNED_EMBEDDINGS[text, which]
+
+
+class TestWitnessMemo:
+    def test_embedding_reuses_the_also_record(self, monkeypatch):
+        calls = []
+        build = witness._tm_construction
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+        monkeypatch.setattr(witness, "_tm_construction", counting)
+        G = group("dihedral(8)")
+        record = also_witness(G)
+        rep = rank_embedding_pl(G, "pl1")
+        assert len(calls) == 1
+        assert rep.map_count == len(record.xs) == 1
+
+    def test_smaller_cap_refuses_after_a_hit(self):
+        G = group("symmetric(4)")
+        assert also_witness(G).to_json() == {"xs": [], "per_prime": {}}
+        with pytest.raises(CapExceeded):
+            also_witness(G, subgroup_cap=8)
+        with pytest.raises(CapExceeded):
+            also_witness(group("symmetric(4)"), subgroup_cap=8)
+
+    def test_larger_cap_computes_after_a_refusal(self):
+        G = group("symmetric(4)")
+        with pytest.raises(CapExceeded):
+            also_witness(G, subgroup_cap=8)
+        assert also_witness(G).to_json() == \
+            also_witness(group("symmetric(4)")).to_json()
+
+
+class TestSampledFlag:
+    def test_large_domain_with_a_map_samples(self):
+        rep = rank_embedding_pl(group("dicyclic(32)"), "pl1")
+        assert rep.map_count == 1 and rep.sampled
+        assert rep.homomorphisms_ok and rep.kernel_contained
+
+    @pytest.mark.parametrize("text", ["dihedral(16)", "elem_abelian(5,3)"])
+    def test_all_pairs_or_no_maps_does_not(self, text):
+        assert not rank_embedding_pl(group(text), "pl1").sampled
+
+    def test_no_maps_draw_no_pairs(self):
+        assert witness._pairs(tuple(range(100)), 0, 1000, "0:pl1") == \
+            ([], False)
+
+
+def corpus_p_groups():
+    out = []
+    for spec in default_corpus().specs:
+        G = build_group(spec)
+        p = is_prime_power(G.order())
+        if G.order() > 1 and p is not None:
+            out.append((spec.label, G))
+    return out
+
+
+def test_corpus_p_group_soundness():
+    """Every nontrivial corpus p-group: all per-prime witnesses ok, both
+    embeddings homomorphic with contained kernel, no broken bound."""
+    groups = corpus_p_groups()
+    assert len(groups) == 49
+    for label, G in groups:
+        for fn in (also_witness, szivas_witness):
+            assert all(w.ok for w in fn(G).per_prime.values()), label
+        for which in ("pl1", "pl2"):
+            rep = rank_embedding_pl(G, which)
+            assert rep.homomorphisms_ok and rep.kernel_contained, label
+            assert rep.bound_holds is not False, label
