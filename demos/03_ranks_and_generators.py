@@ -1,7 +1,9 @@
 """Minimal generator numbers and ranks.
 
 d(G) is the least size of a generating set; rk(G) is the maximum of d(H)
-over all subgroups.  Exact rank requires the subgroup lattice, so past the
+over all subgroups.  d(H) does not change under conjugation, so the rank
+is read off one subgroup per conjugacy class: Sym(6) has 1,455 subgroups
+in 56 classes.  Exact rank still requires the subgroup lattice, so past the
 (configurable) cap the answer is an explicit Unknown, never a guess.
 """
 
@@ -45,3 +47,5 @@ rank = group_rank(group("symmetric(6)"))
 assert isinstance(rank, UnknownRank)
 print("rank of Sym(6) under default caps:", rank)
 print("  (raise the cap, e.g. group_rank(G, subgroup_cap=1600), to compute it)")
+print("rank of Sym(6) at subgroup_cap=1600:",
+      group_rank(group("symmetric(6)"), subgroup_cap=1600))

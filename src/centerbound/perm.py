@@ -86,8 +86,7 @@ class Perm:
         return h.inverse() * self * h
 
     def is_identity(self) -> bool:
-        img = self._img
-        return all(img[i] == i for i in range(len(img)))
+        return self._img == tuple(range(len(self._img)))
 
     def order(self) -> int:
         cycles = self.cycles()

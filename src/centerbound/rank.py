@@ -1,7 +1,10 @@
 """Minimal generator numbers and ranks.
 
 d(G) is the least size of a generating set; the rank of G is the maximum of
-d(H) over all subgroups H.  One strategy ladder computes d, written once
+d(H) over all subgroups H.  d(H) does not change under conjugation, so the
+rank is the maximum over one representative per conjugacy class of
+subgroups (see _lattice), and only representatives go through the ladder
+and its tuple search.  One strategy ladder computes d, written once
 against two representations of the elements: Perm with BSGS membership
 (``_PermLadder``, behind min_generators) and indices into the Cayley table
 (``_Table``, behind the subgroups of a lattice).  The rungs:
@@ -19,10 +22,11 @@ against two representations of the elements: Perm with BSGS membership
 The Cayley table is built from generator rows: n Perm products per
 generator, and every other entry is an index lookup (see ``_Table``).
 
-Exact rank needs the full subgroup list, which is exponential; the default
-cap is small and deliberate, and past any cap rank evaluates to Unknown -- a
-value, never a guess.  Unknown is made at the edge (group_rank) and never
-memoized, so a later call with larger caps computes the rank.
+Exact rank needs the subgroup lattice up to conjugacy, which is still
+exponential; the default cap is small and deliberate, and past any cap rank
+evaluates to Unknown -- a value, never a guess.  Unknown is made at the
+edge (group_rank) and never memoized, so a later call with larger caps
+computes the rank.
 
 The normal subgroups do not need the lattice: they are the joins of the
 normal closures of conjugacy classes (normal_subgroups), under the same
@@ -313,23 +317,39 @@ def min_generators(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                   elements=cap, tuples=tuple_cap)
 
 
-def _lattice(G: Group, subgroup_cap: int,
-             cap: int) -> tuple[_Table, dict[frozenset[int], tuple[int, ...]]]:
-    """G's table, and every subgroup of G as its set of table indices mapped
-    to the generators it was found with (see all_subgroups)."""
+def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
+        _Table, dict[frozenset[int], tuple[int, ...]], list[frozenset[int]]]:
+    """G's table, every subgroup of G as its set of table indices mapped to
+    generators of it, and one representative per conjugacy class (see
+    all_subgroups).  A new closure is a representative, and its class is
+    recorded whole by a breadth-first orbit under conjugation by G's
+    generators, with conjugated generators.  Only representatives are
+    extended, and only they go through group_rank's d and tuple search."""
     def compute():
         order = G.order()
         admit("subgroups", subgroup_cap, order)
         idx = _table(G, cap)
-        table = idx.table
+        table, inv = idx.table, idx.inv
+        # conjugation by s: x -> s^-1 x s, the row of s^-1 then the column of s
+        actions = [(table[inv[s]], tuple(row[s] for row in table))
+                   for s in idx.gens]
 
         found: dict[frozenset[int], tuple[int, ...]] = {}
-        worklist: list[frozenset[int]] = []
+        reps: list[frozenset[int]] = []
 
         def record(hset: frozenset[int], gens: tuple[int, ...]):
-            if hset not in found:
-                found[hset] = gens
-                worklist.append(hset)
+            if hset in found:
+                return
+            found[hset] = gens
+            reps.append(hset)
+            orbit = [hset]
+            for K in orbit:
+                for row, col in actions:
+                    conj = frozenset(map(col.__getitem__,
+                                         map(row.__getitem__, K)))
+                    if conj not in found:
+                        found[conj] = tuple(col[row[g]] for g in found[K])
+                        orbit.append(conj)
 
         record(frozenset({idx.identity}), ())
         for x in range(idx.n):
@@ -346,8 +366,8 @@ def _lattice(G: Group, subgroup_cap: int,
                       if is_prime_power(idx.orders[x]) is not None]
 
         pos = 0
-        while pos < len(worklist):
-            hset = worklist[pos]
+        while pos < len(reps):
+            hset = reps[pos]
             gens = found[hset]
             pos += 1
             if len(hset) == order:
@@ -365,23 +385,26 @@ def _lattice(G: Group, subgroup_cap: int,
                 for gk in gen_powers:
                     for h in hset:
                         skip.add(idx.conjugate(gk, h))
-        return idx, found
+        return idx, found, reps
     return G.memo("lattice", compute, subgroups=subgroup_cap, elements=cap)
 
 
 def all_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> list[Subgroup]:
-    """Every subgroup exactly once, by bottom-up closure: all cyclic
-    subgroups, then repeated one-element extensions, deduplicated by
-    element-set fingerprint.
+    """Every subgroup exactly once, by bottom-up closure up to conjugacy
+    (the cyclic extension method: Neubueser 1960; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005): all cyclic subgroups,
+    then repeated one-element extensions of one representative per class,
+    deduplicated by element-set fingerprint, each new class listed whole.
 
     Extensions only need elements of prime-power order (every subgroup is
     generated by such elements), and for a fixed H the candidates g, g^k
     (for <g^k> = <g>) and g^h (h in H) all generate the same extension, so
-    one representative per such orbit is tried.
+    one representative per such orbit is tried.  A conjugate of H extends
+    to the conjugates of H's extensions, so only representatives extend.
     """
     return G.memo("subgroups", lambda: _handles(
-        G, *_lattice(G, subgroup_cap, cap), cap),
+        G, *_lattice(G, subgroup_cap, cap)[:2], cap),
         subgroups=subgroup_cap, elements=cap)
 
 
@@ -434,14 +457,15 @@ def _handles(G: Group, idx: _Table, found: dict[frozenset[int], tuple[int, ...]]
 def group_rank(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
                tuple_cap: int = DEFAULT_TUPLE_CAP) -> "int | UnknownRank":
-    """max d(H) over subgroups; abelian groups shortcut through socle ranks.
-    Past any cap the result is Unknown, never a guess."""
+    """max d(H) over one H per conjugacy class of subgroups, so the tuple
+    search runs only on class representatives; abelian groups shortcut
+    through socle ranks.  Past any cap the result is Unknown, never a
+    guess."""
     def compute():
         if G.is_abelian():
             return abelian_rank(G, cap)
-        table, found = _lattice(G, subgroup_cap, cap)
-        return max(_d(table, hset, gens, tuple_cap)
-                   for hset, gens in found.items())
+        table, found, reps = _lattice(G, subgroup_cap, cap)
+        return max(_d(table, hset, found[hset], tuple_cap) for hset in reps)
     try:
         return G.memo("rank", compute, elements=cap, subgroups=subgroup_cap,
                       tuples=tuple_cap)

@@ -255,11 +255,18 @@ def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
         return []
     pres = quotient(p_meet_derived, p_meet_zed, coset_cap, cap)
     A = pres.quotient
-    # the first x in G per distinct centralizer in P n G'; images in A
+    # the first x in G per distinct centralizer in P n G'; images in A.  The
+    # centralizer depends only on how x conjugates P n G' (normal in G), so
+    # it is filtered once per distinct tuple of conjugated generators
     first_x: dict[frozenset, Perm] = {}
     pig_elems = p_meet_derived.elements(cap)
+    pig_gens = p_meet_derived.generators
+    actions: set[tuple[Perm, ...]] = set()
     for x in G.elements(cap):
-        first_x.setdefault(frozenset(centralizing(pig_elems, [x])), x)
+        action = tuple(a.conjugate(x) for a in pig_gens)
+        if action not in actions:
+            actions.add(action)
+            first_x.setdefault(frozenset(centralizing(pig_elems, [x])), x)
     family = [subgroup_from_elements(
         A, sorted({pres.projection(c) for c in cx})) for cx in first_x]
     x_of = {id(H): x for H, x in zip(family, first_x.values())}

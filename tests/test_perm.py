@@ -141,3 +141,12 @@ class TestPermValue:
         a, b = P("(1 2)", 3), P("(1 3)", 3)
         assert len({a, b, P("(2 1)", 3)}) == 2
         assert sorted([b, a]) == sorted([a, b])
+
+    @pytest.mark.parametrize("perm,expected", [
+        (Perm(()), True),
+        (identity(1), True),
+        (identity(5), True),
+        (P("(2 4)", 5), False),
+    ])
+    def test_is_identity(self, perm, expected):
+        assert perm.is_identity() is expected

@@ -1,18 +1,21 @@
 """Generator counts and ranks against exhaustive-search oracles."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
-from centerbound.corpus import build_group, parse_group_spec
+from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from centerbound.group import Group
 from centerbound.perm import Perm, parse_perm
-from centerbound.rank import (RankReport, UnknownRank, _Table, abelian_rank,
-                              all_subgroups, frattini_p, group_rank,
-                              min_generators, normal_subgroups, rank_report,
-                              shrink_generating_set)
-from centerbound.structure import is_normal, quotient_by_center
+from centerbound.rank import (RankReport, UnknownRank, _Table, _lattice,
+                              abelian_rank, all_subgroups, frattini_p,
+                              group_rank, min_generators, normal_subgroups,
+                              rank_report, shrink_generating_set)
+from centerbound.structure import (derived_subgroup, is_normal,
+                                   quotient_by_center)
 
 from _oracles import closure, min_generators_oracle, subgroups_oracle
 
@@ -209,6 +212,69 @@ class TestNormalSubgroups:
         assert [len(K) for K in normals] == [1, 60, 120]
 
 
+def classes(text):
+    """The table, all subgroups and the class representatives of _lattice."""
+    return _lattice(group(text), 1600, 200_000)
+
+
+class TestClassLattice:
+    """One representative per conjugacy class of subgroups is extended; the
+    classes are expanded in full for all_subgroups."""
+
+    @pytest.mark.parametrize("text,count", [
+        ("symmetric(4)", 11), ("alternating(4)", 5), ("alternating(5)", 9),
+        ("symmetric(5)", 19), ("alternating(6)", 22), ("dihedral(4)", 8),
+        ("dicyclic(2)", 6),
+    ])
+    def test_published_class_counts(self, text, count):
+        assert len(classes(text)[2]) == count
+
+    def test_symmetric6_at_cap_1600(self):
+        G = group("symmetric(6)")
+        assert group_rank(G, subgroup_cap=1600) == 3
+        assert len(_lattice(G, 1600, 200_000)[2]) == 56
+
+    @pytest.mark.parametrize("text", [
+        "symmetric(4)", "dicyclic(8)",
+        "direct_product(dihedral(4),dihedral(4))",
+    ])
+    def test_one_representative_per_class(self, text):
+        idx, found, reps = classes(text)
+        assert len(set(reps)) == len(reps)
+        for hset, gens in found.items():
+            # every subgroup keeps generators of itself, conjugated ones too
+            assert idx.closure(gens) == hset
+            conjugates = {frozenset(idx.conjugate(x, h) for x in hset)
+                          for h in range(idx.n)}
+            assert len(conjugates & set(reps)) == 1
+
+    # (count, sha256 of the JSON of [sorted(e._img for e in H.elements())
+    # for H in all_subgroups(G, 1600)]), recorded before the lattice
+    # enumerated classes
+    @pytest.mark.parametrize("text,count,digest", [
+        ("symmetric(4)", 30, "51781ecbeaa74cd38c83642907cbd667"
+                             "466d76f82dda2af8cb9a80e0697c6507"),
+        ("symmetric(5)", 156, "02b0dd4710eb8677fcd0561880b7deee"
+                              "759e2f0e77ccbe1c37dd0ede632ef5f4"),
+        ("alternating(6)", 501, "e793e7436291c00768b471c3b4999396"
+                                "da6d43f90149b6486e68f8194896ec9c"),
+        ("dicyclic(8)", 20, "81067d606484d57d7f91ec95bef5145b"
+                            "9bea953424e72f27c4424855c897b1e1"),
+        ("direct_product(dihedral(4),dihedral(4))", 389,
+         "5c7d7f4a6e363cd18266849ef8c10a30"
+         "4d3d0bbb95c2007009c810ae61f7a808"),
+        ("direct_product(symmetric(4),dihedral(4))", 1026,
+         "75a7cd6d35e50b5bb648d09d515b2447"
+         "92fbec1edebd6e6486c86d950c38341b"),
+    ])
+    def test_all_subgroups_unchanged(self, text, count, digest):
+        lists = [sorted(e._img for e in H.elements())
+                 for H in all_subgroups(group(text), subgroup_cap=1600)]
+        assert len(lists) == count
+        assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == \
+            digest
+
+
 class TestGroupRank:
     def test_examples(self):
         assert group_rank(group("dicyclic(2)")) == 2   # quaternion
@@ -293,7 +359,6 @@ class TestCorpusRankChain:
         # the d <= rk <= log2|G| chain on every corpus group whose rank
         # computes under the default caps (abelian, or order within the
         # subgroup-enumeration cap)
-        from centerbound.corpus import default_corpus, build_group
         checked = 0
         for spec in default_corpus().specs:
             G = build_group(spec)
@@ -305,6 +370,166 @@ class TestCorpusRankChain:
                 or G.order() == 1, spec.label
             checked += 1
         assert checked >= 100
+
+    def test_pinned_ranks(self):
+        # group_rank of G, G/Z(G) and G' at the default caps, recorded
+        # before the lattice enumerated classes
+        specs = default_corpus().specs
+        assert len(specs) == len(PINNED_CORPUS_RANKS)
+        for spec in specs:
+            G = build_group(spec)
+            ranks = tuple(
+                None if isinstance(r, UnknownRank) else r
+                for r in (group_rank(G),
+                          group_rank(quotient_by_center(G).quotient),
+                          group_rank(derived_subgroup(G))))
+            assert ranks == PINNED_CORPUS_RANKS[spec.label], spec.label
+
+
+# label: (rank of G, of G/Z(G), of G'), None where a default cap refuses
+PINNED_CORPUS_RANKS = {
+    "cyclic(1)": (0, 0, 0),
+    "cyclic(2)": (1, 0, 0),
+    "cyclic(3)": (1, 0, 0),
+    "cyclic(4)": (1, 0, 0),
+    "cyclic(5)": (1, 0, 0),
+    "cyclic(6)": (1, 0, 0),
+    "cyclic(7)": (1, 0, 0),
+    "cyclic(8)": (1, 0, 0),
+    "cyclic(9)": (1, 0, 0),
+    "cyclic(10)": (1, 0, 0),
+    "cyclic(11)": (1, 0, 0),
+    "cyclic(12)": (1, 0, 0),
+    "cyclic(13)": (1, 0, 0),
+    "cyclic(14)": (1, 0, 0),
+    "cyclic(15)": (1, 0, 0),
+    "cyclic(16)": (1, 0, 0),
+    "cyclic(17)": (1, 0, 0),
+    "cyclic(18)": (1, 0, 0),
+    "cyclic(19)": (1, 0, 0),
+    "cyclic(20)": (1, 0, 0),
+    "cyclic(21)": (1, 0, 0),
+    "cyclic(22)": (1, 0, 0),
+    "cyclic(23)": (1, 0, 0),
+    "cyclic(24)": (1, 0, 0),
+    "cyclic(25)": (1, 0, 0),
+    "cyclic(26)": (1, 0, 0),
+    "cyclic(27)": (1, 0, 0),
+    "cyclic(28)": (1, 0, 0),
+    "cyclic(29)": (1, 0, 0),
+    "cyclic(30)": (1, 0, 0),
+    "cyclic(31)": (1, 0, 0),
+    "cyclic(32)": (1, 0, 0),
+    "dihedral(1)": (1, 0, 0),
+    "dihedral(2)": (2, 0, 0),
+    "dihedral(3)": (2, 2, 1),
+    "dihedral(4)": (2, 2, 1),
+    "dihedral(5)": (2, 2, 1),
+    "dihedral(6)": (2, 2, 1),
+    "dihedral(7)": (2, 2, 1),
+    "dihedral(8)": (2, 2, 1),
+    "dihedral(9)": (2, 2, 1),
+    "dihedral(10)": (2, 2, 1),
+    "dihedral(11)": (2, 2, 1),
+    "dihedral(12)": (2, 2, 1),
+    "dihedral(13)": (2, 2, 1),
+    "dihedral(14)": (2, 2, 1),
+    "dihedral(15)": (2, 2, 1),
+    "dihedral(16)": (2, 2, 1),
+    "dihedral(17)": (2, 2, 1),
+    "dihedral(18)": (2, 2, 1),
+    "dihedral(19)": (2, 2, 1),
+    "dihedral(20)": (2, 2, 1),
+    "dihedral(21)": (2, 2, 1),
+    "dihedral(22)": (2, 2, 1),
+    "dihedral(23)": (2, 2, 1),
+    "dihedral(24)": (2, 2, 1),
+    "dihedral(25)": (2, 2, 1),
+    "dihedral(26)": (2, 2, 1),
+    "dihedral(27)": (2, 2, 1),
+    "dihedral(28)": (2, 2, 1),
+    "dihedral(29)": (2, 2, 1),
+    "dihedral(30)": (2, 2, 1),
+    "dihedral(31)": (2, 2, 1),
+    "dihedral(32)": (2, 2, 1),
+    "dicyclic(1)": (1, 0, 0),
+    "dicyclic(2)": (2, 2, 1),
+    "dicyclic(3)": (2, 2, 1),
+    "dicyclic(4)": (2, 2, 1),
+    "dicyclic(5)": (2, 2, 1),
+    "dicyclic(6)": (2, 2, 1),
+    "dicyclic(7)": (2, 2, 1),
+    "dicyclic(8)": (2, 2, 1),
+    "dicyclic(9)": (2, 2, 1),
+    "dicyclic(10)": (2, 2, 1),
+    "dicyclic(11)": (2, 2, 1),
+    "dicyclic(12)": (2, 2, 1),
+    "dicyclic(13)": (2, 2, 1),
+    "dicyclic(14)": (2, 2, 1),
+    "dicyclic(15)": (2, 2, 1),
+    "dicyclic(16)": (2, 2, 1),
+    "dicyclic(17)": (2, 2, 1),
+    "dicyclic(18)": (2, 2, 1),
+    "dicyclic(19)": (2, 2, 1),
+    "dicyclic(20)": (2, 2, 1),
+    "dicyclic(21)": (2, 2, 1),
+    "dicyclic(22)": (2, 2, 1),
+    "dicyclic(23)": (2, 2, 1),
+    "dicyclic(24)": (2, 2, 1),
+    "dicyclic(25)": (2, 2, 1),
+    "dicyclic(26)": (2, 2, 1),
+    "dicyclic(27)": (2, 2, 1),
+    "dicyclic(28)": (2, 2, 1),
+    "dicyclic(29)": (2, 2, 1),
+    "dicyclic(30)": (2, 2, 1),
+    "dicyclic(31)": (2, 2, 1),
+    "dicyclic(32)": (2, 2, 1),
+    "symmetric(1)": (0, 0, 0),
+    "symmetric(2)": (1, 0, 0),
+    "symmetric(3)": (2, 2, 1),
+    "symmetric(4)": (2, 2, 2),
+    "symmetric(5)": (2, 2, 2),
+    "symmetric(6)": (None, None, 3),
+    "alternating(1)": (0, 0, 0),
+    "alternating(2)": (0, 0, 0),
+    "alternating(3)": (1, 0, 0),
+    "alternating(4)": (2, 2, 2),
+    "alternating(5)": (2, 2, 2),
+    "alternating(6)": (3, 3, 3),
+    "elem_abelian(2,1)": (1, 0, 0),
+    "elem_abelian(2,2)": (2, 0, 0),
+    "elem_abelian(2,3)": (3, 0, 0),
+    "elem_abelian(3,1)": (1, 0, 0),
+    "elem_abelian(3,2)": (2, 0, 0),
+    "elem_abelian(3,3)": (3, 0, 0),
+    "elem_abelian(5,1)": (1, 0, 0),
+    "elem_abelian(5,2)": (2, 0, 0),
+    "elem_abelian(5,3)": (3, 0, 0),
+    "heisenberg(2)": (2, 2, 1),
+    "heisenberg(3)": (2, 2, 1),
+    "heisenberg(5)": (2, 2, 1),
+    "direct_product(symmetric(3),dihedral(4))": (3, 3, 1),
+    "direct_product(symmetric(4),heisenberg(3))": (None, 3, 2),
+    "direct_product(symmetric(3),heisenberg(3))": (3, 3, 2),
+    "direct_product(symmetric(4),dihedral(4))": (4, 4, 3),
+    "direct_product(symmetric(3),cyclic(4))": (2, 2, 1),
+    "direct_product(symmetric(4),cyclic(6))": (3, 2, 2),
+    "direct_product(alternating(4),dihedral(4))": (4, 4, 3),
+    "direct_product(alternating(5),cyclic(2))": (3, 2, 2),
+    "direct_product(alternating(5),dihedral(4))": (4, 4, 3),
+    "direct_product(symmetric(5),cyclic(3))": (2, 2, 2),
+    "direct_product(symmetric(5),dihedral(4))": (None, 4, 3),
+    "direct_product(alternating(4),heisenberg(3))": (3, 3, 2),
+    "direct_product(dihedral(4),heisenberg(3))": (2, 2, 1),
+    "direct_product(dihedral(4),dihedral(4))": (4, 4, 2),
+    "direct_product(heisenberg(3),heisenberg(3))": (None, 4, 2),
+    "direct_product(heisenberg(3),cyclic(3))": (3, 2, 1),
+    "direct_product(dihedral(4),cyclic(2))": (3, 2, 1),
+    "direct_product(dicyclic(2),dihedral(4))": (4, 4, 2),
+    "direct_product(symmetric(3),heisenberg(5))": (None, 2, 1),
+    "direct_product(symmetric(3),direct_product(dihedral(4),cyclic(5)))":
+        (3, 3, 1),
+}
 
 
 def refusal(call):

@@ -393,6 +393,28 @@ class TestWitnessMemo:
             also_witness(group("symmetric(4)")).to_json()
 
 
+class TestAlsoCentralizers:
+    @pytest.mark.parametrize("text,filters", [
+        ("dicyclic(8)", 2), ("heisenberg(3)", 0),
+        ("direct_product(symmetric(3),dihedral(4))", 2)])
+    def test_one_filter_per_conjugation_action(self, monkeypatch, text,
+                                               filters):
+        # every x in G was filtered before (32 and 48 calls); x's centralizer
+        # in P n G' depends only on how x conjugates it.  heisenberg(3) has
+        # P n G' = P n zed, so nothing is filtered
+        calls = []
+        filter_ = witness.centralizing
+
+        def counting(elems, S):
+            calls.append((tuple(elems), tuple(S)))
+            return filter_(elems, S)
+        monkeypatch.setattr(witness, "centralizing", counting)
+        also_witness(group(text))
+        actions = {(elems, tuple(a.conjugate(x) for a in elems))
+                   for elems, (x,) in calls}
+        assert len(calls) == len(actions) == filters
+
+
 class TestSampledFlag:
     def test_large_domain_with_a_map_samples(self):
         rep = rank_embedding_pl(group("dicyclic(32)"), "pl1")
