@@ -35,8 +35,9 @@ for p in (2, 3, 5):
     print(f"Sylow {p}-subgroup of Sym(4) has order", sylow(S4, p).order())
 print()
 
-# Quotients act faithfully on right cosets; projection and section are
-# mutually consistent.
+# Quotients act faithfully on right cosets, each coset a block of elements;
+# projection looks up one coset per block, and section returns the first
+# element of a coset, so the two are mutually consistent.
 Q8 = build_group(parse_group_spec("family:dicyclic(2)"))
 sr = structure_report(Q8)
 pres = quotient(Q8, sr.center)

@@ -15,7 +15,7 @@ from .errors import (ArgOutOfRange, BadAnchors, BadFamily, CapExceeded,
                      CenterboundError, DegreeMismatch, DegreeViolation,
                      NotAbelian, NotCoprime, NotGenerating, NotInDerived,
                      NotNormal, NotPGroup, ParseError, UnknownFamily)
-from .group import Group, Subgroup, generated_subgroup, subgroup_from_elements
+from .group import Group, Subgroup, subgroup_from_elements
 from .perm import (Perm, commutator, compose, format_perm, from_cycles,
                    identity, parse_perm)
 from .rank import (RankReport, UnknownRank, abelian_rank, all_subgroups,

@@ -10,9 +10,9 @@ Commands:
 Exit codes: 0 all applicable+computable verdicts hold; 2 a verdict is
 violated, a hypothesis error (NotPGroup, NotNormal, BadAnchors, ...) was
 raised, or an internal assertion failed; 3 something was not computable
-under the caps; 4 build/parse errors, including DegreeMismatch; 5 output
-I/O errors.  Errors end in a one-line message on stderr, never a
-traceback.
+under the caps (for info, a rank printed as Unknown); 4 build/parse
+errors, including DegreeMismatch; 5 output I/O errors.  Errors end in a
+one-line message on stderr, never a traceback.
 
 Reports are byte-identical across runs for a fixed config and seed: record
 lists are sorted, JSON keys are sorted, and all sampling is seeded.
@@ -185,7 +185,7 @@ def cmd_info(args, config: Config) -> int:
     else:
         for key, value in rows:
             print(f"{key:>20}: {value}")
-    return 0
+    return 3 if isinstance(rank, UnknownRank) else 0
 
 
 def cmd_check(args, config: Config) -> int:

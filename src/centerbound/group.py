@@ -291,9 +291,6 @@ class Group:
             g = g * level.transversal[delta]
         return g
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
@@ -358,7 +355,3 @@ def subgroup_from_elements(parent: Group, elems: Sequence[Perm],
     handle = Subgroup(parent, gens, _trusted=_trusted)
     handle._adopt_elements(list(elems))
     return handle
-
-
-def generated_subgroup(parent: Group, gens: Iterable[Perm]) -> Subgroup:
-    return Subgroup(parent, gens)

@@ -111,9 +111,6 @@ class Perm:
             out.append(tuple(point + 1 for point in cycle))
         return out
 
-    def moved_points(self) -> list[int]:
-        return [i + 1 for i, j in enumerate(self._img) if i != j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self._img == other._img
 

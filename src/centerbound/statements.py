@@ -11,7 +11,8 @@ Tags:
 * T6: with trivial center, |G| <= |G'|^(d+1), d = d(G').
 * T7: p-groups: rank(G/Z2) <= (13 r^2 - r)/2, r = rank(G' mod zed).
 * L9: Z2(G) <= C_G(G') and [C_G(G'), C_G(G')] <= Z(G).
-* LK: |K : C_K(H)| <= |G' n K|^d(H) over sampled pairs, K normal.
+* LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
+  H and a normal subgroup K.
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -100,6 +101,16 @@ def _bound(tag: str, lhs: int, rhs: int, witness=None, extra: str = "") -> Verdi
     return Verdict(tag, True, True, lhs, rhs, lhs <= rhs, witness, notes)
 
 
+class _Refused(Exception):
+    """A rank the statement needs came back Unknown under the caps."""
+
+
+def _known(r, what: str) -> int:
+    if isinstance(r, UnknownRank):
+        raise _Refused(f"rank of {what} is {r}")
+    return r
+
+
 def _inclusion(tag: str, violations: int, extra: str = "") -> Verdict:
     notes = extra or "inclusion encoded as violating-element count"
     return Verdict(tag, True, True, violations, 0, violations == 0, None, notes)
@@ -122,16 +133,19 @@ class _Evaluator:
     def sr(self):
         return structure_report(self.G, self.cap, self.coset_cap)
 
-    def rank_of(self, H: Group):
-        return group_rank(H, self.cap, self.subgroup_cap, self.tuple_cap)
+    def rank_of(self, H: Group, what: str) -> int:
+        """rank(H); an Unknown refuses the statement, naming H as what."""
+        return _known(group_rank(H, self.cap, self.subgroup_cap,
+                                 self.tuple_cap), what)
 
-    def section_rank(self, num: Group, den: Group):
-        return _section_rank(num, den, self.cap, self.subgroup_cap,
-                             self.tuple_cap, self.coset_cap)
+    def section_rank(self, num: Group, den: Group, what: str) -> int:
+        """rank(num/den); an Unknown refuses the statement."""
+        return _known(_section_rank(num, den, self.cap, self.subgroup_cap,
+                                    self.tuple_cap, self.coset_cap), what)
 
     @property
-    def r_derived_mod_zed(self):
-        return self.section_rank(self.sr.derived, self.sr.zed)
+    def r_derived_mod_zed(self) -> int:
+        return self.section_rank(self.sr.derived, self.sr.zed, "G'/zed")
 
     @property
     def central_quotient(self):
@@ -151,22 +165,20 @@ class _Evaluator:
             return getattr(self, "_eval_" + tag.lower())()
         except CapExceeded as exc:
             return _uncomputable(tag, f"cap fired: {exc}")
+        except _Refused as exc:
+            return _uncomputable(tag, str(exc))
 
     def _eval_t1(self) -> Verdict:
         sr = self.sr
         pres = self.central_quotient
-        r = self.rank_of(pres.quotient)
-        if isinstance(r, UnknownRank):
-            return _uncomputable("T1", f"rank of G/Z(G) is {r}")
+        r = self.rank_of(pres.quotient, "G/Z(G)")
         lhs = sr.orders["derived"]
         index = sr.orders["group"] // sr.orders["center"]
         return _bound("T1", lhs, index ** (r + 1), extra=f"r={r}")
 
     def _eval_t2(self) -> Verdict:
         sr = self.sr
-        r = self.rank_of(sr.derived)
-        if isinstance(r, UnknownRank):
-            return _uncomputable("T2", f"rank of G' is {r}")
+        r = self.rank_of(sr.derived, "G'")
         lhs = sr.orders["group"] // sr.orders["second_center"]
         return _bound("T2", lhs, sr.orders["derived"] ** (2 * r),
                       extra=f"r={r}")
@@ -174,8 +186,6 @@ class _Evaluator:
     def _eval_t3(self) -> Verdict:
         sr = self.sr
         r = self.r_derived_mod_zed
-        if isinstance(r, UnknownRank):
-            return _uncomputable("T3", f"rank of G'/zed is {r}")
         lhs = sr.orders["group"] // sr.orders["second_center"]
         return _bound("T3", lhs, sr.derived_mod_zed ** (4 * r),
                       extra=f"r={r}")
@@ -183,9 +193,7 @@ class _Evaluator:
     def _eval_c4(self) -> Verdict:
         H = self.central_quotient.quotient
         sr_h = structure_report(H, self.cap, self.coset_cap)
-        r = self.rank_of(sr_h.derived)
-        if isinstance(r, UnknownRank):
-            return _uncomputable("C4", f"rank of H' is {r}")
+        r = self.rank_of(sr_h.derived, "H'")
         lhs = sr_h.orders["group"] // sr_h.orders["center"]
         return _bound("C4", lhs, sr_h.orders["derived"] ** (4 * r),
                       extra=f"H=G/Z(G), r={r}")
@@ -213,11 +221,7 @@ class _Evaluator:
             return _vacuous("T7", "requires a p-group")
         sr = self.sr
         r = self.r_derived_mod_zed
-        if isinstance(r, UnknownRank):
-            return _uncomputable("T7", f"rank of G'/zed is {r}")
-        lhs = self.section_rank(self.G, sr.second_center)
-        if isinstance(lhs, UnknownRank):
-            return _uncomputable("T7", f"rank of G/Z2 is {lhs}")
+        lhs = self.section_rank(self.G, sr.second_center, "G/Z2")
         return _bound("T7", lhs, (13 * r * r - r) // 2, extra=f"r={r}")
 
     def _eval_l9(self) -> Verdict:
@@ -304,8 +308,6 @@ class _Evaluator:
     def _eval_la(self) -> Verdict:
         sr = self.sr
         r = self.r_derived_mod_zed
-        if isinstance(r, UnknownRank):
-            return _uncomputable("LA", f"rank of G'/zed is {r}")
         witness = also_witness(self.G, self.cap, self.coset_cap,
                                self.subgroup_cap, self.tuple_cap)
         lhs = (sr.orders["centralizer_of_derived"]
@@ -329,8 +331,6 @@ class _Evaluator:
     def _eval_ls(self) -> Verdict:
         sr = self.sr
         r = self.r_derived_mod_zed
-        if isinstance(r, UnknownRank):
-            return _uncomputable("LS", f"rank of G'/zed is {r}")
         witness = szivas_witness(self.G, self.cap, self.coset_cap,
                                  self.subgroup_cap, self.tuple_cap)
         lhs = sr.orders["dee"] // sr.orders["centralizer_of_derived"]
@@ -344,11 +344,8 @@ class _Evaluator:
             return _vacuous("P1", "requires a p-group")
         sr = self.sr
         r = self.r_derived_mod_zed
-        if isinstance(r, UnknownRank):
-            return _uncomputable("P1", f"rank of G'/zed is {r}")
-        lhs = self.section_rank(sr.centralizer_of_derived, sr.second_center)
-        if isinstance(lhs, UnknownRank):
-            return _uncomputable("P1", f"rank of C/Z2 is {lhs}")
+        lhs = self.section_rank(sr.centralizer_of_derived, sr.second_center,
+                                "C/Z2")
         return _bound("P1", lhs, r * r, extra=f"r={r}")
 
     def _eval_p2(self) -> Verdict:
@@ -356,11 +353,7 @@ class _Evaluator:
             return _vacuous("P2", "requires a p-group")
         sr = self.sr
         r = self.r_derived_mod_zed
-        if isinstance(r, UnknownRank):
-            return _uncomputable("P2", f"rank of G'/zed is {r}")
-        lhs = self.section_rank(sr.dee, sr.centralizer_of_derived)
-        if isinstance(lhs, UnknownRank):
-            return _uncomputable("P2", f"rank of D/C is {lhs}")
+        lhs = self.section_rank(sr.dee, sr.centralizer_of_derived, "D/C")
         return _bound("P2", lhs, 2 * r * r, extra=f"r={r}")
 
     def _eval_aut(self) -> Verdict:
@@ -368,11 +361,7 @@ class _Evaluator:
             return _vacuous("AUT", "requires a p-group")
         sr = self.sr
         r = self.r_derived_mod_zed
-        if isinstance(r, UnknownRank):
-            return _uncomputable("AUT", f"rank of G'/zed is {r}")
-        lhs = self.section_rank(self.G, sr.dee)
-        if isinstance(lhs, UnknownRank):
-            return _uncomputable("AUT", f"rank of G/D is {lhs}")
+        lhs = self.section_rank(self.G, sr.dee, "G/D")
         p = self.p_group_prime
         rhs = (7 * r * r - r) // 2 if p == 2 else (5 * r * r - r) // 2
         return _bound("AUT", lhs, rhs, extra=f"r={r}, p={p}")

@@ -3,6 +3,11 @@ subgroups, the second center, Sylow subgroups, normalizers, quotients by
 normal subgroups, socles of abelian p-groups, and coprime Fitting
 decompositions.
 
+A quotient G/N is a breadth-first walk over the right cosets of N, each
+coset stored once as a block of its elements, with one dict from element to
+coset number: projecting an element costs one product per coset, and
+preimages are whole blocks.
+
 Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
 method wins, and the cap fails loudly.  Normality is always checked
@@ -19,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .arith import p_part, prime_factors
 from .errors import NotAbelian, NotCoprime, NotNormal, NotPGroup
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
                     Subgroup, admit, subgroup_from_elements)
-from .perm import Perm, commutator, identity
+from .perm import Perm, commutator
 
 
 def _ambient(A: Group) -> Group:
@@ -208,54 +213,40 @@ def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 class QuotientPresentation:
     """A faithful action of G/N on the right cosets of N.
 
-    ``quotient`` is the image group; ``projection`` maps an element of G to
-    its image permutation; ``section`` maps an image element back to the
-    canonical representative of the corresponding coset.  Because the coset
-    action of the quotient on itself is regular, the section is read off the
-    image of the identity coset.
+    Each coset is a block: the list of its elements.  ``quotient`` is the
+    image group; ``projection`` maps an element of G to its image
+    permutation, one coset lookup per block; ``section`` maps an image
+    element back to the first element of its coset.  Because the coset
+    action of the quotient on itself is regular, the coset of q is the image
+    of the identity coset, block ``q(0)``.
     """
 
     def __init__(self, source: Group, kernel: Group, quotient: Group,
-                 reps: list[Perm], coset_of: Callable[[Perm], int]):
+                 blocks: list[list[Perm]], coset_index: dict[Perm, int]):
         self.source = source
         self.kernel = kernel
         self.quotient = quotient
-        self._reps = reps
-        self._coset_of = coset_of
+        self._blocks = blocks
+        self._coset_index = coset_index
 
     def projection(self, g: Perm) -> Perm:
-        m = len(self._reps)
-        if m == 0:
-            return identity(0)
-        images = [0] * m
-        for i, rep in enumerate(self._reps):
-            images[i] = self._coset_of(rep * g)
-        return Perm._raw(tuple(images))
+        index = self._coset_index
+        return Perm._raw(tuple(index[block[0] * g] for block in self._blocks))
 
     def section(self, q: Perm) -> Perm:
-        return self._reps[q._img[0]]
+        return self._blocks[q._img[0]][0]
 
-    def project_subgroup(self, H: Group) -> Subgroup:
-        return Subgroup(self.quotient,
-                        [self.projection(h) for h in H.generators],
-                        _trusted=True)
-
-    def preimage_elements(self, elems: Sequence[Perm],
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> list[Perm]:
-        """All of G mapping onto the given quotient elements."""
-        lifted = []
-        for q in elems:
-            rep = self.section(q)
-            for n in self.kernel.elements(cap):
-                lifted.append(n * rep)
-        return lifted
+    def preimage_elements(self, elems: Sequence[Perm]) -> list[Perm]:
+        """All of G mapping onto the given quotient elements, coset by
+        coset."""
+        return [x for q in elems for x in self._blocks[q._img[0]]]
 
 
 class _IdentityQuotient(QuotientPresentation):
     """Quotient by the trivial subgroup: G is its own coset action."""
 
     def __init__(self, source: Group, kernel: Group):
-        super().__init__(source, kernel, source, [], lambda g: 0)
+        super().__init__(source, kernel, source, [], {})
 
     def projection(self, g: Perm) -> Perm:
         return g
@@ -263,10 +254,7 @@ class _IdentityQuotient(QuotientPresentation):
     def section(self, q: Perm) -> Perm:
         return q
 
-    def project_subgroup(self, H: Group) -> Subgroup:
-        return Subgroup(self.quotient, H.generators, _trusted=True)
-
-    def preimage_elements(self, elems, cap: int = DEFAULT_ENUMERATION_CAP):
+    def preimage_elements(self, elems: Sequence[Perm]) -> list[Perm]:
         return list(elems)
 
 
@@ -280,6 +268,8 @@ def quotient(G: Group, N: Group, coset_cap: int = DEFAULT_COSET_CAP,
 
 def _coset_action(G: Group, N: Group, coset_cap: int,
                   cap: int) -> QuotientPresentation:
+    """Walk the cosets breadth-first from N, generators in order: the block
+    of a new coset is its parent's block times the generator."""
     if not is_normal(G, N):
         raise NotNormal("quotient requires a normal subgroup")
     index = G.order() // N.order()
@@ -287,36 +277,21 @@ def _coset_action(G: Group, N: Group, coset_cap: int,
     if N.order() == 1:
         return _IdentityQuotient(G, N)
 
-    n_elems = N.elements(cap)
-
-    def canonical(x: Perm) -> Perm:
-        return min(n * x for n in n_elems)
-
-    index_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-
-    def coset_of(x: Perm) -> int:
-        return index_of[canonical(x)]
-
-    start = canonical(identity(G.degree))
-    index_of[start] = 0
-    reps.append(start)
-    head = 0
-    while head < len(reps):
-        rep = reps[head]
-        head += 1
+    blocks = [list(N.elements(cap))]
+    coset_index = dict.fromkeys(blocks[0], 0)
+    for block in blocks:
         for s in G.generators:
-            key = canonical(rep * s)
-            if key not in index_of:
-                index_of[key] = len(reps)
-                reps.append(key)
-    if len(reps) != index:
+            if block[0] * s not in coset_index:
+                new = [x * s for x in block]
+                coset_index.update(dict.fromkeys(new, len(blocks)))
+                blocks.append(new)
+    if len(blocks) != index:
         raise AssertionError(
-            f"coset walk found {len(reps)} cosets, expected {index}")
+            f"coset walk found {len(blocks)} cosets, expected {index}")
 
-    presentation = QuotientPresentation(G, N, Group(0), reps, coset_of)
+    presentation = QuotientPresentation(G, N, Group(0), blocks, coset_index)
     image_gens = [presentation.projection(s) for s in G.generators]
-    presentation.quotient = Group(max(index, 1), image_gens)
+    presentation.quotient = Group(index, image_gens)
     return presentation
 
 
@@ -353,8 +328,7 @@ def fitting_decomposition(P: Group, Q: Group,
     if math.gcd(P.order(), Q.order()) != 1:
         raise NotCoprime(
             f"orders {P.order()} and {Q.order()} are not coprime")
-    if not all((q.inverse() * x * q) in P
-               for x in P.generators for q in Q.generators):
+    if not is_normal(Q, P):
         raise NotNormal("P must be normalised by Q")
     commutator_part = mutual_commutator(P, Q)
     fixed = centralizing(P.elements(cap), Q.generators)
@@ -411,7 +385,7 @@ def structure_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
         # preimage of the center of G/Z(G)
         pres = quotient_by_center(G, coset_cap, cap)
         center_above = center(pres.quotient, cap)
-        preimage = set(pres.preimage_elements(center_above.elements(cap), cap))
+        preimage = set(pres.preimage_elements(center_above.elements(cap)))
         if preimage != set(second.elements(cap)):
             raise AssertionError(
                 "second center: filter and quotient preimage disagree")

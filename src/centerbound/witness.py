@@ -231,7 +231,7 @@ def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
     pres = quotient(G, zed_subgroup(G, cap), coset_cap, cap)
     image_gens = [pres.projection(x) for x in xs]
     centre_above = centralizer(pres.quotient, image_gens, cap)
-    m_elems = pres.preimage_elements(centre_above.elements(cap), cap)
+    m_elems = pres.preimage_elements(centre_above.elements(cap))
     M = subgroup_from_elements(G, sorted(m_elems))
     return T, M
 
@@ -305,7 +305,7 @@ def _szivas_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
         if current.order() == image.order():
             break
         preimage_of_current = set(
-            pres.preimage_elements(current.elements(cap), cap))
+            pres.preimage_elements(current.elements(cap)))
     else:
         raise AssertionError("commutator images never generated the quotient")
     kept = [pair_of[img]

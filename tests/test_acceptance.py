@@ -5,6 +5,7 @@ the captured output on failure); the assertions enforce the criterion
 exactly, with no tolerances beyond those stated.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -27,6 +28,10 @@ from centerbound.witness import (commutator_product_layers,
 from _oracles import center_oracle, closure, derived_oracle
 
 CORPUS_RUNTIME_LIMIT = 600  # seconds, per corpus run
+# sha256 of the default corpus report (seed 0, default caps); a change that
+# moves it changes what the report says and must say why
+CORPUS_REPORT_SHA256 = (
+    "44276ff90c2c55a292bb7c54cf001577677494ea52557e29be2f5aad2d435fb4")
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -252,6 +257,12 @@ def test_criterion_7_determinism(corpus_runs):
     report(7, identical,
            f"two corpus runs, {len(path_a.read_bytes())} bytes, "
            f"byte-identical={identical}")
+
+
+def test_corpus_report_digest(corpus_runs):
+    (path_a, _), _ = corpus_runs
+    assert hashlib.sha256(path_a.read_bytes()).hexdigest() == \
+        CORPUS_REPORT_SHA256
 
 
 def test_criterion_8_szivas_exponent_probe(corpus_runs):

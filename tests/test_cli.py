@@ -46,6 +46,14 @@ class TestInfo:
         assert values["|Z(G)|"] == "2"
         assert values["|Z2(G)|"] == "8"
 
+    def test_unknown_rank_exits_3(self, capsys):
+        # |G'| = 720 is past the default subgroup cap of 512
+        assert main(["info", "family:direct_product(alternating(5),"
+                             "symmetric(4))"]) == 3
+        out = capsys.readouterr().out
+        assert ("rk(G'): Unknown(subgroup enumeration cap 512, needed 720)"
+                in out)
+
     def test_bad_spec_exits_4(self, capsys):
         assert main(["info", "family:wreath(2)"]) == 4
         assert main(["info", "file:/nonexistent/path.grp"]) == 4

@@ -83,6 +83,33 @@ class TestApplicabilityGates:
         assert "Unknown" in v.notes
         assert not v.violated
 
+    @pytest.mark.parametrize("text,refused", [
+        ("symmetric(4)", {
+            "T1": "rank of G/Z(G) is Unknown(subgroup enumeration cap 1, "
+                  "needed 24)",
+            "T2": "rank of G' is Unknown(subgroup enumeration cap 1, "
+                  "needed 12)",
+            "T3": "rank of G'/zed is Unknown(subgroup enumeration cap 1, "
+                  "needed 12)",
+            "C4": "rank of H' is Unknown(subgroup enumeration cap 1, "
+                  "needed 12)",
+            "LA": "rank of G'/zed is Unknown(subgroup enumeration cap 1, "
+                  "needed 12)",
+            "LS": "rank of G'/zed is Unknown(subgroup enumeration cap 1, "
+                  "needed 12)"}),
+        ("dicyclic(8)", {
+            "T1": "rank of G/Z(G) is Unknown(subgroup enumeration cap 1, "
+                  "needed 16)",
+            "T7": "rank of G/Z2 is Unknown(subgroup enumeration cap 1, "
+                  "needed 8)"}),
+    ])
+    def test_unknown_rank_notes(self, text, refused):
+        verdicts = evaluate_all(group(text), Config(subgroup_cap=1))
+        got = {v.statement: v.notes for v in verdicts if not v.computable}
+        assert got == refused
+        assert all(v.lhs == v.rhs == 0 and v.holds for v in verdicts
+                   if not v.computable)
+
     def test_evaluate_all_trivial_group(self):
         for v in evaluate_all(group("cyclic(1)"), CFG):
             assert v.holds

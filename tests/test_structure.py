@@ -10,7 +10,7 @@ from centerbound.corpus import build_group, parse_group_spec
 from centerbound.errors import (CapExceeded, NotAbelian, NotCoprime,
                                 NotNormal, NotPGroup)
 from centerbound.group import Group, Subgroup
-from centerbound.perm import identity, parse_perm
+from centerbound.perm import Perm, identity, parse_perm
 from centerbound.structure import (center, centralizer, dee_subgroup,
                                    derived_subgroup, fitting_decomposition,
                                    intersection, is_normal,
@@ -390,3 +390,87 @@ class TestQuotientKernel:
             kernel = {g for g in G.elements()
                       if pres.projection(g).is_identity()}
             assert kernel == set(N.elements())
+
+
+def _quotient_case(name):
+    """(G, N) for a pinned quotient named G/N."""
+    if name == "S4/V4":
+        G = group("symmetric(4)")
+        return G, Subgroup(G, [parse_perm("(1 2)(3 4)", 4),
+                               parse_perm("(1 3)(2 4)", 4)])
+    text, kernel = {"S3xD4/Z": ("direct_product(symmetric(3),dihedral(4))",
+                                center),
+                    "dicyclic(8)/Z": ("dicyclic(8)", center),
+                    "heisenberg(3)/zed": ("heisenberg(3)", zed_subgroup)}[name]
+    G = group(text)
+    return G, kernel(G)
+
+
+# degree and image generators of quotient(G, N).quotient: the coset
+# numbering of the breadth-first walk, generators in order
+QUOTIENT_IMAGES = {
+    "S4/V4": (6, ["(1 2)(3 5)(4 6)", "(1 3)(2 4)(5 6)"]),
+    "S3xD4/Z": (24, [
+        "(1 2)(3 9)(4 7)(5 8)(6 10)(11 17)(12 18)(13 16)(14 19)(15 20)"
+        "(21 23)(22 24)",
+        "(1 3 10)(2 6 9)(4 11 19)(5 12 20)(7 14 17)(8 15 18)(13 21 24)"
+        "(16 22 23)",
+        "(1 4)(2 7)(3 11)(5 13)(6 14)(8 16)(9 17)(10 19)(12 21)(15 22)"
+        "(18 23)(20 24)",
+        "(1 5)(2 8)(3 12)(4 13)(6 15)(7 16)(9 18)(10 20)(11 21)(14 22)"
+        "(17 23)(19 24)"]),
+    "dicyclic(8)/Z": (16, ["(1 2 4 7 11 15 14 10)(3 6 9 13 16 12 8 5)",
+                           "(1 3)(2 5)(4 8)(6 10)(7 12)(9 14)(11 16)(13 15)"]),
+    "heisenberg(3)/zed": (9, ["(1 2 4)(3 5 7)(6 8 9)",
+                              "(1 3 6)(2 5 8)(4 7 9)"]),
+}
+
+
+class TestCosetBlocks:
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_IMAGES))
+    def test_image_generators_pinned(self, name):
+        G, N = _quotient_case(name)
+        Q = quotient(G, N).quotient
+        degree, images = QUOTIENT_IMAGES[name]
+        assert Q.degree == degree
+        assert list(Q.generators) == [parse_perm(s, degree) for s in images]
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_IMAGES))
+    def test_preimages_partition_group(self, name):
+        G, N = _quotient_case(name)
+        pres = quotient(G, N)
+        seen = []
+        for q in pres.quotient.elements():
+            block = pres.preimage_elements([q])
+            assert len(block) == N.order()
+            assert all(pres.projection(x) == q for x in block)
+            seen += block
+        assert len(seen) == G.order()
+        assert set(seen) == set(G.elements())
+
+    @pytest.mark.parametrize("name", ["S4/V4", "S3xD4/Z"])
+    def test_products_per_lookup(self, name, monkeypatch):
+        G, N = _quotient_case(name)
+        pres = quotient(G, N)
+        Q = pres.quotient
+        qs = Q.elements()
+        calls = []
+        mul = Perm.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(Perm, "__mul__", counting)
+        pres.preimage_elements(qs)
+        assert not calls
+        for g in G.elements()[:5]:
+            calls.clear()
+            pres.projection(g)
+            assert len(calls) <= Q.degree == G.order() // N.order()
+
+    def test_section_is_first_block_element(self):
+        G, N = _quotient_case("S4/V4")
+        pres = quotient(G, N)
+        for q in pres.quotient.elements():
+            assert pres.section(q) == pres.preimage_elements([q])[0]

@@ -303,6 +303,19 @@ class TestRankEmbeddings:
     def test_rejects_non_p_group(self):
         with pytest.raises(NotPGroup):
             rank_embedding_pl(group("symmetric(3)"), "pl1")
+
+    @pytest.mark.parametrize("which,first", [("pl1", "a"), ("pl2", "t")])
+    def test_map_direction(self, which, first):
+        # pl1 maps a -> [a, t], pl2 maps a -> [t, a]; the two differ
+        # wherever the commutator has order above 2
+        fmap = witness._MAPS[which][1]
+        elems = group("symmetric(3)").elements()
+        differ = [(a, t) for a in elems for t in elems
+                  if commutator(a, t) != commutator(t, a)]
+        assert differ
+        for a, t in differ:
+            want = commutator(a, t) if first == "a" else commutator(t, a)
+            assert fmap(a, t) == want
         with pytest.raises(ValueError):
             rank_embedding_pl(group("dihedral(4)"), "pl3")
 
