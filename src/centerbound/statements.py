@@ -12,7 +12,9 @@ Tags:
 * T7: p-groups: rank(G/Z2) <= (13 r^2 - r)/2, r = rank(G' mod zed).
 * L9: Z2(G) <= C_G(G') and [C_G(G'), C_G(G')] <= Z(G).
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
-  H and a normal subgroup K.
+  H and a normal subgroup K; on G's Cayley table (index sets, d by the
+  ladder on the table, C_G(H) by table lookups) when G has at most
+  TABLE_CAP elements, else by Perm products with d from min_generators.
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -31,15 +33,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .arith import is_prime_power, prime_factors
 from .config import Config
 from .errors import CapExceeded
 from .group import Group, Subgroup, subgroup_from_elements
-from .rank import (UnknownRank, _PermLadder, _prune, group_rank,
+from .rank import (UnknownRank, _d, _PermLadder, _prune, group_rank,
                    min_generators, normal_subgroups)
 from .structure import (centralizing, mutual_commutator, quotient_by_center,
                         structure_report, sylow)
+from .table import _table
 from .witness import (WitnessRecord, _lb_section, _section_rank,
                       also_witness, szivas_witness)
 
@@ -255,14 +259,22 @@ class _Evaluator:
                     seen.add((fp, K.element_set(self.cap)))
                     normals.append(K)
             source = "canonical normal subgroups (subgroup cap fired)"
-        derived = sr.derived.element_set(self.cap)
-        ks = [(K.order(), K.element_set(self.cap)) for K in normals]
+        try:
+            idx = _table(G, self.cap)
+        except CapExceeded:  # above TABLE_CAP: Perm products
+            idx = None
+
+        def members(K):
+            if idx is None:
+                return K.element_set(self.cap)
+            return frozenset(idx.indices(K.elements(self.cap)))
+        derived = members(sr.derived)
+        ks = [(K.order(), members(K)) for K in normals]
         meets = [len(kset & derived) for _, kset in ks]
         library = self._lk_library()
         worst = None
-        for H, h_name, d, d_note in library:
-            # |C_K(H)| = |K n C_G(H)|, with C_G(H) filtered once per H
-            cgh = frozenset(centralizing(G.elements(self.cap), H.generators))
+        for h_name, H in library:
+            d, d_note, cgh = self._lk_member(idx, H)
             for (order, kset), meet in zip(ks, meets):
                 lhs = order // len(kset & cgh)
                 rhs = meet ** d
@@ -275,11 +287,11 @@ class _Evaluator:
                       extra=f"{pairs} pairs, K from {source}; worst: {descriptor}")
 
     def _lk_library(self):
+        """LK's members H as (name, handle): G', Z2, a Sylow subgroup per
+        prime and three seeded random 2-generator subgroups."""
         G = self.G
         sr = self.sr
-        library = []
-        for name, H in (("G'", sr.derived), ("Z2", sr.second_center)):
-            library.append((name, H))
+        library = [("G'", sr.derived), ("Z2", sr.second_center)]
         for p in sorted(prime_factors(G.order())):
             library.append((f"sylow_{p}", sylow(G, p, self.cap)))
         rng = random.Random(f"{self.config.seed}:lk")
@@ -287,17 +299,29 @@ class _Evaluator:
             x = G.random_element(rng)
             y = G.random_element(rng)
             library.append((f"random_2gen_{i}", Subgroup(G, [x, y])))
-        out = []
-        for name, H in library:
-            try:
-                d = min_generators(H, self.cap, self.tuple_cap)
-                note = ""
-            except CapExceeded:
-                d = len(_prune(_PermLadder(H, self.cap), H.generators,
-                               H.order()))
-                note = ", upper bound"
-            out.append((H, name, d, note))
-        return out
+        return library
+
+    def _lk_member(self, idx, H):
+        """d(H) with its note, and C_G(H) as a set: on G's table idx, else
+        (idx None) by Perm products with d memoized on H.  |C_K(H)| is then
+        |K n C_G(H)|, so C_G(H) is filtered once per H.  When the tuple cap
+        refuses d, the pruned generating set is an upper bound."""
+        if idx is None:
+            world, gens = _PermLadder(H, self.cap), H.generators
+            size = H.order()
+            cgh = frozenset(centralizing(self.G.elements(self.cap), gens))
+            exact = partial(min_generators, H, self.cap, self.tuple_cap)
+        else:
+            world, gens = idx, idx.indices(H.generators)
+            hset = idx.closure(gens)
+            size = len(hset)
+            cgh = frozenset(x for x in range(idx.n)
+                            if all(idx.commute(x, h) for h in gens))
+            exact = partial(_d, idx, hset, gens, self.tuple_cap)
+        try:
+            return exact(), "", cgh
+        except CapExceeded:
+            return len(_prune(world, gens, size)), ", upper bound", cgh
 
     def _eval_ck(self) -> Verdict:
         sr = self.sr

@@ -10,9 +10,12 @@ preimages are whole blocks.
 
 Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
-method wins, and the cap fails loudly.  Normality is always checked
-explicitly, never assumed from theory, so implementation bugs surface as
-NotNormal instead of silently wrong answers.
+method wins, and the cap fails loudly.  The normalizer filter (and with it
+the Sylow ascent) looks products up in G's Cayley table (table.py) when G
+has at most TABLE_CAP elements, and multiplies Perms above that.
+Normality is always checked explicitly, never assumed from theory, so
+implementation bugs surface as NotNormal instead of silently wrong
+answers.
 
 Results that are expensive and reused (derived subgroup, center, second
 center, zed, D, Sylow subgroups, quotients, the structure report) live in
@@ -27,10 +30,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import p_part, prime_factors
-from .errors import NotAbelian, NotCoprime, NotNormal, NotPGroup
+from .errors import CapExceeded, NotAbelian, NotCoprime, NotNormal, NotPGroup
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
                     Subgroup, admit, subgroup_from_elements)
 from .perm import Perm, commutator
+from .table import _table
 
 
 def _ambient(A: Group) -> Group:
@@ -47,7 +51,7 @@ class _Perms:
     """Elements as Perm and subgroups as handles on G, with membership by
     sifting through their chains: one of the two representations the normal
     closure (and, in rank.py, the d ladder) runs on.  The other is the
-    Cayley table of rank.py."""
+    Cayley table of table.py."""
 
     def __init__(self, G: Group, cap: int = DEFAULT_ENUMERATION_CAP):
         self.G = G
@@ -128,13 +132,24 @@ def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 
 def normalizer(G: Group, H: Group,
                cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """{g in G | H^g = H}, by exhaustive filter."""
-    hgens = H.generators
-    selected = []
-    for g in G.elements(cap):
-        ginv = g.inverse()
-        if all((ginv * h * g) in H for h in hgens):
-            selected.append(g)
+    """{g in G | H^g = H} for H <= G, by exhaustive filter: by lookups in
+    G's Cayley table when the table admits G (at most TABLE_CAP elements),
+    else by Perm products and sifts into H.  Both keep G's element order."""
+    try:
+        idx = _table(G, cap)
+    except CapExceeded:
+        hgens = H.generators
+        selected = []
+        for g in G.elements(cap):
+            ginv = g.inverse()
+            if all((ginv * h * g) in H for h in hgens):
+                selected.append(g)
+        return subgroup_from_elements(G, selected)
+    table = idx.table
+    hgens = idx.indices(H.generators)
+    hset = idx.closure(hgens)
+    selected = [idx.elems[g] for g, ginv in enumerate(idx.inv)
+                if all(table[table[ginv][h]][g] in hset for h in hgens)]
     return subgroup_from_elements(G, selected)
 
 

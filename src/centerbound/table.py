@@ -1,0 +1,151 @@
+"""G's Cayley table: elements as indices into G's element list.
+
+One of the two representations that the normal closure, the d ladder,
+lemma LK and the normalizer filter run on; the other is Perm with BSGS
+membership (``structure._Perms``).  A group gets a table only when it has
+at most TABLE_CAP elements, and the table lives in the group's memo.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import gcd
+
+from .group import TABLE_CAP, Group, admit
+
+
+class _Table:
+    """Elements as indices into G's element list, subgroups as frozensets of
+    indices: tight integer loops over a Cayley table instead of tuple
+    composition.
+
+    Row a is left multiplication by elems[a]: table[a][b] is the index of
+    elems[a] * elems[b].  The rows come from the generators.  For each
+    generator g, left[x] = index of g * elems[x] costs n Perm products, and
+    since (g c) b = g (c b), the row of a = g c is left composed with the
+    row of c.  A breadth-first walk from the identity reaches every a that
+    way, so the table costs n |gens| products and the rest is index lookups
+    that run in C.  inv[a] is where row a meets the identity.
+
+    index maps each element of G to its index, so a Perm handle on G (its
+    generators, its elements) becomes indices by dict lookups."""
+
+    def __init__(self, G: Group, cap: int):
+        elems = G.elements(cap)
+        n = len(elems)
+        admit("table", TABLE_CAP, n)
+        index = {e: i for i, e in enumerate(elems)}
+        self.identity = index[G.identity_element()]
+        self.gens = tuple(index[g] for g in G.generators)
+        lefts = [tuple(index[g * e] for e in elems) for g in G.generators]
+        rows: list = [None] * n
+        rows[self.identity] = tuple(range(n))
+        reached = [self.identity]
+        for c in reached:
+            for left in lefts:
+                a = left[c]
+                if rows[a] is None:
+                    rows[a] = tuple(map(left.__getitem__, rows[c]))
+                    reached.append(a)
+        self.elems = elems
+        self.index = index
+        self.table = rows
+        self.inv = tuple(row.index(self.identity) for row in rows)
+        # x^k has order m / gcd(k, m) when x has order m
+        orders = [0] * n
+        for x in range(n):
+            if not orders[x]:
+                powers = [x]
+                while powers[-1] != self.identity:
+                    powers.append(rows[powers[-1]][x])
+                m = len(powers)
+                for k, y in enumerate(powers, 1):
+                    orders[y] = m // gcd(k, m)
+        self.orders = tuple(orders)
+        self.n = n
+
+    def indices(self, perms) -> tuple[int, ...]:
+        """The indices of elements of G, by lookups in index."""
+        return tuple(map(self.index.__getitem__, perms))
+
+    size = staticmethod(len)
+
+    @staticmethod
+    def members(hset: frozenset[int]) -> frozenset[int]:
+        return hset
+
+    def order_of(self, x: int) -> int:
+        return self.orders[x]
+
+    def commute(self, a: int, b: int) -> bool:
+        return self.table[a][b] == self.table[b][a]
+
+    def power(self, x: int, k: int) -> int:
+        result = self.identity
+        base = x
+        while k:
+            if k & 1:
+                result = self.table[result][base]
+            base = self.table[base][base]
+            k >>= 1
+        return result
+
+    def closure(self, gens) -> frozenset[int]:
+        known = {self.identity}
+        frontier = [self.identity]
+        table = self.table
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = table[x][g]
+                if y not in known:
+                    known.add(y)
+                    frontier.append(y)
+        return frozenset(known)
+
+    def conjugate(self, x: int, h: int) -> int:
+        return self.table[self.table[self.inv[h]][x]][h]
+
+    def commutator(self, x: int, y: int) -> int:
+        t = self.table
+        return t[t[t[self.inv[x]][self.inv[y]]][x]][y]
+
+    def classes(self) -> list[list[int]]:
+        """The conjugacy classes, as orbits under conjugation by the
+        generators, in order of their least member."""
+        seen = [False] * self.n
+        out = []
+        for x in range(self.n):
+            if seen[x]:
+                continue
+            seen[x] = True
+            orbit = [x]
+            for y in orbit:
+                for g in self.gens:
+                    if not seen[z := self.conjugate(y, g)]:
+                        seen[z] = True
+                        orbit.append(z)
+            out.append(orbit)
+        return out
+
+    def search(self, hset: frozenset[int], lower: int, upper: int,
+               tuple_cap: int) -> int:
+        """The least k in [lower, upper) for which some k members generate
+        hset, else upper; every k-subset tried counts against tuple_cap."""
+        size = len(hset)
+        members = sorted(hset - {self.identity})
+        tried, d = 0, upper
+        for combo in itertools.chain.from_iterable(
+                itertools.combinations(members, k)
+                for k in range(lower, upper)):
+            tried += 1
+            if tried > tuple_cap or len(self.closure(combo)) == size:
+                d = len(combo)
+                break
+        admit("tuples", tuple_cap, tried)  # refuses a search the cap stopped
+        return d
+
+
+def _table(G: Group, cap: int) -> _Table:
+    """G's table, memoized; refuses groups above TABLE_CAP elements."""
+    return G.memo("table", lambda: _Table(G, cap), elements=cap)

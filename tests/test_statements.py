@@ -1,17 +1,25 @@
 """The statement catalog: spot values, applicability gates, soundness on a
 sample, and the proof-decomposition identities."""
 
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
 
-from centerbound.arith import p_part, prime_factors
+from centerbound import statements, structure
+from centerbound.arith import is_prime_power, p_part, prime_factors
 from centerbound.config import Config
-from centerbound.corpus import build_group, parse_group_spec
+from centerbound.corpus import build_group, default_corpus, parse_group_spec
+from centerbound.errors import CapExceeded
+from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_TUPLE_CAP,
+                               Subgroup)
 from centerbound.rank import UnknownRank, group_rank
 from centerbound.statements import (STATEMENT_TAGS, Verdict, evaluate,
                                     evaluate_all)
-from centerbound.structure import (quotient_by_center, structure_report,
+from centerbound.structure import (derived_subgroup, normalizer, quotient,
+                                   quotient_by_center, structure_report,
                                    sylow)
 
 
@@ -247,23 +255,141 @@ class TestLkSampling:
 
     # recorded with LK's normals filtered from the whole subgroup lattice
     # and C_K(H) filtered per K, so that the class-based normal list and
-    # the per-H centralizer filter are checked group by group
-    @pytest.mark.parametrize("text, pairs, source, d", [
-        ("symmetric(4)", 28, "all normal subgroups", 2),
-        ("dicyclic(8)", 48, "all normal subgroups", 1),
-        ("direct_product(dihedral(4),dihedral(4))", 546,
-         "all normal subgroups", 2),
-        ("direct_product(symmetric(4),cyclic(6))", 126,
-         "all normal subgroups", 2),
-        ("symmetric(6)", 24,
-         "canonical normal subgroups (subgroup cap fired)", 2),
-    ])
-    def test_lk_pinned_verdicts(self, text, pairs, source, d):
-        assert evaluate("LK", group(text), CFG).to_json() == {
+    # the per-H centralizer filter are checked group by group.  symmetric(6)
+    # at subgroup cap 1600, recorded with LK on Perm products, is the one
+    # corpus group whose "all normal subgroups" path runs only above the
+    # default subgroup cap.
+    @pytest.mark.parametrize("text, pairs, source, d, subgroup_cap", [
+        pytest.param(*case, cap, id="-".join(map(str, case)))
+        for *case, cap in [
+            ("symmetric(4)", 28, "all normal subgroups", 2, 512),
+            ("dicyclic(8)", 48, "all normal subgroups", 1, 512),
+            ("direct_product(dihedral(4),dihedral(4))", 546,
+             "all normal subgroups", 2, 512),
+            ("direct_product(symmetric(4),cyclic(6))", 126,
+             "all normal subgroups", 2, 512),
+            ("symmetric(6)", 24,
+             "canonical normal subgroups (subgroup cap fired)", 2, 512),
+            ("symmetric(6)", 24, "all normal subgroups", 2, 1600),
+        ]])
+    def test_lk_pinned_verdicts(self, text, pairs, source, d, subgroup_cap):
+        cfg = Config(subgroup_cap=subgroup_cap)
+        assert evaluate("LK", group(text), cfg).to_json() == {
             "statement": "LK", "applicable": True, "computable": True,
             "lhs": 1, "rhs": 1, "holds": True,
             "notes": f"{pairs} pairs, K from {source}; worst: H=G' "
                      f"(d={d}), |K|=1; tightness=trivial"}
+
+
+class TestLkTablePath:
+    """LK and the normalizer filter run on G's Cayley table when the table
+    admits G, and on Perm products otherwise (the large groups above
+    TABLE_CAP).  Refusing the table on small groups runs the Perm path where
+    it can be compared."""
+
+    @pytest.mark.parametrize("text", [
+        "symmetric(4)", "dicyclic(8)",
+        "direct_product(dihedral(4),dihedral(4))",
+        "direct_product(symmetric(3),dihedral(4))", "alternating(5)",
+        "heisenberg(3)"])
+    def test_table_and_perm_paths_agree(self, monkeypatch, text):
+        def run():
+            verdicts = [evaluate(tag, group(text), CFG).to_json()
+                        for tag in ("LK", "FOC", "LB")]
+            G = group(text)
+            sylows = [sylow(G, p) for p in sorted(prime_factors(G.order()))]
+            elems = G.elements()
+            normalizers = [normalizer(G, H) for H in sylows + [
+                derived_subgroup(G), Subgroup(G, elems[1:3])] + [
+                Subgroup(G, [x]) for x in elems[1:9]]]
+            return (verdicts, [P.generators for P in sylows],
+                    [(N.elements(), N.generators) for N in normalizers])
+        on_table = run()
+        refused = []
+
+        def refuse(G, cap):
+            # the table admission with TABLE_CAP below |G|
+            refused.append(G.order())
+            raise CapExceeded("multiplication table", G.order() - 1,
+                              G.order())
+        monkeypatch.setattr(statements, "_table", refuse)
+        monkeypatch.setattr(structure, "_table", refuse)
+        assert run() == on_table
+        assert refused
+
+    @pytest.mark.parametrize("text", [
+        "symmetric(4)", "dicyclic(8)",
+        "direct_product(symmetric(3),dihedral(4))", "alternating(5)",
+        "direct_product(dihedral(4),heisenberg(3))"])
+    def test_members_agree_across_paths(self, text):
+        # LK's worst pair has |K| = 1 on every corpus group, so its verdict
+        # cannot see C_G(H); compare d, its note and C_G(H) per member
+        G = group(text)
+        ev = statements._Evaluator(G, CFG)
+        idx = statements._table(G, CFG.enumeration_cap)
+        for _, H in ev._lk_library():
+            d, note, cgh = ev._lk_member(idx, H)
+            assert (d, note, {idx.elems[x] for x in cgh}) == \
+                ev._lk_member(None, H)
+
+    def test_path_choice_keeps_every_cap_answer(self):
+        # sha256 recorded with LK and the normalizer on Perm products only
+        records = []
+        for text, cap, subgroup_cap, tuple_cap, tag in itertools.product(
+                ("symmetric(4)", "dicyclic(8)",
+                 "direct_product(symmetric(3),dihedral(4))", "symmetric(6)",
+                 "heisenberg(3)"),
+                (1, 8, 24, 64, DEFAULT_ENUMERATION_CAP), (1, 512),
+                (1, 2, DEFAULT_TUPLE_CAP), ("LK", "FOC", "LB", "T6", "CK")):
+            cfg = Config(enumeration_cap=cap, subgroup_cap=subgroup_cap,
+                         tuple_cap=tuple_cap)
+            verdict = evaluate(tag, group(text), cfg).to_json()
+            records.append(json.dumps(
+                [text, cap, subgroup_cap, tuple_cap, verdict],
+                sort_keys=True))
+        assert len(records) == 750
+        assert hashlib.sha256("\n".join(sorted(records)).encode()) \
+            .hexdigest() == ("a151028e0c9349edf4b22d5e117a3c9e"
+                             "0dab98fc4b44046a96dc33fd04efae4f")
+
+
+def _corpus_p_groups():
+    groups = [spec for spec in default_corpus().specs
+              if is_prime_power(build_group(spec).order()) is not None]
+    assert len(groups) == 49
+    return groups
+
+
+class TestPGroupSectionRefusals:
+    """P1, P2 and AUT refuse with "rank of C/Z2", "D/C" or "G/D" only when
+    that section is non-abelian, since an abelian section takes its rank
+    from socles and never asks the subgroup cap.  On the corpus p-groups no
+    such note is reached: C_G(G')/Z2 is abelian by L9, D/C_G(G') embeds in
+    Hom(G', Z(G)) by d -> (x -> [d, x]), and G/D is abelian because every
+    corpus p-group has abelian G' (so G' <= D).  The coset cap cannot reach
+    them either: each section has at most |G : Z(G)| cosets, and the
+    structure report's G/Z(G) is admitted first."""
+
+    def test_no_section_note_is_reached(self):
+        reached = {}
+        for spec in _corpus_p_groups():
+            for subgroup_cap in (1, 2, 4, 8):
+                G = build_group(spec)
+                for tag in ("P1", "P2", "AUT"):
+                    v = evaluate(tag, G, Config(subgroup_cap=subgroup_cap))
+                    if not v.computable:
+                        reached[spec.label, subgroup_cap, tag] = v.notes
+        assert reached == {}
+
+    def test_every_section_is_abelian(self):
+        for spec in _corpus_p_groups():
+            G = build_group(spec)
+            sr = structure_report(G)
+            assert sr.derived.is_abelian(), spec.label
+            for num, den in ((sr.centralizer_of_derived, sr.second_center),
+                             (sr.dee, sr.centralizer_of_derived),
+                             (G, sr.dee)):
+                assert quotient(num, den).quotient.is_abelian(), spec.label
 
 
 class TestHistoryIndependence:
