@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .config import Config, build_config
 from .corpus import Corpus, build_group, default_corpus, parse_group_spec
@@ -145,12 +146,20 @@ def _emit(records: list[dict], fmt: str) -> str:
     return _dump_table(records)
 
 
-def _verdict_exit_code(verdicts: list[Verdict]) -> int:
-    if any(v.violated for v in verdicts):
+def _status(record: dict) -> str:
+    """The summary count a record falls in."""
+    if not record["applicable"]:
+        return "vacuous"
+    if not record["computable"]:
+        return "uncomputable"
+    return "hold" if record["holds"] else "violations"
+
+
+def _exit_code(records: list[dict]) -> int:
+    statuses = set(map(_status, records))
+    if "violations" in statuses:
         return 2
-    if any(v.applicable and not v.computable for v in verdicts):
-        return 3
-    return 0
+    return 3 if "uncomputable" in statuses else 0
 
 
 # -- commands ------------------------------------------------------------
@@ -201,13 +210,13 @@ def cmd_check(args, config: Config) -> int:
     verdicts = [evaluate(tag, G, config) for tag in tags]
     records = [_record(spec.label, v) for v in verdicts]
     print(_emit(records, config.output_format))
-    code = _verdict_exit_code(verdicts)
+    code = _exit_code(records)
     if code == 2:
-        dump = [r for r, v in zip(records, verdicts) if v.violated]
         print("counterexample candidates (implementation bug, "
               "the statements are theorems):", file=sys.stderr)
-        for r in dump:
-            print(json.dumps(r, sort_keys=True), file=sys.stderr)
+        for r in records:
+            if _status(r) == "violations":
+                print(json.dumps(r, sort_keys=True), file=sys.stderr)
     return code
 
 
@@ -229,26 +238,18 @@ def _load_corpus(path: str | None) -> Corpus:
 
 def cmd_corpus(args, config: Config) -> int:
     corpus = _load_corpus(args.corpus)
-    records: list[dict] = []
-    verdicts: list[Verdict] = []
-    for spec in corpus.specs:
-        G = build_group(spec)
-        for verdict in evaluate_all(G, config):
-            verdicts.append(verdict)
-            records.append(_record(spec.label, verdict))
+    records = [_record(spec.label, verdict) for spec in corpus.specs
+               for verdict in evaluate_all(build_group(spec), config)]
     records.sort(key=lambda r: (r["label"], r["statement"]))
+    statuses = Counter(map(_status, records))
     summary = {
         "groups": len(corpus.specs),
         "records": len(records),
-        "hold": sum(1 for v in verdicts
-                    if v.applicable and v.computable and v.holds),
-        "vacuous": sum(1 for v in verdicts if not v.applicable),
-        "uncomputable": sum(1 for v in verdicts
-                            if v.applicable and not v.computable),
-        "violations": sum(1 for v in verdicts if v.violated),
+        **{status: statuses[status] for status in (
+            "hold", "vacuous", "uncomputable", "violations")},
         "szivas_printed_exponent_form_exceeds": sum(
-            1 for v in verdicts
-            if v.statement == "LS" and "form exceeds" in v.notes),
+            1 for r in records
+            if r["statement"] == "LS" and "form exceeds" in r["notes"]),
     }
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":"))
              for r in records]
@@ -262,7 +263,7 @@ def cmd_corpus(args, config: Config) -> int:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return 5
     print(json.dumps({"summary": summary, "out": args.out}, sort_keys=True))
-    return _verdict_exit_code(verdicts)
+    return _exit_code(records)
 
 
 def cmd_witness(args, config: Config) -> int:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .arith import is_prime
 from .errors import ArgOutOfRange, DegreeViolation, ParseError, UnknownFamily
 from .group import Group
-from .perm import Perm, from_cycles, identity, parse_perm
+from .perm import Perm, from_cycles, parse_perm
 
 FAMILY_NAMES = ("cyclic", "dihedral", "dicyclic", "symmetric", "alternating",
                 "elem_abelian", "heisenberg", "direct_product")

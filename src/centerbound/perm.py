@@ -82,8 +82,14 @@ class Perm:
         return result
 
     def conjugate(self, h: "Perm") -> "Perm":
-        """h^-1 * self * h."""
-        return h.inverse() * self * h
+        """h^-1 * self * h, which maps h(i) to h(self(i)), in one pass."""
+        img, himg = self._img, h._img
+        if len(img) != len(himg):
+            raise DegreeMismatch(f"degree {len(img)} vs {len(himg)}")
+        out = [0] * len(img)
+        for i, j in enumerate(himg):
+            out[j] = himg[img[i]]
+        return Perm._raw(tuple(out))
 
     def is_identity(self) -> bool:
         return self._img == tuple(range(len(self._img)))

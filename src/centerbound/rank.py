@@ -5,20 +5,21 @@ d(H) over all subgroups H.  d(H) does not change under conjugation, so the
 rank is the maximum over one representative per conjugacy class of
 subgroups (see _lattice), and only representatives go through the ladder
 and its tuple search.  One strategy ladder computes d, written once
-against two representations of the elements: Perm with BSGS membership
-(``_PermLadder``, behind min_generators) and indices into the Cayley table
-(``table._Table``, behind the subgroups of a lattice and LK's library
-members).  The rungs:
+against the two element representations of table.py: Perm with BSGS
+membership (``_Perms``, behind min_generators) and indices into the Cayley
+table (``_Table``, behind the subgroups of a lattice).  LK's library members
+take whichever of the two ``_world`` gives for G.  The rungs:
 
 * trivial group: 0;
 * abelian: the number of invariant factors, read off socle sizes (for each
   prime p the solutions of x^p = 1 number p^k with k the p-rank);
 * p-group: the Burnside basis theorem, d = log_p |G : Phi(G)| with Phi the
   subgroup generated by commutators and p-th powers, normally closed;
-* general: squeeze between the abelianization lower bound and a greedily
-  pruned generating set, then exhaustive search over element subsets under
-  a tuple cap.  The search runs on the Cayley table, so a group above
-  TABLE_CAP elements gets d only when the squeeze closes.
+* general: d >= 2, so a greedily pruned generating set of size 2 is the
+  answer; else squeeze between the abelianization lower bound and the
+  pruned set, then exhaustive search over element subsets under a tuple
+  cap.  The search runs on the Cayley table, so a group above TABLE_CAP
+  elements gets d only when the squeeze closes.
 
 The Cayley table is built from generator rows: n Perm products per
 generator, and every other entry is an index lookup (see ``table.py``).
@@ -44,9 +45,9 @@ from .arith import integer_log, is_prime_power, prime_factors
 from .errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from .group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                     DEFAULT_TUPLE_CAP, Group, Subgroup, admit)
-from .perm import Perm, commutator
-from .structure import _Perms, normal_closure
-from .table import _Table, _table
+from .perm import Perm
+from .structure import normal_closure
+from .table import _Perms, _Table, _table
 
 
 @dataclass(frozen=True)
@@ -67,35 +68,6 @@ class RankReport:
     method: str
 
 
-# -- the Perm side of the ladder ----------------------------------------------
-
-
-class _PermLadder(_Perms):
-    """The Perm representation with the rest of what the ladder needs.  Its
-    search runs on the group's Cayley table, which refuses groups above
-    TABLE_CAP elements."""
-
-    power = staticmethod(pow)
-    commutator = staticmethod(commutator)
-    order_of = staticmethod(Perm.order)
-
-    @staticmethod
-    def size(K: Group) -> int:
-        return K.order()
-
-    def members(self, K: Group):
-        return K.elements(self.cap)
-
-    @staticmethod
-    def commute(a: Perm, b: Perm) -> bool:
-        return a * b == b * a
-
-    def search(self, K: Group, lower: int, upper: int, tuple_cap: int) -> int:
-        table = _table(K, self.cap)
-        return table.search(frozenset(range(table.n)), lower, upper,
-                            tuple_cap)
-
-
 # -- the d ladder -------------------------------------------------------------
 
 
@@ -109,8 +81,10 @@ def _d(world, H, gens, tuple_cap: int) -> int:
     p = is_prime_power(size)
     if p is not None:
         return integer_log(size // world.size(_frattini(world, gens, p)), p)
-    lower = max(2, _abelianization_d(world, H, gens))
     upper = len(_prune(world, gens, size))
+    if upper == 2:  # H is not abelian, so d(H) >= 2
+        return 2
+    lower = max(2, _abelianization_d(world, H, gens))
     if upper == lower:
         return lower
     return world.search(H, lower, upper, tuple_cap)
@@ -172,7 +146,7 @@ def frattini_p(G: Group, p: int,
     if order > 1 and is_prime_power(order) != p:
         raise NotPGroup(f"order {order} is not a power of {p}")
     return G.memo(("frattini", p), lambda: _frattini(
-        _PermLadder(G, cap), G.generators, p))
+        _Perms(G, cap), G.generators, p))
 
 
 def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -180,13 +154,13 @@ def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     rank over primes p dividing the order."""
     if not A.is_abelian():
         raise NotAbelian("abelian_rank requires an abelian group")
-    return _socle_rank(_PermLadder(A, cap), A)
+    return _socle_rank(_Perms(A, cap), A)
 
 
 def min_generators(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                    tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Exact d(G) by the strategy ladder (see module docstring)."""
-    return G.memo("d", lambda: _d(_PermLadder(G, cap), G, G.generators,
+    return G.memo("d", lambda: _d(_Perms(G, cap), G, G.generators,
                                   tuple_cap),
                   elements=cap, tuples=tuple_cap)
 

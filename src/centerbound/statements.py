@@ -12,9 +12,9 @@ Tags:
 * T7: p-groups: rank(G/Z2) <= (13 r^2 - r)/2, r = rank(G' mod zed).
 * L9: Z2(G) <= C_G(G') and [C_G(G'), C_G(G')] <= Z(G).
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
-  H and a normal subgroup K; on G's Cayley table (index sets, d by the
-  ladder on the table, C_G(H) by table lookups) when G has at most
-  TABLE_CAP elements, else by Perm products with d from min_generators.
+  H and a normal subgroup K, written once against the representation
+  ``_world`` gives for G: its Cayley table when the table admits G, else
+  Perms.  d(H) comes from the ladder, C_G(H) from the centralizer filter.
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -33,17 +33,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .arith import is_prime_power, prime_factors
 from .config import Config
 from .errors import CapExceeded
-from .group import Group, Subgroup, subgroup_from_elements
-from .rank import (UnknownRank, _d, _PermLadder, _prune, group_rank,
-                   min_generators, normal_subgroups)
+from .group import Group, Subgroup
+from .rank import (UnknownRank, _d, _prune, group_rank, min_generators,
+                   normal_subgroups)
 from .structure import (centralizing, mutual_commutator, quotient_by_center,
                         structure_report, sylow)
-from .table import _table
+from .table import _world
 from .witness import (WitnessRecord, _lb_section, _section_rank,
                       also_witness, szivas_witness)
 
@@ -248,33 +247,23 @@ class _Evaluator:
             normals = normal_subgroups(G, self.subgroup_cap, self.cap)
             source = "all normal subgroups"
         except CapExceeded:
-            normals = []
-            seen = set()
+            normals, seen = [], set()
             for K in (Subgroup(G, (), _trusted=True), sr.zed, sr.center,
                       sr.derived, sr.second_center,
                       sr.centralizer_of_derived, sr.dee,
                       Subgroup(G, G.generators, _trusted=True)):
-                fp = K.order()
-                if (fp, K.element_set(self.cap)) not in seen:
-                    seen.add((fp, K.element_set(self.cap)))
+                if (kset := K.element_set(self.cap)) not in seen:
+                    seen.add(kset)
                     normals.append(K)
             source = "canonical normal subgroups (subgroup cap fired)"
-        try:
-            idx = _table(G, self.cap)
-        except CapExceeded:  # above TABLE_CAP: Perm products
-            idx = None
-
-        def members(K):
-            if idx is None:
-                return K.element_set(self.cap)
-            return frozenset(idx.indices(K.elements(self.cap)))
-        derived = members(sr.derived)
-        ks = [(K.order(), members(K)) for K in normals]
+        world = _world(G, self.cap)
+        derived = world.members(world.subgroup(sr.derived))
+        ks = [(K.order(), world.members(world.subgroup(K))) for K in normals]
         meets = [len(kset & derived) for _, kset in ks]
         library = self._lk_library()
         worst = None
         for h_name, H in library:
-            d, d_note, cgh = self._lk_member(idx, H)
+            d, d_note, cgh = self._lk_member(world, H)
             for (order, kset), meet in zip(ks, meets):
                 lhs = order // len(kset & cgh)
                 rhs = meet ** d
@@ -301,27 +290,17 @@ class _Evaluator:
             library.append((f"random_2gen_{i}", Subgroup(G, [x, y])))
         return library
 
-    def _lk_member(self, idx, H):
-        """d(H) with its note, and C_G(H) as a set: on G's table idx, else
-        (idx None) by Perm products with d memoized on H.  |C_K(H)| is then
-        |K n C_G(H)|, so C_G(H) is filtered once per H.  When the tuple cap
-        refuses d, the pruned generating set is an upper bound."""
-        if idx is None:
-            world, gens = _PermLadder(H, self.cap), H.generators
-            size = H.order()
-            cgh = frozenset(centralizing(self.G.elements(self.cap), gens))
-            exact = partial(min_generators, H, self.cap, self.tuple_cap)
-        else:
-            world, gens = idx, idx.indices(H.generators)
-            hset = idx.closure(gens)
-            size = len(hset)
-            cgh = frozenset(x for x in range(idx.n)
-                            if all(idx.commute(x, h) for h in gens))
-            exact = partial(_d, idx, hset, gens, self.tuple_cap)
+    def _lk_member(self, world, H):
+        """d(H) with its note, and C_G(H) as a set, in G's world.  |C_K(H)|
+        is then |K n C_G(H)|, so C_G(H) is filtered once per H.  When the
+        tuple cap refuses d, the pruned generating set is an upper bound."""
+        hsub, gens = world.subgroup(H), world.generators(H)
+        cgh = frozenset(centralizing(world, world.elements(), gens))
         try:
-            return exact(), "", cgh
+            return _d(world, hsub, gens, self.tuple_cap), "", cgh
         except CapExceeded:
-            return len(_prune(world, gens, size)), ", upper bound", cgh
+            return (len(_prune(world, gens, world.size(hsub))),
+                    ", upper bound", cgh)
 
     def _eval_ck(self) -> Verdict:
         sr = self.sr

@@ -10,12 +10,13 @@ preimages are whole blocks.
 
 Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
-method wins, and the cap fails loudly.  The normalizer filter (and with it
-the Sylow ascent) looks products up in G's Cayley table (table.py) when G
-has at most TABLE_CAP elements, and multiplies Perms above that.
-Normality is always checked explicitly, never assumed from theory, so
-implementation bugs surface as NotNormal instead of silently wrong
-answers.
+method wins, and the cap fails loudly.  The normal closure and the
+centralizer and normalizer filters are written once against the element
+representations of table.py.  The normalizer (and with it the Sylow ascent)
+runs on G's Cayley table when the table admits G and on Perms above that;
+the center, Z2, D and C_G(G') run on Perms.  Normality is always checked
+explicitly, never assumed from theory, so implementation bugs surface as
+NotNormal instead of silently wrong answers.
 
 Results that are expensive and reused (derived subgroup, center, second
 center, zed, D, Sylow subgroups, quotients, the structure report) live in
@@ -30,11 +31,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import p_part, prime_factors
-from .errors import CapExceeded, NotAbelian, NotCoprime, NotNormal, NotPGroup
+from .errors import NotAbelian, NotCoprime, NotNormal, NotPGroup
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
                     Subgroup, admit, subgroup_from_elements)
 from .perm import Perm, commutator
-from .table import _table
+from .table import _Perms, _world
 
 
 def _ambient(A: Group) -> Group:
@@ -44,26 +45,7 @@ def _ambient(A: Group) -> Group:
     return g
 
 
-# -- the permutation representation and the normal closure -----------------
-
-
-class _Perms:
-    """Elements as Perm and subgroups as handles on G, with membership by
-    sifting through their chains: one of the two representations the normal
-    closure (and, in rank.py, the d ladder) runs on.  The other is the
-    Cayley table of table.py."""
-
-    def __init__(self, G: Group, cap: int = DEFAULT_ENUMERATION_CAP):
-        self.G = G
-        self.cap = cap
-        self.identity = G.identity_element()
-
-    def closure(self, gens: Sequence[Perm]) -> Subgroup:
-        return Subgroup(self.G, gens, _trusted=True)
-
-    @staticmethod
-    def conjugate(x: Perm, t: Perm) -> Perm:
-        return t.inverse() * x * t
+# -- the normal closure -----------------------------------------------------
 
 
 def normal_closure(world, seed, conjugators):
@@ -84,17 +66,17 @@ def normal_closure(world, seed, conjugators):
 # -- centralizer-style filters ---------------------------------------------
 
 
-def centralizing(elems: Sequence[Perm], S: Sequence[Perm]) -> list[Perm]:
-    """The members of elems commuting with every s in S, in order: the one
-    centralizer filter."""
-    targets = [s for s in S if not s.is_identity()]
-    return [g for g in elems if all(g * s == s * g for s in targets)]
+def centralizing(world, elems, S) -> list:
+    """The members of elems commuting with every s in S, in order, in
+    either representation: the one centralizer filter."""
+    return [g for g in elems if all(world.commute(g, s) for s in S)]
 
 
 def centralizer(G: Group, S: Sequence[Perm],
                 cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """{g in G | gs = sg for all s in S}, by exhaustive filter."""
-    return subgroup_from_elements(G, centralizing(G.elements(cap), S))
+    return subgroup_from_elements(
+        G, centralizing(_Perms(G, cap), G.elements(cap), S))
 
 
 def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
@@ -132,24 +114,14 @@ def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 
 def normalizer(G: Group, H: Group,
                cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """{g in G | H^g = H} for H <= G, by exhaustive filter: by lookups in
-    G's Cayley table when the table admits G (at most TABLE_CAP elements),
-    else by Perm products and sifts into H.  Both keep G's element order."""
-    try:
-        idx = _table(G, cap)
-    except CapExceeded:
-        hgens = H.generators
-        selected = []
-        for g in G.elements(cap):
-            ginv = g.inverse()
-            if all((ginv * h * g) in H for h in hgens):
-                selected.append(g)
-        return subgroup_from_elements(G, selected)
-    table = idx.table
-    hgens = idx.indices(H.generators)
-    hset = idx.closure(hgens)
-    selected = [idx.elems[g] for g, ginv in enumerate(idx.inv)
-                if all(table[table[ginv][h]][g] in hset for h in hgens)]
+    """{g in G | H^g = H} for H <= G, by exhaustive filter over G in its
+    element order: by lookups in G's Cayley table when the table admits G,
+    else by Perm products and sifts into H."""
+    world = _world(G, cap)
+    hset, hgens = world.subgroup(H), world.generators(H)
+    # world.elements() lists G in the order of G.elements()
+    selected = [x for g, x in zip(world.elements(), G.elements(cap))
+                if all(world.conjugate(h, g) in hset for h in hgens)]
     return subgroup_from_elements(G, selected)
 
 
@@ -207,17 +179,12 @@ def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
         P = Subgroup(G, (), _trusted=True)
         while P.order() < target:
             N = normalizer(G, P, cap) if P.order() > 1 else G
-            grown = False
-            for y in N.elements(cap):
-                if y in P:
-                    continue
-                if (y ** p) in P:
-                    P = Subgroup(G, tuple(P.generators) + (y,), _trusted=True)
-                    grown = True
-                    break
-            if not grown:
+            y = next((y for y in N.elements(cap)
+                      if y not in P and y ** p in P), None)
+            if y is None:
                 raise AssertionError(
                     f"sylow ascent stalled at order {P.order()} of {target}")
+            P = Subgroup(G, tuple(P.generators) + (y,), _trusted=True)
         return P
     return G.memo(("sylow", p), compute, elements=cap)
 
@@ -346,7 +313,7 @@ def fitting_decomposition(P: Group, Q: Group,
     if not is_normal(Q, P):
         raise NotNormal("P must be normalised by Q")
     commutator_part = mutual_commutator(P, Q)
-    fixed = centralizing(P.elements(cap), Q.generators)
+    fixed = centralizing(_Perms(P, cap), P.elements(cap), Q.generators)
     fixed_part = subgroup_from_elements(_ambient(P), fixed)
     meet = [x for x in fixed if x in commutator_part]
     product_order = commutator_part.order() * fixed_part.order() // len(meet)

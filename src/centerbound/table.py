@@ -1,9 +1,15 @@
-"""G's Cayley table: elements as indices into G's element list.
+"""The two representations of a group's elements, one protocol for both:
+the normal closure, the d ladder, the centralizer and normalizer filters
+and lemma LK are each written once against it.
 
-One of the two representations that the normal closure, the d ladder,
-lemma LK and the normalizer filter run on; the other is Perm with BSGS
-membership (``structure._Perms``).  A group gets a table only when it has
-at most TABLE_CAP elements, and the table lives in the group's memo.
+* ``_Table``, G's Cayley table: elements as indices into G's element list,
+  subgroups as frozensets of indices.  Only groups of at most TABLE_CAP
+  elements get one, and it lives in the group's memo.
+* ``_Perms``: elements as Perm, subgroups as handles on G with membership
+  by sifting; any size.  Its d search runs on the subgroup's own table.
+
+``_world(G, cap)`` gives G's table when the table admits G and G's Perms
+when it refuses: the one place a refusal chooses the representation.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .group import TABLE_CAP, Group, admit
+from .errors import CapExceeded
+from .group import DEFAULT_ENUMERATION_CAP, TABLE_CAP, Group, Subgroup, admit
+from .perm import Perm, commutator
 
 
 class _Table:
@@ -27,8 +35,8 @@ class _Table:
     way, so the table costs n |gens| products and the rest is index lookups
     that run in C.  inv[a] is where row a meets the identity.
 
-    index maps each element of G to its index, so a Perm handle on G (its
-    generators, its elements) becomes indices by dict lookups."""
+    index maps each element of G to its index, so a Perm handle on G
+    becomes indices by dict lookups."""
 
     def __init__(self, G: Group, cap: int):
         elems = G.elements(cap)
@@ -64,9 +72,17 @@ class _Table:
         self.orders = tuple(orders)
         self.n = n
 
-    def indices(self, perms) -> tuple[int, ...]:
-        """The indices of elements of G, by lookups in index."""
-        return tuple(map(self.index.__getitem__, perms))
+    def generators(self, K: Group) -> tuple[int, ...]:
+        """The generators of K, a handle on G, as indices."""
+        return tuple(map(self.index.__getitem__, K.generators))
+
+    def subgroup(self, K: Group) -> frozenset[int]:
+        """K, a handle on G, as its set of indices."""
+        return self.closure(self.generators(K))
+
+    def elements(self) -> range:
+        """G's elements in G's element order."""
+        return range(self.n)
 
     size = staticmethod(len)
 
@@ -146,6 +162,56 @@ class _Table:
         return d
 
 
+class _Perms:
+    """Elements as Perm and subgroups as handles on G, with membership by
+    sifting through their chains."""
+
+    power = staticmethod(pow)
+    commutator = staticmethod(commutator)
+    conjugate = staticmethod(Perm.conjugate)
+    order_of = staticmethod(Perm.order)
+    size = staticmethod(Group.order)
+
+    def __init__(self, G: Group, cap: int = DEFAULT_ENUMERATION_CAP):
+        self.G = G
+        self.cap = cap
+        self.identity = G.identity_element()
+
+    @staticmethod
+    def generators(K: Group):
+        return K.generators
+
+    @staticmethod
+    def subgroup(K: Group) -> Group:
+        return K
+
+    def elements(self):
+        return self.G.elements(self.cap)
+
+    def members(self, K: Group) -> frozenset[Perm]:
+        return K.element_set(self.cap)
+
+    @staticmethod
+    def commute(a: Perm, b: Perm) -> bool:
+        return a * b == b * a
+
+    def closure(self, gens) -> Subgroup:
+        return Subgroup(self.G, gens, _trusted=True)
+
+    def search(self, K: Group, lower: int, upper: int, tuple_cap: int) -> int:
+        """The tuple search on K's table (at most TABLE_CAP elements)."""
+        table = _table(K, self.cap)
+        return table.search(table.subgroup(K), lower, upper, tuple_cap)
+
+
 def _table(G: Group, cap: int) -> _Table:
     """G's table, memoized; refuses groups above TABLE_CAP elements."""
     return G.memo("table", lambda: _Table(G, cap), elements=cap)
+
+
+def _world(G: Group, cap: int):
+    """G's table when the table admits G, else G's Perms."""
+    try:
+        return _table(G, cap)
+    except CapExceeded:
+        return _Perms(G, cap)

@@ -37,6 +37,7 @@ from .structure import (center, centralizer, centralizing, derived_subgroup,
                         intersection, is_normal, quotient, socle_p,
                         StructureReport, structure_report, sylow,
                         zed_subgroup)
+from .table import _Perms
 
 
 @dataclass
@@ -240,7 +241,8 @@ def _lb_section(sr: StructureReport, p: int, P: Group,
                 cap: int) -> tuple[list[Perm], bool]:
     """The elements of C_{G'}(P), and whether |G' : C_{G'}(P)| is a power of
     p (1 included): lemma LB for a Sylow p-subgroup P of D."""
-    cgp = centralizing(sr.derived.elements(cap), P.generators)
+    cgp = centralizing(_Perms(sr.group, cap), sr.derived.elements(cap),
+                       P.generators)
     index = sr.orders["derived"] // len(cgp)
     return cgp, index == 1 or is_prime_power(index) == p
 
@@ -266,7 +268,8 @@ def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
         action = tuple(a.conjugate(x) for a in pig_gens)
         if action not in actions:
             actions.add(action)
-            first_x.setdefault(frozenset(centralizing(pig_elems, [x])), x)
+            first_x.setdefault(frozenset(
+                centralizing(_Perms(G, cap), pig_elems, [x])), x)
     family = [subgroup_from_elements(
         A, sorted({pres.projection(c) for c in cx})) for cx in first_x]
     x_of = {id(H): x for H, x in zip(family, first_x.values())}

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output formats, config precedence,
 and byte-stable reports."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 from centerbound import cli, errors
 from centerbound.cli import REPORT_SCHEMA, main
 from centerbound.statements import Verdict, STATEMENT_TAGS
-from centerbound.cli import _verdict_exit_code
+from centerbound.cli import _exit_code, _record
+from centerbound.table import _Table
 
 
 def run_cli(*argv, env=None):
@@ -108,10 +110,13 @@ class TestExitCodeRule:
         bad = Verdict("T2", True, True, 5, 2, False)
         vac = Verdict("T5", False, True, 0, 0, True)
         unc = Verdict("T7", True, False, 0, 0, True)
-        assert _verdict_exit_code([good, vac]) == 0
-        assert _verdict_exit_code([good, bad]) == 2
-        assert _verdict_exit_code([good, unc]) == 3
-        assert _verdict_exit_code([good, bad, unc]) == 2
+
+        def code(*verdicts):
+            return _exit_code([_record("G", v) for v in verdicts])
+        assert code(good, vac) == 0
+        assert code(good, bad) == 2
+        assert code(good, unc) == 3
+        assert code(good, bad, unc) == 2
 
 
 class TestCorpusCommand:
@@ -133,6 +138,27 @@ class TestCorpusCommand:
         records = [json.loads(line) for line in lines[:-1]]
         assert records == sorted(
             records, key=lambda r: (r["label"], r["statement"]))
+
+    def test_groups_do_not_outlive_their_records(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # a verdict's witness holds its group, and with it the group's memo
+        # and Cayley table; the report keeps only the records, so the live
+        # tables stay the same from group to group
+        listing = tmp_path / "corpus.txt"
+        listing.write_text("".join(f"family:{text}\n" for text in (
+            "symmetric(4)", "dihedral(6)", "dicyclic(4)", "alternating(4)",
+            "direct_product(symmetric(3),cyclic(4))", "heisenberg(3)")))
+        live = []
+        evaluate_all = cli.evaluate_all
+
+        def counting(G, config):
+            gc.collect()
+            live.append(sum(isinstance(x, _Table) for x in gc.get_objects()))
+            return evaluate_all(G, config)
+        monkeypatch.setattr(cli, "evaluate_all", counting)
+        assert main(["corpus", "--corpus", str(listing),
+                     "--out", str(tmp_path / "report.jsonl")]) == 0
+        assert live == [live[0]] * 6
 
     def test_empty_corpus(self, tmp_path, capsys):
         listing = tmp_path / "empty.txt"

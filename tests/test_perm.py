@@ -65,6 +65,14 @@ class TestCommutator:
             rhs = commutator(a, x).conjugate(b) * commutator(b, x)
             assert lhs == rhs
 
+    def test_conjugate_is_the_triple_product(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            x, h = (random_perm(rng, 8) for _ in range(2))
+            assert x.conjugate(h) == h.inverse() * x * h
+        with pytest.raises(DegreeMismatch):
+            P("(1 2)", 2).conjugate(P("(1 2)", 3))
+
 
 class TestAlgebraicLaws:
     def test_associativity_and_inverse_antihomomorphism(self):

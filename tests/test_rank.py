@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from centerbound import rank
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from centerbound.group import Group
@@ -51,6 +52,21 @@ class TestMinGenerators:
         G = make(4, "(1 2)", "(1 2 3 4)", "(1 3)", "(1 2)(3 4)")
         assert G.order() == 24
         assert min_generators(G) == 2
+
+    def test_pruned_pair_skips_the_abelianization(self, monkeypatch):
+        # S4 is not abelian, so its two pruned generators give d = 2 without
+        # the abelianization bound, which takes a power of every element;
+        # with nothing enumerated, an enumeration cap below |S4| admits it
+        calls = []
+        bound = rank._abelianization_d
+
+        def counting(*args):
+            calls.append(args)
+            return bound(*args)
+        monkeypatch.setattr(rank, "_abelianization_d", counting)
+        assert min_generators(group("symmetric(4)")) == 2
+        assert min_generators(group("symmetric(4)"), cap=1) == 2
+        assert calls == []
 
 
 class TestFrattini:

@@ -12,15 +12,15 @@ from centerbound import statements, structure
 from centerbound.arith import is_prime_power, p_part, prime_factors
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
-from centerbound.errors import CapExceeded
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_TUPLE_CAP,
-                               Subgroup)
+                               TABLE_CAP, Subgroup)
 from centerbound.rank import UnknownRank, group_rank
 from centerbound.statements import (STATEMENT_TAGS, Verdict, evaluate,
                                     evaluate_all)
 from centerbound.structure import (derived_subgroup, normalizer, quotient,
                                    quotient_by_center, structure_report,
                                    sylow)
+from centerbound.table import _Perms, _Table, _table, _world
 
 
 def group(text):
@@ -282,10 +282,18 @@ class TestLkSampling:
 
 
 class TestLkTablePath:
-    """LK and the normalizer filter run on G's Cayley table when the table
-    admits G, and on Perm products otherwise (the large groups above
-    TABLE_CAP).  Refusing the table on small groups runs the Perm path where
-    it can be compared."""
+    """LK and the normalizer filter run on the world ``_world`` gives for G:
+    G's Cayley table when the table admits G, and Perms otherwise (the large
+    groups above TABLE_CAP).  Giving Perms to small groups runs the Perm
+    world where it can be compared."""
+
+    @pytest.mark.parametrize("text, order, world", [
+        ("elem_abelian(2,10)", TABLE_CAP, _Table),
+        ("direct_product(cyclic(32),dicyclic(9))", 1152, _Perms)])
+    def test_world_switches_at_table_cap(self, text, order, world):
+        G = group(text)
+        assert G.order() == order
+        assert type(_world(G, DEFAULT_ENUMERATION_CAP)) is world
 
     @pytest.mark.parametrize("text", [
         "symmetric(4)", "dicyclic(8)",
@@ -305,17 +313,17 @@ class TestLkTablePath:
             return (verdicts, [P.generators for P in sylows],
                     [(N.elements(), N.generators) for N in normalizers])
         on_table = run()
-        refused = []
+        filtered = []
 
-        def refuse(G, cap):
-            # the table admission with TABLE_CAP below |G|
-            refused.append(G.order())
-            raise CapExceeded("multiplication table", G.order() - 1,
-                              G.order())
-        monkeypatch.setattr(statements, "_table", refuse)
-        monkeypatch.setattr(structure, "_table", refuse)
+        class Perms(_Perms):
+            # the world above TABLE_CAP, recording each filter over G
+            def elements(self):
+                filtered.append(self.G.order())
+                return super().elements()
+        monkeypatch.setattr(statements, "_world", Perms)
+        monkeypatch.setattr(structure, "_world", Perms)
         assert run() == on_table
-        assert refused
+        assert filtered
 
     @pytest.mark.parametrize("text", [
         "symmetric(4)", "dicyclic(8)",
@@ -326,11 +334,12 @@ class TestLkTablePath:
         # cannot see C_G(H); compare d, its note and C_G(H) per member
         G = group(text)
         ev = statements._Evaluator(G, CFG)
-        idx = statements._table(G, CFG.enumeration_cap)
+        table = _table(G, CFG.enumeration_cap)
+        perms = _Perms(G, CFG.enumeration_cap)
         for _, H in ev._lk_library():
-            d, note, cgh = ev._lk_member(idx, H)
-            assert (d, note, {idx.elems[x] for x in cgh}) == \
-                ev._lk_member(None, H)
+            d, note, cgh = ev._lk_member(table, H)
+            assert (d, note, {table.elems[x] for x in cgh}) == \
+                ev._lk_member(perms, H)
 
     def test_path_choice_keeps_every_cap_answer(self):
         # sha256 recorded with LK and the normalizer on Perm products only

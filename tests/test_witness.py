@@ -418,9 +418,9 @@ class TestAlsoCentralizers:
         calls = []
         filter_ = witness.centralizing
 
-        def counting(elems, S):
+        def counting(world, elems, S):
             calls.append((tuple(elems), tuple(S)))
-            return filter_(elems, S)
+            return filter_(world, elems, S)
         monkeypatch.setattr(witness, "centralizing", counting)
         also_witness(group(text))
         actions = {(elems, tuple(a.conjugate(x) for a in elems))
