@@ -61,16 +61,26 @@ class _Level:
     generator sits at the first level whose base point it moves.
     """
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point: int):
         self.point = point              # 0-based internally
         self.gens: list[Perm] = []
         self.transversal: dict[int, Perm] = {}
+        self.inverses: dict[int, Perm] = {}
+
+    def inverse(self, delta: int) -> Perm:
+        """The inverse of the representative of delta, computed on first
+        use and kept until the next rebuild."""
+        uinv = self.inverses.get(delta)
+        if uinv is None:
+            uinv = self.inverses[delta] = self.transversal[delta].inverse()
+        return uinv
 
     def rebuild(self, degree: int, gens: Sequence[Perm]):
         """BFS the orbit of the base point, recording one representative
         u with point^u = delta per orbit member (first writer wins)."""
+        self.inverses = {}
         self.transversal = {self.point: identity(degree)}
         queue = [self.point]
         head = 0
@@ -92,10 +102,9 @@ def _sift(levels: Sequence[_Level], h: Perm) -> Perm:
         delta = h._img[level.point]
         if delta == level.point:
             continue
-        u = level.transversal.get(delta)
-        if u is None:
+        if delta not in level.transversal:
             return h
-        h = h * u.inverse()
+        h = h * level.inverse(delta)
     return h
 
 
@@ -140,11 +149,11 @@ def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
             for delta in sorted(level.transversal):
                 u = level.transversal[delta]
                 for s in sgens:
-                    target = level.transversal[s._img[delta]]
-                    schreier = u * s * target.inverse()
-                    if schreier.is_identity():
-                        continue
-                    residue = _sift(levels[i + 1:], schreier)
+                    us = u * s
+                    image = s._img[delta]
+                    if us == level.transversal[image]:
+                        continue  # a trivial Schreier generator
+                    residue = _sift(levels[i + 1:], us * level.inverse(image))
                     if residue.is_identity():
                         continue
                     j = place(residue)

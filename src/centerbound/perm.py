@@ -143,8 +143,8 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 
 def commutator(x: Perm, y: Perm) -> Perm:
-    """[x, y] = x^-1 y^-1 x y."""
-    return x.inverse() * y.inverse() * x * y
+    """[x, y] = x^-1 y^-1 x y = x^-1 x^y."""
+    return x.inverse() * x.conjugate(y)
 
 
 def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:

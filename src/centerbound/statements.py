@@ -14,7 +14,8 @@ Tags:
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
   H and a normal subgroup K, written once against the representation
   ``_world`` gives for G: its Cayley table when the table admits G, else
-  Perms.  d(H) comes from the ladder, C_G(H) from the centralizer filter.
+  Perms.  d(H) comes from the ladder, C_G(H) from the centralizer filter
+  over the cosets of Z(G).
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -40,8 +41,8 @@ from .errors import CapExceeded
 from .group import Group, Subgroup
 from .rank import (UnknownRank, _d, _prune, group_rank, min_generators,
                    normal_subgroups)
-from .structure import (centralizing, mutual_commutator, quotient_by_center,
-                        structure_report, sylow)
+from .structure import (by_center_cosets, mutual_commutator,
+                        quotient_by_center, structure_report, sylow)
 from .table import _world
 from .witness import (WitnessRecord, _lb_section, _section_rank,
                       also_witness, szivas_witness)
@@ -292,10 +293,13 @@ class _Evaluator:
 
     def _lk_member(self, world, H):
         """d(H) with its note, and C_G(H) as a set, in G's world.  |C_K(H)|
-        is then |K n C_G(H)|, so C_G(H) is filtered once per H.  When the
-        tuple cap refuses d, the pruned generating set is an upper bound."""
+        is then |K n C_G(H)|, so C_G(H) is filtered once per H, one element
+        per coset of Z(G).  When the tuple cap refuses d, the pruned
+        generating set is an upper bound."""
         hsub, gens = world.subgroup(H), world.generators(H)
-        cgh = frozenset(centralizing(world, world.elements(), gens))
+        cgh = frozenset(by_center_cosets(
+            self.G, world.elements(),
+            lambda g: all(world.commute(g, s) for s in gens), self.cap))
         try:
             return _d(world, hsub, gens, self.tuple_cap), "", cgh
         except CapExceeded:

@@ -12,9 +12,14 @@ Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
 method wins, and the cap fails loudly.  The normal closure and the
 centralizer and normalizer filters are written once against the element
-representations of table.py.  The normalizer (and with it the Sylow ascent)
-runs on G's Cayley table when the table admits G and on Perms above that;
-the center, Z2, D and C_G(G') run on Perms.  Normality is always checked
+representations of table.py.  C_G(S) for S in G, D, normalizers (and with
+them the Sylow ascent) and LK's C_G(H) all contain Z(G), so they are unions
+of its cosets: ``by_center_cosets`` tests the first element of each coset
+and keeps or drops the coset whole, in either representation.  The center
+itself and Z2 are filtered element by element (Z2 is cross-checked against
+the preimage of Z(G/Z(G)), which is built from the same cosets).  The
+normalizer runs on G's Cayley table when the table admits G and on Perms
+above that; the other filters run on Perms.  Normality is always checked
 explicitly, never assumed from theory, so implementation bugs surface as
 NotNormal instead of silently wrong answers.
 
@@ -68,61 +73,107 @@ def normal_closure(world, seed, conjugators):
 
 def centralizing(world, elems, S) -> list:
     """The members of elems commuting with every s in S, in order, in
-    either representation: the one centralizer filter."""
+    either representation: the one element-by-element centralizer filter."""
     return [g for g in elems if all(world.commute(g, s) for s in S)]
+
+
+def by_center_cosets(G: Group, elems, test, cap: int, keep=None) -> list:
+    """The members of elems, which lists G in G's element order in either
+    representation, whose coset of Z(G) passes test; keep, when given, is
+    listed beside elems and returned in its place.  test runs once per
+    coset, on its first element in that order, and the coset is kept or
+    dropped whole: exact whenever the answer is a union of Z(G)-cosets, as
+    for any subgroup of G containing Z(G).  The coset number of each element
+    is memoized on G, numbered in the order the cosets first appear."""
+    cosets = G.memo("center_cosets", lambda: _center_cosets(G, cap),
+                    elements=cap)
+    passed: list[bool] = []
+    out = []
+    for x, y, c in zip(elems, elems if keep is None else keep, cosets):
+        if c == len(passed):
+            passed.append(test(x))
+        if passed[c]:
+            out.append(y)
+    return out
+
+
+def _center_cosets(G: Group, cap: int) -> tuple[int, ...]:
+    elems = G.elements(cap)
+    zent = center(G, cap).elements(cap)
+    index = {e: i for i, e in enumerate(elems)}
+    cosets: list[int | None] = [None] * len(elems)
+    count = 0
+    for i, g in enumerate(elems):
+        if cosets[i] is None:
+            for z in zent:
+                cosets[index[g * z]] = count
+            count += 1
+    return tuple(cosets)
 
 
 def centralizer(G: Group, S: Sequence[Perm],
                 cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """{g in G | gs = sg for all s in S}, by exhaustive filter."""
-    return subgroup_from_elements(
-        G, centralizing(_Perms(G, cap), G.elements(cap), S))
+    """{g in G | gs = sg for all s in S} for S a subset of G, which contains
+    Z(G): filtered one element per coset of Z(G)."""
+    world = _Perms(G, cap)
+    return subgroup_from_elements(G, by_center_cosets(
+        G, world.elements(), lambda g: all(world.commute(g, s) for s in S),
+        cap))
 
 
 def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """Z(G) = centralizer of a generating set."""
-    return G.memo("center", lambda: centralizer(G, G.generators, cap),
-                  elements=cap)
+    """Z(G) = the elements commuting with a generating set, by an
+    element-by-element filter (it defines the cosets the other filters
+    walk)."""
+    return G.memo("center", lambda: subgroup_from_elements(
+        G, centralizing(_Perms(G, cap), G.elements(cap), G.generators)),
+        elements=cap)
 
 
-def _central_commutators(G: Group, X: Sequence[Perm], cap: int) -> Subgroup:
-    """{g | [g, x] lies in Z(G) for every x in X}, which is
-    {g | [g, <X>] <= Z(G)}: for central [g, x] and [g, y] one has
+def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
+    """The test g -> [g, x] in Z(G) for every x in X, which holds exactly
+    when [g, <X>] <= Z(G): for central [g, x] and [g, y] one has
     [g, xy] = [g, y][g, x]^y = [g, y][g, x]."""
     zset = center(G, cap).element_set(cap)
-    pairs = [(x, x.inverse()) for x in X]
-    selected = []
-    for g in G.elements(cap):
+
+    def test(g: Perm) -> bool:
         ginv = g.inverse()
-        if all(ginv * xinv * g * x in zset for x, xinv in pairs):
-            selected.append(g)
-    return subgroup_from_elements(G, selected)
+        return all(ginv * g.conjugate(x) in zset for x in X)
+    return test
 
 
 def second_center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """Z2(G) = {g | [g, x] lies in Z(G) for every generator x}."""
-    return G.memo("second_center",
-                  lambda: _central_commutators(G, G.generators, cap),
-                  elements=cap)
+    """Z2(G) = {g | [g, x] lies in Z(G) for every generator x}, by an
+    element-by-element filter: the structure report checks it against the
+    preimage of Z(G/Z(G)), which is built from the cosets of Z(G)."""
+    def compute():
+        test = _commutes_into_center(G, G.generators, cap)
+        return subgroup_from_elements(
+            G, [g for g in G.elements(cap) if test(g)])
+    return G.memo("second_center", compute, elements=cap)
 
 
 def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """D = {g | [g, G'] <= Z(G)}, filtered on the generators of G'."""
-    return G.memo("dee", lambda: _central_commutators(
-        G, derived_subgroup(G).generators, cap), elements=cap)
+    """D = {g | [g, G'] <= Z(G)}, filtered on the generators of G', one
+    element per coset of Z(G)."""
+    def compute():
+        test = _commutes_into_center(G, derived_subgroup(G).generators, cap)
+        return subgroup_from_elements(
+            G, by_center_cosets(G, G.elements(cap), test, cap))
+    return G.memo("dee", compute, elements=cap)
 
 
 def normalizer(G: Group, H: Group,
                cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """{g in G | H^g = H} for H <= G, by exhaustive filter over G in its
-    element order: by lookups in G's Cayley table when the table admits G,
-    else by Perm products and sifts into H."""
+    """{g in G | H^g = H} for H <= G, which contains Z(G): filtered one
+    element per coset of Z(G), by lookups in G's Cayley table when the table
+    admits G, else by Perm conjugates looked up in H's element set."""
     world = _world(G, cap)
-    hset, hgens = world.subgroup(H), world.generators(H)
-    # world.elements() lists G in the order of G.elements()
-    selected = [x for g, x in zip(world.elements(), G.elements(cap))
-                if all(world.conjugate(h, g) in hset for h in hgens)]
-    return subgroup_from_elements(G, selected)
+    hset, hgens = world.members(world.subgroup(H)), world.generators(H)
+    return subgroup_from_elements(G, by_center_cosets(
+        G, world.elements(),
+        lambda g: all(world.conjugate(h, g) in hset for h in hgens),
+        cap, keep=G.elements(cap)))
 
 
 def intersection(A: Group, B: Group,

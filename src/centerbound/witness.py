@@ -9,7 +9,8 @@ be re-verified and audited:
   is already trivial, by shrinking the socle along a descending chain.
 * factorize_commutator: write any element of the derived subgroup of a
   p-group P = <a_1..a_d, Z(P)> as [x_1,a_1]...[x_d,a_d], by layered
-  product-set search with predecessor tracking.
+  product-set search with predecessor tracking; the layers are kept in P's
+  memo per anchor tuple, and each factorisation is re-verified.
 * also_witness / szivas_witness: the per-prime T/M construction bounding
   |C_G(G') : Z_2(G)| and |D : C_G(G')| by powers of |G' : G' n Z(G)|,
   written once in _tm_witness; each record is kept in the group's memo.
@@ -33,9 +34,9 @@ from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
                     subgroup_from_elements)
 from .perm import Perm, commutator, format_perm
 from .rank import abelian_rank, group_rank, shrink_generating_set, UnknownRank
-from .structure import (center, centralizer, centralizing, derived_subgroup,
-                        intersection, is_normal, quotient, socle_p,
-                        StructureReport, structure_report, sylow,
+from .structure import (by_center_cosets, center, centralizing,
+                        derived_subgroup, intersection, is_normal, quotient,
+                        socle_p, StructureReport, structure_report, sylow,
                         zed_subgroup)
 from .table import _Perms
 
@@ -153,10 +154,9 @@ def commutator_product_layers(P: Group, anchors: list[Perm],
     elems = P.elements(cap)
     layers: list[dict] = [{P.identity_element(): None}]
     for a in anchors:
-        ainv = a.inverse()
         step: dict[Perm, Perm] = {}
         for x in elems:
-            c = x.inverse() * ainv * x * a
+            c = commutator(x, a)
             if c not in step:
                 step[c] = x
         nxt: dict[Perm, tuple[Perm, Perm]] = {}
@@ -169,6 +169,19 @@ def commutator_product_layers(P: Group, anchors: list[Perm],
     return layers
 
 
+def _anchored_layers(P: Group, anchors: tuple[Perm, ...],
+                     cap: int) -> list[dict]:
+    """The product layers of P's anchors, once they and Z(P) are checked to
+    generate P; memoized on P per anchor tuple."""
+    def compute():
+        gens = anchors + center(P, cap).generators
+        if Group(P.degree, gens).order() != P.order():
+            raise BadAnchors(
+                "anchors and the center do not generate the group")
+        return commutator_product_layers(P, list(anchors), cap)
+    return P.memo(("commutator_layers", anchors), compute, elements=cap)
+
+
 def factorize_commutator(P: Group, anchors: list[Perm], w: Perm,
                          cap: int = DEFAULT_ENUMERATION_CAP) -> list[Perm]:
     """Write w from the derived subgroup of the p-group P = <anchors, Z(P)>
@@ -176,13 +189,10 @@ def factorize_commutator(P: Group, anchors: list[Perm], w: Perm,
     order = P.order()
     if order > 1 and is_prime_power(order) is None:
         raise NotPGroup(f"order {order} is not a prime power")
-    zp = center(P, cap)
-    if Group(P.degree, list(anchors) + list(zp.generators)).order() != order:
-        raise BadAnchors("anchors and the center do not generate the group")
+    layers = _anchored_layers(P, tuple(anchors), cap)
     derived = derived_subgroup(P)
     if w not in derived:
         raise NotInDerived(f"{w} lies outside the derived subgroup")
-    layers = commutator_product_layers(P, anchors, cap)
     if w not in layers[-1]:
         raise AssertionError(
             "layered product set misses a derived-subgroup element")
@@ -231,8 +241,9 @@ def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
     T = Subgroup(G, xs)
     pres = quotient(G, zed_subgroup(G, cap), coset_cap, cap)
     image_gens = [pres.projection(x) for x in xs]
-    centre_above = centralizer(pres.quotient, image_gens, cap)
-    m_elems = pres.preimage_elements(centre_above.elements(cap))
+    Q = pres.quotient
+    m_elems = pres.preimage_elements(
+        centralizing(_Perms(Q, cap), Q.elements(cap), image_gens))
     M = subgroup_from_elements(G, sorted(m_elems))
     return T, M
 
@@ -259,17 +270,18 @@ def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
     A = pres.quotient
     # the first x in G per distinct centralizer in P n G'; images in A.  The
     # centralizer depends only on how x conjugates P n G' (normal in G), so
-    # it is filtered once per distinct tuple of conjugated generators
-    first_x: dict[frozenset, Perm] = {}
+    # it is filtered once per distinct tuple of conjugated generators.  x and
+    # xz act alike for z in Z(G), so the first x of each action is the first
+    # element of its coset of Z(G), and only those are scanned
     pig_elems = p_meet_derived.elements(cap)
     pig_gens = p_meet_derived.generators
-    actions: set[tuple[Perm, ...]] = set()
-    for x in G.elements(cap):
-        action = tuple(a.conjugate(x) for a in pig_gens)
-        if action not in actions:
-            actions.add(action)
-            first_x.setdefault(frozenset(
-                centralizing(_Perms(G, cap), pig_elems, [x])), x)
+    actions: dict[tuple[Perm, ...], Perm] = {}
+    by_center_cosets(G, G.elements(cap), lambda x: actions.setdefault(
+        tuple(a.conjugate(x) for a in pig_gens), x) is x, cap)
+    first_x: dict[frozenset, Perm] = {}
+    for x in actions.values():
+        first_x.setdefault(frozenset(
+            centralizing(_Perms(G, cap), pig_elems, [x])), x)
     family = [subgroup_from_elements(
         A, sorted({pres.projection(c) for c in cx})) for cx in first_x]
     x_of = {id(H): x for H, x in zip(family, first_x.values())}

@@ -1,9 +1,12 @@
 """The BSGS kernel against exhaustive-closure oracles."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, DegreeMismatch
 from centerbound.group import Group, Subgroup, subgroup_from_elements
 from centerbound.perm import Perm, identity, parse_perm
@@ -165,3 +168,33 @@ def test_subgroup_from_elements_whole_group_shortcut():
 def test_base_points_are_one_based():
     G = build("sym3")
     assert all(1 <= b <= 3 for b in G.base)
+
+
+# the seven groups of order 1,024-3,600 of the benchmark's large workload
+LARGE_SPECS = (
+    "direct_product(heisenberg(3),heisenberg(5))",
+    "direct_product(symmetric(4),heisenberg(5))",
+    "elem_abelian(2,10)",
+    "direct_product(alternating(5),heisenberg(3))",
+    "direct_product(symmetric(4),elem_abelian(3,4))",
+    "direct_product(alternating(5),alternating(5))",
+    "alternating(7)",
+)
+# sha256 over the corpus and LARGE_SPECS of each group's JSON
+# [base, element images in element order]
+BASE_AND_ORDER_SHA256 = (
+    "e9956ee5e38ff85eacda157ff07ab9ff7acf636b1eb6f78e9eaa1b96add718c4")
+
+
+def test_base_and_element_order_are_pinned():
+    """A kernel change must not move a base or the element order: every
+    handle's generators and every report depend on them."""
+    specs = list(default_corpus().specs) + [
+        parse_group_spec("family:" + text) for text in LARGE_SPECS]
+    assert len(specs) == 147
+    digest = hashlib.sha256()
+    for spec in specs:
+        G = build_group(spec)
+        digest.update(json.dumps(
+            [G.base, [e._img for e in G.elements()]]).encode())
+    assert digest.hexdigest() == BASE_AND_ORDER_SHA256

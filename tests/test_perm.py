@@ -73,6 +73,14 @@ class TestCommutator:
         with pytest.raises(DegreeMismatch):
             P("(1 2)", 2).conjugate(P("(1 2)", 3))
 
+    def test_commutator_is_the_four_product(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            x, y = (random_perm(rng, 8) for _ in range(2))
+            assert commutator(x, y) == x.inverse() * y.inverse() * x * y
+        with pytest.raises(DegreeMismatch):
+            commutator(P("(1 2)", 2), P("(1 2)", 3))
+
 
 class TestAlgebraicLaws:
     def test_associativity_and_inverse_antihomomorphism(self):

@@ -5,18 +5,22 @@ import random
 
 import pytest
 
-from centerbound import structure
+from centerbound import statements, structure, witness
+from centerbound.config import Config
 from centerbound.corpus import build_group, parse_group_spec
 from centerbound.errors import (CapExceeded, NotAbelian, NotCoprime,
                                 NotNormal, NotPGroup)
 from centerbound.group import Group, Subgroup
 from centerbound.perm import Perm, identity, parse_perm
-from centerbound.structure import (center, centralizer, dee_subgroup,
+from centerbound.structure import (by_center_cosets, center, centralizer,
+                                   dee_subgroup,
                                    derived_subgroup, fitting_decomposition,
                                    intersection, is_normal,
                                    mutual_commutator, normalizer, quotient,
                                    second_center, socle_p, structure_report,
                                    sylow, zed_subgroup)
+
+from centerbound.table import _Perms, _table
 
 from _oracles import (center_oracle, centralizer_oracle, closure,
                       derived_oracle, second_center_oracle,
@@ -187,6 +191,106 @@ class TestNormalizer:
         assert N.order() == 6
         assert set(N.elements()) == normalizer_oracle(
             closure(4, G.generators), sylow(G, 3).elements())
+
+
+# |Z| > 1, Z = 1 and abelian groups, each with a table
+COSET_GROUPS = ["dicyclic(4)", "direct_product(symmetric(3),dihedral(4))",
+                "heisenberg(3)", "symmetric(4)", "alternating(5)",
+                "cyclic(6)", "elem_abelian(2,3)"]
+
+
+def _plain(G, elems, test, cap, keep=None):
+    """by_center_cosets as an element-by-element filter."""
+    return [y for x, y in zip(elems, elems if keep is None else keep)
+            if test(x)]
+
+
+class TestCenterCosets:
+    """Filters whose answer contains Z(G) test one element per coset of
+    Z(G) and keep or drop the coset whole."""
+
+    @staticmethod
+    def _users(G, world):
+        """Every user of the coset filter, in the given world."""
+        cap = Config().enumeration_cap
+        elems = G.elements()
+        derived = derived_subgroup(G)
+        subs = [derived, Subgroup(G, elems[1:3])] + [
+            Subgroup(G, [x]) for x in elems[1:7]]
+        ev = statements._Evaluator(G, Config())
+        return {
+            "centralizers": [centralizer(G, H.generators).elements()
+                             for H in subs],
+            "dee": dee_subgroup(G).elements(),
+            "normalizers": [(N.elements(), N.generators)
+                            for N in (normalizer(G, H) for H in subs)],
+            "sylows": [sylow(G, p).generators for p in (2, 3, 5)],
+            "lk": [ev._lk_member(world(G, cap), H)
+                   for _, H in ev._lk_library()],
+            "also": witness.also_witness(G).to_json(),
+        }
+
+    @pytest.mark.parametrize("world", [_table, _Perms])
+    @pytest.mark.parametrize("text", COSET_GROUPS)
+    def test_users_equal_the_element_filter(self, monkeypatch, text, world):
+        monkeypatch.setattr(structure, "_world", world)
+        by_cosets = self._users(group(text), world)
+        for module in (structure, statements, witness):
+            monkeypatch.setattr(module, "by_center_cosets", _plain)
+        assert self._users(group(text), world) == by_cosets
+
+    @pytest.mark.parametrize("text", COSET_GROUPS)
+    def test_users_against_oracles(self, text):
+        G = group(text)
+        elems = closure(G.degree, G.generators)
+        zset = center(G).element_set()
+        derived = derived_subgroup(G)
+        assert set(dee_subgroup(G).elements()) == {
+            g for g in elems
+            if all(g.inverse() * x.inverse() * g * x in zset
+                   for x in derived.elements())}
+        for H in (derived, Subgroup(G, G.elements()[1:3]),
+                  Subgroup(G, [G.elements()[-1]])):
+            assert set(centralizer(G, H.generators).elements()) == \
+                centralizer_oracle(elems, H.generators)
+            assert set(normalizer(G, H).elements()) == \
+                normalizer_oracle(elems, H.elements())
+
+    @pytest.mark.parametrize("text", COSET_GROUPS)
+    def test_test_runs_once_per_coset(self, monkeypatch, text):
+        G = group(text)
+        index = G.order() // center(G).order()
+        calls = []
+        kept = by_center_cosets(G, G.elements(), calls.append, 10 ** 6)
+        assert len(calls) == index and kept == []
+        # the centralizer filter asks commute about |G : Z(G)| elements
+        tested = set()
+
+        def commute(a, b):
+            tested.add(a)
+            return a * b == b * a
+        monkeypatch.setattr(_Perms, "commute", staticmethod(commute))
+        centralizer(G, [G.elements()[-1]])
+        assert len(tested) == index
+
+    @pytest.mark.parametrize("text", COSET_GROUPS)
+    def test_second_center_tests_every_element(self, monkeypatch, text):
+        G = group(text)
+        counts = []
+        make_test = structure._commutes_into_center
+
+        def counting(*args):
+            test = make_test(*args)
+            counts.append(0)
+
+            def counted(g):
+                counts[-1] += 1
+                return test(g)
+            return counted
+        monkeypatch.setattr(structure, "_commutes_into_center", counting)
+        second_center(G)
+        dee_subgroup(G)
+        assert counts == [G.order(), G.order() // center(G).order()]
 
 
 class TestQuotient:

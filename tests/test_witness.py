@@ -158,6 +158,41 @@ class TestFactorizeCommutator:
                                  list(group("symmetric(3)").generators),
                                  parse_perm("(1 2 3)", 3))
 
+    def test_layers_built_once_per_anchor_tuple(self, monkeypatch):
+        # the anchor check and the layers were rebuilt for every w
+        builds = []
+        build = witness.commutator_product_layers
+
+        def counting(P, anchors, cap):
+            builds.append(tuple(anchors))
+            return build(P, anchors, cap)
+        monkeypatch.setattr(witness, "commutator_product_layers", counting)
+        G = group("dicyclic(8)")
+        anchors = shrink_generating_set(G, list(G.generators))
+        for w in derived_subgroup(G).elements():
+            factorize_commutator(G, anchors, w)
+        factorize_commutator(G, list(reversed(anchors)),
+                             G.identity_element())
+        assert builds == [tuple(anchors), tuple(reversed(anchors))]
+
+    def test_every_w_is_reverified(self, monkeypatch):
+        # layers whose last step names the identity as x_d factor nothing
+        # but the product of the earlier steps; each call must catch that
+        G = group("dicyclic(4)")
+        anchors = shrink_generating_set(G, list(G.generators))
+        layers = commutator_product_layers(G, anchors)
+        layers[-1] = {w: (w, G.identity_element()) if prev is None else
+                      (prev[0], G.identity_element())
+                      for w, prev in layers[-1].items()}
+        monkeypatch.setattr(witness, "commutator_product_layers",
+                            lambda P, a, cap: layers)
+        broken = [w for w in derived_subgroup(G).elements()
+                  if layers[-1][w][0] != w]
+        assert len(broken) > 1
+        for w in broken:
+            with pytest.raises(AssertionError, match="re-verify"):
+                factorize_commutator(G, anchors, w)
+
     def test_witnesses_deterministic(self):
         G = group("dicyclic(4)")
         anchors = shrink_generating_set(G, list(G.generators))
@@ -414,15 +449,18 @@ class TestAlsoCentralizers:
                                                filters):
         # every x in G was filtered before (32 and 48 calls); x's centralizer
         # in P n G' depends only on how x conjugates it.  heisenberg(3) has
-        # P n G' = P n zed, so nothing is filtered
+        # P n G' = P n zed, so nothing is filtered.  Only filters in G's
+        # world count: M's centralizer filter runs in the quotient by zed
         calls = []
         filter_ = witness.centralizing
+        G = group(text)
 
         def counting(world, elems, S):
-            calls.append((tuple(elems), tuple(S)))
+            if world.G is G:
+                calls.append((tuple(elems), tuple(S)))
             return filter_(world, elems, S)
         monkeypatch.setattr(witness, "centralizing", counting)
-        also_witness(group(text))
+        also_witness(G)
         actions = {(elems, tuple(a.conjugate(x) for a in elems))
                    for elems, (x,) in calls}
         assert len(calls) == len(actions) == filters
