@@ -23,7 +23,7 @@ import random
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch
-from .perm import Perm, identity
+from .perm import Perm, commute, identity
 
 DEFAULT_ENUMERATION_CAP = 200_000
 DEFAULT_COSET_CAP = 100_000
@@ -302,7 +302,7 @@ class Group:
 
     def is_abelian(self) -> bool:
         gens = self.generators
-        return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
+        return all(commute(a, b) for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def identity_element(self) -> Perm:
         return identity(self.degree)

@@ -8,14 +8,19 @@ Conventions, fixed once and used everywhere:
 * Commutators are ``[x, y] = x^-1 y^-1 x y`` and conjugation is
   ``x ^ h = h^-1 x h``, so ``[x, y] = x^-1 * (x ^ y)``.
 
-Internally images are stored 0-based for tight composition loops; every
-public surface (constructors, ``images``, cycle notation) is 1-based.
+Internally images are stored 0-based; every public surface (constructors,
+``images``, cycle notation) is 1-based.  Composition has one primitive,
+``gather``: on 0-based image tuples, ``gather(p, q)`` is the image tuple of
+``p * q``, gathered in one C call.  ``Perm.__mul__``, ``commute``, the Cayley
+table's rows and the conjugation actions of the subgroup lattice all go
+through it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch, DegreeViolation, ParseError
@@ -61,7 +66,7 @@ class Perm:
         if len(self._img) != len(other._img):
             raise DegreeMismatch(
                 f"degree {len(self._img)} vs {len(other._img)}")
-        return Perm._raw(tuple(map(other._img.__getitem__, self._img)))
+        return Perm._raw(gather(self._img, other._img))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self._img)
@@ -131,6 +136,23 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({format_perm(self)!r}, degree={len(self._img)})"
+
+
+def gather(img, by) -> tuple:
+    """The tuple of by[i] for i in img, in img's iteration order, gathered in
+    one C call.  On 0-based image tuples gather(p, q) is the image tuple of
+    p * q: apply p, then q."""
+    if len(img) < 2:
+        # itemgetter returns a bare item for one key and refuses none
+        return tuple(by[i] for i in img)
+    return itemgetter(*img)(by)
+
+
+def commute(a: Perm, b: Perm) -> bool:
+    """a * b == b * a, decided on the image tuples without building a Perm."""
+    if len(a._img) != len(b._img):
+        raise DegreeMismatch(f"degree {len(a._img)} vs {len(b._img)}")
+    return gather(a._img, b._img) == gather(b._img, a._img)
 
 
 def identity(degree: int) -> Perm:

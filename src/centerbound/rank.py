@@ -45,7 +45,7 @@ from .arith import integer_log, is_prime_power, prime_factors
 from .errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from .group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                     DEFAULT_TUPLE_CAP, Group, Subgroup, admit)
-from .perm import Perm
+from .perm import Perm, gather
 from .structure import normal_closure
 from .table import _Perms, _Table, _table
 
@@ -193,10 +193,9 @@ def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
             orbit = [hset]
             for K in orbit:
                 for row, col in actions:
-                    conj = frozenset(map(col.__getitem__,
-                                         map(row.__getitem__, K)))
+                    conj = frozenset(gather(gather(K, row), col))
                     if conj not in found:
-                        found[conj] = tuple(col[row[g]] for g in found[K])
+                        found[conj] = gather(gather(found[K], row), col)
                         orbit.append(conj)
 
         record(frozenset({idx.identity}), ())

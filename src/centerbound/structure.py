@@ -39,7 +39,7 @@ from .arith import p_part, prime_factors
 from .errors import NotAbelian, NotCoprime, NotNormal, NotPGroup
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
                     Subgroup, admit, subgroup_from_elements)
-from .perm import Perm, commutator
+from .perm import Perm, commutator, gather
 from .table import _Perms, _world
 
 
@@ -134,11 +134,14 @@ def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
     """The test g -> [g, x] in Z(G) for every x in X, which holds exactly
     when [g, <X>] <= Z(G): for central [g, x] and [g, y] one has
     [g, xy] = [g, y][g, x]^y = [g, y][g, x]."""
-    zset = center(G, cap).element_set(cap)
+    zimgs = {z._img for z in center(G, cap).element_set(cap)}
+    # x^-1 g x is gather(gather(x^-1, g), x), so each x^-1 is built once
+    pairs = [(x.inverse()._img, x._img) for x in X]
 
     def test(g: Perm) -> bool:
-        ginv = g.inverse()
-        return all(ginv * g.conjugate(x) in zset for x in X)
+        ginv, gimg = g.inverse()._img, g._img
+        return all(gather(ginv, gather(gather(xinv, gimg), ximg)) in zimgs
+                   for xinv, ximg in pairs)
     return test
 
 

@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import CapExceeded
 from .group import DEFAULT_ENUMERATION_CAP, TABLE_CAP, Group, Subgroup, admit
-from .perm import Perm, commutator
+from .perm import Perm, commutator, commute, gather
 
 
 class _Table:
@@ -53,7 +53,7 @@ class _Table:
             for left in lefts:
                 a = left[c]
                 if rows[a] is None:
-                    rows[a] = tuple(map(left.__getitem__, rows[c]))
+                    rows[a] = gather(rows[c], left)
                     reached.append(a)
         self.elems = elems
         self.index = index
@@ -74,7 +74,7 @@ class _Table:
 
     def generators(self, K: Group) -> tuple[int, ...]:
         """The generators of K, a handle on G, as indices."""
-        return tuple(map(self.index.__getitem__, K.generators))
+        return gather(K.generators, self.index)
 
     def subgroup(self, K: Group) -> frozenset[int]:
         """K, a handle on G, as its set of indices."""
@@ -168,6 +168,7 @@ class _Perms:
 
     power = staticmethod(pow)
     commutator = staticmethod(commutator)
+    commute = staticmethod(commute)
     conjugate = staticmethod(Perm.conjugate)
     order_of = staticmethod(Perm.order)
     size = staticmethod(Group.order)
@@ -190,10 +191,6 @@ class _Perms:
 
     def members(self, K: Group) -> frozenset[Perm]:
         return K.element_set(self.cap)
-
-    @staticmethod
-    def commute(a: Perm, b: Perm) -> bool:
-        return a * b == b * a
 
     def closure(self, gens) -> Subgroup:
         return Subgroup(self.G, gens, _trusted=True)

@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Two source gates over the package's modules.
 
-``__init__.py`` is left out: its imports are the package's public API.
+* Every name a module imports is used in that module.  ``__init__.py`` is
+  left out: its imports are the package's public API.
+* Permutation composition has one primitive, ``perm.gather``: no module but
+  ``perm.py`` composes by ``map(<x>.__getitem__, ...)`` or by
+  ``operator.itemgetter``.
 """
 
 import ast
@@ -48,3 +52,41 @@ def test_gate_sees_an_unused_import():
     assert _unused_imports(
         "import os\nfrom a import b, c as d, e\nx: 'e' = b('os')\n") == \
         ["d (line 2)", "os (line 1)"]
+
+
+def _compositions(source: str) -> list[str]:
+    """Lines that compose outside gather: map over a __getitem__, or any
+    use of itemgetter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "map" and node.args
+                and isinstance(node.args[0], ast.Attribute)
+                and node.args[0].attr == "__getitem__"):
+            found.append(f"map(...__getitem__) (line {node.lineno})")
+        elif ((isinstance(node, ast.Name) and node.id == "itemgetter")
+              or (isinstance(node, ast.Attribute)
+                  and node.attr == "itemgetter")
+              or (isinstance(node, ast.alias)
+                  and node.name == "itemgetter")):
+            found.append(f"itemgetter (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "perm.py"],
+                         ids=lambda p: p.name)
+def test_one_composition_primitive(path):
+    assert _compositions(path.read_text()) == []
+
+
+def test_gate_sees_a_second_composition():
+    assert _compositions(
+        "from operator import itemgetter\n"
+        "def f(p, q):\n"
+        "    a = tuple(map(q.__getitem__, p))\n"
+        "    b = itemgetter(*p)(q)\n"
+        "    c = list(map(str, p))\n"
+        "    return a, b, c\n") == [
+        "itemgetter (line 1)", "itemgetter (line 4)",
+        "map(...__getitem__) (line 3)"]
+    assert _compositions((SRC / "perm.py").read_text()) != []

@@ -1,13 +1,15 @@
 """Permutation arithmetic: conventions pinned by hand-evaluated examples,
 then algebraic laws on seeded random elements."""
 
+import itertools
 import random
 
 import pytest
 
 from centerbound.errors import DegreeMismatch, DegreeViolation, ParseError
-from centerbound.perm import (Perm, commutator, compose, format_perm,
-                              from_cycles, identity, parse_perm)
+from centerbound.perm import (Perm, commutator, commute, compose,
+                              format_perm, from_cycles, gather, identity,
+                              parse_perm)
 
 
 def P(text, degree):
@@ -40,6 +42,49 @@ class TestCompose:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
             compose(P("(1 2)", 2), P("(1 2)", 3))
+
+
+class TestGather:
+    """gather is the one composition primitive: gather(p, q) on 0-based
+    image tuples is the image tuple of p * q."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 64, 600])
+    def test_gather_and_product_are_the_definition(self, degree):
+        rng = random.Random(degree)
+        for _ in range(5):
+            p, q = (random_perm(rng, degree) for _ in range(2))
+            expected = tuple(q._img[p._img[i]] for i in range(degree))
+            assert gather(p._img, q._img) == expected
+            assert (p * q)._img == expected
+
+    def test_gather_keeps_a_tuple_for_short_keys(self):
+        assert gather((), (5, 6)) == ()
+        assert gather((1,), (5, 6)) == (6,)
+        assert gather(frozenset({1}), (5, 6)) == (6,)
+        assert gather(["a", "b"], {"a": 1, "b": 2}) == (1, 2)
+
+    def test_mixed_degrees_are_refused(self):
+        a, b = P("(1 2)", 2), P("(1 2)", 3)
+        for op in (lambda: a * b, lambda: b * a,
+                   lambda: commute(a, b), lambda: commute(b, a)):
+            with pytest.raises(DegreeMismatch):
+                op()
+
+    def test_commute_agrees_with_the_products_on_s4(self):
+        s4 = [Perm(images) for images in itertools.permutations(range(1, 5))]
+        verdicts = [commute(a, b) for a in s4 for b in s4]
+        assert verdicts == [a * b == b * a for a in s4 for b in s4]
+        # commuting pairs number |G| times the class count, 5 for S4
+        assert sum(verdicts) == 24 * 5
+
+    def test_commute_agrees_with_the_products_at_degree_29(self):
+        rng = random.Random(29)
+        for k in range(200):
+            a = random_perm(rng, 29)
+            # every fourth pair commutes by construction
+            b = a ** k if k % 4 == 0 else random_perm(rng, 29)
+            assert commute(a, b) is (a * b == b * a)
+            assert commute(a, b) is commute(b, a)
 
 
 class TestCommutator:
