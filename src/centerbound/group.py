@@ -332,35 +332,24 @@ class Subgroup(Group):
         return f"Sub{super().__repr__()}"
 
 
-def subgroup_from_elements(parent: Group, elems: Sequence[Perm],
-                           _trusted: bool = True) -> Subgroup:
+def subgroup_from_elements(parent: Group, elems: Sequence[Perm]) -> Subgroup:
     """Build a handle from a full element list (as produced by a filter),
     selecting a small generating subset and caching the elements.
 
-    The generator selection is greedy in list order, so deterministic input
-    order gives a deterministic handle.
+    The generator selection is greedy in list order: an element joins the
+    generators when it does not sift through the chain of the handle built
+    so far, until that handle has all of elems.  Deterministic input order
+    gives a deterministic handle.
     """
     if len(elems) == parent.order():
-        handle = Subgroup(parent, parent.generators, _trusted=True)
-        handle._adopt_elements(list(elems))
-        return handle
-    gens: list[Perm] = []
-    known: set[Perm] = {identity(parent.degree)}
-    for e in elems:
-        if e in known or e.is_identity():
-            continue
-        gens.append(e)
-        # close the enlarged subgroup inside the known element set
-        frontier = list(known)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = x * g
-                if y not in known:
-                    known.add(y)
-                    frontier.append(y)
-        if len(known) == len(elems):
-            break
-    handle = Subgroup(parent, gens, _trusted=_trusted)
-    handle._adopt_elements(list(elems))
-    return handle
+        found = Subgroup(parent, parent.generators, _trusted=True)
+    else:
+        found = Subgroup(parent, (), _trusted=True)
+        for e in elems:
+            if e not in found:
+                found = Subgroup(parent, found.generators + (e,),
+                                 _trusted=True)
+                if found.order() == len(elems):
+                    break
+    found._adopt_elements(list(elems))
+    return found

@@ -6,9 +6,11 @@ rank is the maximum over one representative per conjugacy class of
 subgroups (see _lattice), and only representatives go through the ladder
 and its tuple search.  One strategy ladder computes d, written once
 against the two element representations of table.py: Perm with BSGS
-membership (``_Perms``, behind min_generators) and indices into the Cayley
-table (``_Table``, behind the subgroups of a lattice).  LK's library members
-take whichever of the two ``_world`` gives for G.  The rungs:
+membership (``_Perms``) and indices into the Cayley table (``_Table``).  The
+subgroups of a lattice run it on the table; min_generators, the one other
+caller, runs it for a subgroup H in whichever world ``_world`` gives for H's
+ambient group, and memoizes d on H, so every statement asking for d(G')
+shares one run.  The rungs:
 
 * trivial group: 0;
 * abelian: the number of invariant factors, read off socle sizes (for each
@@ -27,8 +29,10 @@ generator, and every other entry is an index lookup (see ``table.py``).
 Exact rank needs the subgroup lattice up to conjugacy, which is still
 exponential; the default cap is small and deliberate, and past any cap rank
 evaluates to Unknown -- a value, never a guess.  Unknown is made at the
-edge (group_rank) and never memoized, so a later call with larger caps
-computes the rank.
+edge, by group_rank and _section_rank only, and never memoized, so a later
+call with larger caps computes the rank.  A caller that cannot go on
+without the rank passes it through ``known``, which raises RankRefused (a
+CapExceeded) with the text "rank of <what> is <the Unknown>".
 
 The normal subgroups do not need the lattice: they are the joins of the
 normal closures of conjugacy classes (normal_subgroups), under the same
@@ -46,8 +50,8 @@ from .errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from .group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                     DEFAULT_TUPLE_CAP, Group, Subgroup, admit)
 from .perm import Perm, gather
-from .structure import normal_closure
-from .table import _Perms, _Table, _table
+from .structure import _ambient, normal_closure, quotient
+from .table import _Perms, _Table, _table, _world
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,16 @@ class UnknownRank:
 
     def __repr__(self):
         return f"Unknown({self.what} cap {self.limit}, needed {self.value})"
+
+
+class RankRefused(CapExceeded):
+    """A rank that a statement or witness needs came out Unknown; the text
+    is "rank of <what> is <the Unknown>", and what/limit/value are the
+    Unknown's."""
+
+    def __init__(self, what: str, rank: UnknownRank):
+        Exception.__init__(self, f"rank of {what} is {rank}")
+        self.what, self.limit, self.value = rank.what, rank.limit, rank.value
 
 
 @dataclass
@@ -157,12 +171,15 @@ def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     return _socle_rank(_Perms(A, cap), A)
 
 
-def min_generators(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
+def min_generators(H: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                    tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
-    """Exact d(G) by the strategy ladder (see module docstring)."""
-    return G.memo("d", lambda: _d(_Perms(G, cap), G, G.generators,
-                                  tuple_cap),
-                  elements=cap, tuples=tuple_cap)
+    """Exact d(H) by the strategy ladder (see module docstring), in the
+    world of H's ambient group: its Cayley table when the table admits it,
+    else Perms.  Memoized on H, so the subgroups of one group share it."""
+    def compute():
+        world = _world(_ambient(H), cap)
+        return _d(world, world.subgroup(H), world.generators(H), tuple_cap)
+    return H.memo("d", compute, elements=cap, tuples=tuple_cap)
 
 
 def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
@@ -318,6 +335,23 @@ def group_rank(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                       tuples=tuple_cap)
     except CapExceeded as exc:
         return UnknownRank(exc.what, exc.limit, exc.value)
+
+
+def _section_rank(num: Group, den: Group, cap: int, subgroup_cap: int,
+                  tuple_cap: int, coset_cap: int) -> "int | UnknownRank":
+    """rank of num/den (den normal in num), Unknown past caps."""
+    try:
+        pres = quotient(num, den, coset_cap, cap)
+    except CapExceeded as exc:
+        return UnknownRank(exc.what, exc.limit, exc.value)
+    return group_rank(pres.quotient, cap, subgroup_cap, tuple_cap)
+
+
+def known(r: "int | UnknownRank", what: str) -> int:
+    """r itself, or RankRefused naming what when r is Unknown."""
+    if isinstance(r, UnknownRank):
+        raise RankRefused(what, r)
+    return r
 
 
 def rank_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,

@@ -14,8 +14,9 @@ Tags:
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
   H and a normal subgroup K, written once against the representation
   ``_world`` gives for G: its Cayley table when the table admits G, else
-  Perms.  d(H) comes from the ladder, C_G(H) from the centralizer filter
-  over the cosets of Z(G).
+  Perms.  d(H) comes from min_generators, memoized on H and shared with
+  T6 and CK for H = G', C_G(H) from the centralizer filter over the cosets
+  of Z(G).
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -39,13 +40,13 @@ from .arith import is_prime_power, prime_factors
 from .config import Config
 from .errors import CapExceeded
 from .group import Group, Subgroup
-from .rank import (UnknownRank, _d, _prune, group_rank, min_generators,
-                   normal_subgroups)
+from .rank import (RankRefused, _prune, _section_rank, group_rank, known,
+                   min_generators, normal_subgroups)
 from .structure import (by_center_cosets, mutual_commutator,
                         quotient_by_center, structure_report, sylow)
 from .table import _world
-from .witness import (WitnessRecord, _lb_section, _section_rank,
-                      also_witness, szivas_witness)
+from .witness import (WitnessRecord, _lb_section, also_witness,
+                      szivas_witness)
 
 STATEMENT_TAGS = ("T1", "T2", "T3", "C4", "T5", "T6", "T7", "L9", "LK",
                   "CK", "LA", "LB", "LS", "P1", "P2", "AUT", "FOC")
@@ -105,16 +106,6 @@ def _bound(tag: str, lhs: int, rhs: int, witness=None, extra: str = "") -> Verdi
     return Verdict(tag, True, True, lhs, rhs, lhs <= rhs, witness, notes)
 
 
-class _Refused(Exception):
-    """A rank the statement needs came back Unknown under the caps."""
-
-
-def _known(r, what: str) -> int:
-    if isinstance(r, UnknownRank):
-        raise _Refused(f"rank of {what} is {r}")
-    return r
-
-
 def _inclusion(tag: str, violations: int, extra: str = "") -> Verdict:
     notes = extra or "inclusion encoded as violating-element count"
     return Verdict(tag, True, True, violations, 0, violations == 0, None, notes)
@@ -139,13 +130,13 @@ class _Evaluator:
 
     def rank_of(self, H: Group, what: str) -> int:
         """rank(H); an Unknown refuses the statement, naming H as what."""
-        return _known(group_rank(H, self.cap, self.subgroup_cap,
-                                 self.tuple_cap), what)
+        return known(group_rank(H, self.cap, self.subgroup_cap,
+                                self.tuple_cap), what)
 
     def section_rank(self, num: Group, den: Group, what: str) -> int:
         """rank(num/den); an Unknown refuses the statement."""
-        return _known(_section_rank(num, den, self.cap, self.subgroup_cap,
-                                    self.tuple_cap, self.coset_cap), what)
+        return known(_section_rank(num, den, self.cap, self.subgroup_cap,
+                                   self.tuple_cap, self.coset_cap), what)
 
     @property
     def r_derived_mod_zed(self) -> int:
@@ -167,10 +158,10 @@ class _Evaluator:
     def evaluate(self, tag: str) -> Verdict:
         try:
             return getattr(self, "_eval_" + tag.lower())()
+        except RankRefused as exc:
+            return _uncomputable(tag, str(exc))
         except CapExceeded as exc:
             return _uncomputable(tag, f"cap fired: {exc}")
-        except _Refused as exc:
-            return _uncomputable(tag, str(exc))
 
     def _eval_t1(self) -> Verdict:
         sr = self.sr
@@ -294,17 +285,16 @@ class _Evaluator:
     def _lk_member(self, world, H):
         """d(H) with its note, and C_G(H) as a set, in G's world.  |C_K(H)|
         is then |K n C_G(H)|, so C_G(H) is filtered once per H, one element
-        per coset of Z(G).  When the tuple cap refuses d, the pruned
-        generating set is an upper bound."""
-        hsub, gens = world.subgroup(H), world.generators(H)
+        per coset of Z(G).  d(H) is min_generators, memoized on H; when a
+        cap refuses it, the pruned generating set is an upper bound."""
+        gens = world.generators(H)
         cgh = frozenset(by_center_cosets(
             self.G, world.elements(),
             lambda g: all(world.commute(g, s) for s in gens), self.cap))
         try:
-            return _d(world, hsub, gens, self.tuple_cap), "", cgh
+            return min_generators(H, self.cap, self.tuple_cap), "", cgh
         except CapExceeded:
-            return (len(_prune(world, gens, world.size(hsub))),
-                    ", upper bound", cgh)
+            return len(_prune(world, gens, H.order())), ", upper bound", cgh
 
     def _eval_ck(self) -> Verdict:
         sr = self.sr

@@ -189,8 +189,7 @@ def intersection(A: Group, B: Group,
 
 def is_normal(G: Group, H: Group) -> bool:
     """H normal in G, decided by sifting generator conjugates into H."""
-    return all((g.inverse() * h * g) in H
-               for h in H.generators for g in G.generators)
+    return all(h.conjugate(g) in H for h in H.generators for g in G.generators)
 
 
 def is_subgroup_of(A: Group, B: Group) -> bool:

@@ -39,9 +39,9 @@ class _Table:
     becomes indices by dict lookups."""
 
     def __init__(self, G: Group, cap: int):
+        admit("table", TABLE_CAP, G.order())  # before listing G
         elems = G.elements(cap)
         n = len(elems)
-        admit("table", TABLE_CAP, n)
         index = {e: i for i, e in enumerate(elems)}
         self.identity = index[G.identity_element()]
         self.gens = tuple(index[g] for g in G.generators)

@@ -14,9 +14,12 @@ be re-verified and audited:
 * also_witness / szivas_witness: the per-prime T/M construction bounding
   |C_G(G') : Z_2(G)| and |D : C_G(G')| by powers of |G' : G' n Z(G)|,
   written once in _tm_witness; each record is kept in the group's memo.
+  When r = rank(G'/zed) is Unknown they raise rank.RankRefused, whose text
+  is the note the statement catalog gives LA and LS.
 * check_commutator_homomorphism: a -> [a, x] is a homomorphism on C_G(G').
 * rank_embedding_pl: the commutator-map embeddings bounding the ranks of
-  C_G(G')/Z_2(G) and D/C_G(G') in p-groups; it says if its pairs sampled.
+  C_G(G')/Z_2(G) and D/C_G(G') in p-groups; it says if its pairs sampled,
+  and reports the section rank as a value, Unknown past caps.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ import random
 from dataclasses import dataclass, field
 
 from .arith import is_prime_power, prime_factors
-from .errors import (BadAnchors, BadFamily, CapExceeded, NotInDerived,
-                     NotPGroup)
+from .errors import BadAnchors, BadFamily, NotInDerived, NotPGroup
 from .config import DEFAULT_SAMPLE_PAIRS
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
                     DEFAULT_SUBGROUP_CAP, DEFAULT_TUPLE_CAP, Group, Subgroup,
                     subgroup_from_elements)
 from .perm import Perm, commutator, format_perm
-from .rank import abelian_rank, group_rank, shrink_generating_set, UnknownRank
+from .rank import (UnknownRank, _section_rank, abelian_rank, known,
+                   shrink_generating_set)
 from .structure import (by_center_cosets, center, centralizing,
                         derived_subgroup, intersection, is_normal, quotient,
                         socle_p, StructureReport, structure_report, sylow,
@@ -214,26 +217,6 @@ def factorize_commutator(P: Group, anchors: list[Perm], w: Perm,
 # -- the T/M witness constructions ------------------------------------------
 
 
-def _section_rank(num: Group, den: Group, cap: int, subgroup_cap: int,
-                  tuple_cap: int, coset_cap: int):
-    """rank of num/den (den normal in num), Unknown past caps."""
-    try:
-        pres = quotient(num, den, coset_cap, cap)
-    except CapExceeded as exc:
-        return UnknownRank(exc.what, exc.limit, exc.value)
-    return group_rank(pres.quotient, cap, subgroup_cap, tuple_cap)
-
-
-def _derived_mod_zed_rank(sr: StructureReport, cap: int, subgroup_cap: int,
-                          tuple_cap: int, coset_cap: int) -> int:
-    """r = rank(G'/zed); a cap that fires is raised, not made Unknown."""
-    r = _section_rank(sr.derived, sr.zed, cap, subgroup_cap, tuple_cap,
-                      coset_cap)
-    if isinstance(r, UnknownRank):
-        raise CapExceeded(f"derived mod zed (rank {r.what})", r.limit, r.value)
-    return r
-
-
 def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
                      cap: int) -> tuple[Subgroup, Subgroup]:
     """T = <xs> and M = the full preimage of the centralizer of the image
@@ -350,8 +333,8 @@ def _tm_witness(G: Group, lemma: str, cap: int, coset_cap: int,
 
     def compute() -> WitnessRecord:
         sr = structure_report(G, cap, coset_cap)
-        r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap,
-                                  coset_cap)
+        r = known(_section_rank(sr.derived, sr.zed, cap, subgroup_cap,
+                                tuple_cap, coset_cap), "G'/zed")
         top, bottom, exponent = section(sr, r)
         bottom_set = bottom.element_set(cap)
         record = WitnessRecord()
@@ -472,7 +455,8 @@ def rank_embedding_pl(G: Group, which: str,
     if order > 1 and p is None:
         raise NotPGroup(f"order {order} is not a prime power")
     sr = structure_report(G, cap, coset_cap)
-    r = _derived_mod_zed_rank(sr, cap, subgroup_cap, tuple_cap, coset_cap)
+    r = known(_section_rank(sr.derived, sr.zed, cap, subgroup_cap, tuple_cap,
+                            coset_cap), "G'/zed")
     lemma, fmap = _MAPS[which]
     domain, target, exponent = _LEMMAS[lemma][0](sr, r)
     xs = _tm_witness(G, lemma, cap, coset_cap, subgroup_cap, tuple_cap).xs

@@ -215,6 +215,13 @@ class TestWitnessCommand:
         out = capsys.readouterr().out
         assert "p=2" in out and "p=3" in out
 
+    def test_unknown_rank_exits_3_with_the_catalog_note(self, capsys):
+        assert main(["witness", "also", "family:symmetric(4)",
+                     "--subgroup-cap", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "not computable under caps: rank of G'/zed is "
+            "Unknown(subgroup enumeration cap 1, needed 12)\n")
+
     def test_abel_needs_abelian_p_group(self, capsys):
         assert main(["witness", "abel", "family:symmetric(3)"]) == 2
         assert main(["witness", "abel", "family:cyclic(6)"]) == 2

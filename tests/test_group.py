@@ -6,10 +6,14 @@ import random
 
 import pytest
 
+from centerbound.arith import prime_factors
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, DegreeMismatch
 from centerbound.group import Group, Subgroup, subgroup_from_elements
 from centerbound.perm import Perm, identity, parse_perm
+from centerbound.structure import (center, centralizer, dee_subgroup,
+                                   derived_subgroup, second_center, sylow,
+                                   zed_subgroup)
 
 from _oracles import closure
 
@@ -184,6 +188,10 @@ LARGE_SPECS = (
 # [base, element images in element order]
 BASE_AND_ORDER_SHA256 = (
     "e9956ee5e38ff85eacda157ff07ab9ff7acf636b1eb6f78e9eaa1b96add718c4")
+# sha256 over the corpus of the generator images of Z, Z2, C_G(G'), D, zed
+# and each Sylow subgroup, in that order
+HANDLE_GENERATORS_SHA256 = (
+    "665a741fac05dddefa756134c697281f9b4c891149854a342a6f8b08d2c79f71")
 
 
 def test_base_and_element_order_are_pinned():
@@ -198,3 +206,20 @@ def test_base_and_element_order_are_pinned():
         digest.update(json.dumps(
             [G.base, [e._img for e in G.elements()]]).encode())
     assert digest.hexdigest() == BASE_AND_ORDER_SHA256
+
+
+def test_handle_generators_are_pinned():
+    """subgroup_from_elements picks each handle's generators greedily in
+    list order; the orders and reports downstream depend on that choice,
+    so the generators of Z, Z2, C_G(G'), D, zed and every Sylow subgroup of
+    the default corpus are pinned."""
+    digest = hashlib.sha256()
+    for spec in default_corpus().specs:
+        G = build_group(spec)
+        handles = [center(G), second_center(G),
+                   centralizer(G, derived_subgroup(G).generators),
+                   dee_subgroup(G), zed_subgroup(G)]
+        handles += [sylow(G, p) for p in sorted(prime_factors(G.order()))]
+        digest.update(json.dumps(
+            [[g._img for g in H.generators] for H in handles]).encode())
+    assert digest.hexdigest() == HANDLE_GENERATORS_SHA256

@@ -1,10 +1,12 @@
-"""Two source gates over the package's modules.
+"""Three source gates over the package's modules.
 
 * Every name a module imports is used in that module.  ``__init__.py`` is
   left out: its imports are the package's public API.
 * Permutation composition has one primitive, ``perm.gather``: no module but
   ``perm.py`` composes by ``map(<x>.__getitem__, ...)`` or by
   ``operator.itemgetter``.
+* d(H) and Unknown ranks have one owner, ``rank.py``: no other module
+  references the ladder ``_d`` or constructs ``UnknownRank(...)``.
 """
 
 import ast
@@ -90,3 +92,37 @@ def test_gate_sees_a_second_composition():
         "itemgetter (line 1)", "itemgetter (line 4)",
         "map(...__getitem__) (line 3)"]
     assert _compositions((SRC / "perm.py").read_text()) != []
+
+
+def _rank_owned(source: str) -> list[str]:
+    """Lines that reference the d ladder _d or construct an UnknownRank."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id == "_d")
+                or (isinstance(node, ast.Attribute) and node.attr == "_d")
+                or (isinstance(node, ast.alias) and node.name == "_d")):
+            found.append(f"_d (line {node.lineno})")
+        elif isinstance(node, ast.Call) and "UnknownRank" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append(f"UnknownRank(...) (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rank.py"],
+                         ids=lambda p: p.name)
+def test_rank_owns_d_and_unknown(path):
+    assert _rank_owned(path.read_text()) == []
+
+
+def test_gate_sees_a_second_owner():
+    assert _rank_owned(
+        "from .rank import UnknownRank, _d\n"
+        "from . import rank\n"
+        "def f(w, h, gs):\n"
+        "    if isinstance(h, UnknownRank):\n"
+        "        return rank.UnknownRank('x', 1, 2)\n"
+        "    return _d(w, h, gs, 5), rank._d\n") == [
+        "UnknownRank(...) (line 5)", "_d (line 1)", "_d (line 6)",
+        "_d (line 6)"]
+    assert _rank_owned((SRC / "rank.py").read_text()) != []

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from centerbound import rank
+from centerbound import rank, statements
+from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from centerbound.group import Group
@@ -15,6 +16,7 @@ from centerbound.rank import (RankReport, UnknownRank, _Table, _lattice,
                               abelian_rank, all_subgroups, frattini_p,
                               group_rank, min_generators, normal_subgroups,
                               rank_report, shrink_generating_set)
+from centerbound.statements import _Evaluator, evaluate_all
 from centerbound.structure import (derived_subgroup, is_normal,
                                    quotient_by_center)
 
@@ -589,3 +591,73 @@ class TestHistoryIndependence:
         assert refusal(lambda: min_generators(G, tuple_cap=5)) == \
             refusal(lambda: min_generators(group(text), tuple_cap=5)) == \
             ("generator tuple search", 5, 6)
+
+
+class TestOneDPath:
+    """d(H) has one owner, min_generators: it runs the ladder in the world
+    of H's ambient group and memoizes on H, so LK, T6 and CK share d(G')."""
+
+    @pytest.mark.parametrize("spec", default_corpus().specs,
+                             ids=lambda spec: spec.label)
+    def test_lk_members_agree_with_fresh_groups(self, spec):
+        G = build_group(spec)
+        for _, H in _Evaluator(G, Config())._lk_library():
+            assert min_generators(H) == \
+                min_generators(Group(H.degree, H.generators))
+
+    @pytest.mark.parametrize("text", [
+        "symmetric(4)", "heisenberg(3)", "dicyclic(8)",
+        "direct_product(symmetric(3),dihedral(4))"])
+    def test_evaluate_all_runs_the_ladder_on_derived_once(self, text,
+                                                          monkeypatch):
+        # group_rank's lattice runs the ladder on each class representative
+        # of G' as a group of its own; every other run on G' is counted.
+        # d is memoized per handle, so an LK member that is another handle
+        # on G' (a random 2-generator subgroup, say) runs it once more
+        G = group(text)
+        derived = derived_subgroup(G).element_set()
+        handles = sum(H.element_set() == derived
+                      for _, H in _Evaluator(G, Config())._lk_library())
+        calls, inside_rank = [], []
+        ladder, ranked = rank._d, rank.group_rank
+
+        def counting(world, H, gens, tuple_cap):
+            elems = ({world.elems[i] for i in H} if isinstance(world, _Table)
+                     else world.members(H))
+            if elems == derived and not inside_rank:
+                calls.append(world)
+            return ladder(world, H, gens, tuple_cap)
+
+        def ranking(*args):
+            inside_rank.append(True)
+            try:
+                return ranked(*args)
+            finally:
+                inside_rank.pop()
+        monkeypatch.setattr(rank, "_d", counting)
+        monkeypatch.setattr(rank, "group_rank", ranking)
+        monkeypatch.setattr(statements, "group_rank", ranking)
+        verdicts = {v.statement: v for v in evaluate_all(G)}
+        assert len(calls) == handles
+        assert verdicts["CK"].computable and verdicts["LK"].computable
+
+    @pytest.mark.parametrize("text", [
+        "symmetric(4)", "symmetric(5)", "heisenberg(3)",
+        "direct_product(alternating(4),cyclic(3))"])
+    def test_smaller_cap_after_a_default_call(self, text):
+        # a cap in [|G'|, |G|) refuses G's table, so the ladder on G' runs on
+        # Perms where the default call ran on G's table
+        G = group(text)
+        D = derived_subgroup(G)
+        d = min_generators(D)
+        for cap in (D.order(), G.order() - 1):
+            assert min_generators(D, cap=cap) == d == \
+                min_generators(derived_subgroup(group(text)), cap=cap)
+
+    def test_a_refused_table_lists_no_elements(self):
+        # the table is refused on |G| alone, so d of a p-group above
+        # TABLE_CAP comes from its Frattini quotient without listing G
+        G = group("direct_product(heisenberg(3),"
+                  "direct_product(heisenberg(3),heisenberg(3)))")
+        assert min_generators(G) == 6
+        assert G._elements is None

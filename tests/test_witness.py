@@ -433,6 +433,14 @@ class TestWitnessMemo:
         with pytest.raises(CapExceeded):
             also_witness(group("symmetric(4)"), subgroup_cap=8)
 
+    @pytest.mark.parametrize("replay", [also_witness, szivas_witness])
+    def test_unknown_rank_refusal_is_the_catalog_note(self, replay):
+        # the same text that LA and LS carry as their note at this cap
+        with pytest.raises(CapExceeded) as exc:
+            replay(group("symmetric(4)"), subgroup_cap=1)
+        assert str(exc.value) == ("rank of G'/zed is Unknown(subgroup "
+                                  "enumeration cap 1, needed 12)")
+
     def test_larger_cap_computes_after_a_refusal(self):
         G = group("symmetric(4)")
         with pytest.raises(CapExceeded):
