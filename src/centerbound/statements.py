@@ -16,7 +16,8 @@ Tags:
   ``_world`` gives for G: its Cayley table when the table admits G, else
   Perms.  d(H) comes from min_generators, memoized on H and shared with
   T6 and CK for H = G', C_G(H) from the centralizer filter over the cosets
-  of Z(G).
+  of Z(G), both once per distinct member: a later handle on the same
+  subgroup is matched by order and sifting, without listing its elements.
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -26,8 +27,9 @@ Tags:
 * AUT: p-groups: rank(G/D) <= (7r^2-r)/2 for p = 2, (5r^2-r)/2 otherwise.
 * FOC: G' n P n Z(G) = P' n Z(G) for every Sylow P of G.
 
-Inapplicable hypotheses yield applicable=False (vacuously true); a cap
-firing anywhere yields computable=False -- never a guessed bound.
+Inapplicable hypotheses (one table, ``_HYPOTHESES``) yield applicable=False
+(vacuously true); a cap firing anywhere yields computable=False -- never a
+guessed bound.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import CapExceeded
 from .group import Group, Subgroup
 from .rank import (RankRefused, _prune, _section_rank, group_rank, known,
                    min_generators, normal_subgroups)
-from .structure import (by_center_cosets, mutual_commutator,
+from .structure import (by_center_cosets, is_subgroup_of, mutual_commutator,
                         quotient_by_center, structure_report, sylow)
 from .table import _world
 from .witness import (WitnessRecord, _lb_section, also_witness,
@@ -150,13 +152,12 @@ class _Evaluator:
     def p_group_prime(self):
         return is_prime_power(self.G.order())
 
-    def is_p_group(self) -> bool:
-        return self.G.order() == 1 or self.p_group_prime is not None
-
     # -- individual statements -------------------------------------------
 
     def evaluate(self, tag: str) -> Verdict:
         try:
+            if tag in _HYPOTHESES and not _HYPOTHESES[tag][0](self):
+                return _vacuous(tag, _HYPOTHESES[tag][1])
             return getattr(self, "_eval_" + tag.lower())()
         except RankRefused as exc:
             return _uncomputable(tag, str(exc))
@@ -195,8 +196,6 @@ class _Evaluator:
 
     def _eval_t5(self) -> Verdict:
         sr = self.sr
-        if sr.orders["center"] != 1:
-            return _vacuous("T5", "requires trivial center")
         derived_set = sr.derived.element_set(self.cap)
         violations = sum(
             1 for c in sr.centralizer_of_derived.elements(self.cap)
@@ -205,15 +204,11 @@ class _Evaluator:
 
     def _eval_t6(self) -> Verdict:
         sr = self.sr
-        if sr.orders["center"] != 1:
-            return _vacuous("T6", "requires trivial center")
         d = min_generators(sr.derived, self.cap, self.tuple_cap)
         return _bound("T6", sr.orders["group"],
                       sr.orders["derived"] ** (d + 1), extra=f"d={d}")
 
     def _eval_t7(self) -> Verdict:
-        if not self.is_p_group():
-            return _vacuous("T7", "requires a p-group")
         sr = self.sr
         r = self.r_derived_mod_zed
         lhs = self.section_rank(self.G, sr.second_center, "G/Z2")
@@ -253,9 +248,15 @@ class _Evaluator:
         ks = [(K.order(), world.members(world.subgroup(K))) for K in normals]
         meets = [len(kset & derived) for _, kset in ks]
         library = self._lk_library()
+        members = []  # (K, d, note, C_G(K)) once per distinct subgroup K
         worst = None
         for h_name, H in library:
-            d, d_note, cgh = self._lk_member(world, H)
+            found = next((m for m in members if m[0].order() == H.order()
+                          and is_subgroup_of(H, m[0])), None)
+            if found is None:
+                found = (H, *self._lk_member(world, H))
+                members.append(found)
+            _, d, d_note, cgh = found
             for (order, kset), meet in zip(ks, meets):
                 lhs = order // len(kset & cgh)
                 rhs = meet ** d
@@ -337,8 +338,6 @@ class _Evaluator:
                       extra=f"r={r}; printed exponent-r form {r_form}")
 
     def _eval_p1(self) -> Verdict:
-        if not self.is_p_group():
-            return _vacuous("P1", "requires a p-group")
         sr = self.sr
         r = self.r_derived_mod_zed
         lhs = self.section_rank(sr.centralizer_of_derived, sr.second_center,
@@ -346,16 +345,12 @@ class _Evaluator:
         return _bound("P1", lhs, r * r, extra=f"r={r}")
 
     def _eval_p2(self) -> Verdict:
-        if not self.is_p_group():
-            return _vacuous("P2", "requires a p-group")
         sr = self.sr
         r = self.r_derived_mod_zed
         lhs = self.section_rank(sr.dee, sr.centralizer_of_derived, "D/C")
         return _bound("P2", lhs, 2 * r * r, extra=f"r={r}")
 
     def _eval_aut(self) -> Verdict:
-        if not self.is_p_group():
-            return _vacuous("AUT", "requires a p-group")
         sr = self.sr
         r = self.r_derived_mod_zed
         lhs = self.section_rank(self.G, sr.dee, "G/D")
@@ -377,6 +372,16 @@ class _Evaluator:
             violations += len(left ^ right)
         return _inclusion("FOC", violations,
                           "G' n P n Z(G) = P' n Z(G) per Sylow P")
+
+
+# each statement's hypothesis: whether G has it, and the note when it lacks it
+_HYPOTHESES = {
+    **dict.fromkeys(("T5", "T6"), (
+        lambda ev: ev.sr.orders["center"] == 1, "requires trivial center")),
+    **dict.fromkeys(("T7", "P1", "P2", "AUT"), (
+        lambda ev: ev.G.order() == 1 or ev.p_group_prime is not None,
+        "requires a p-group")),
+}
 
 
 def _worse(lhs1: int, rhs1: int, lhs2: int, rhs2: int) -> bool:

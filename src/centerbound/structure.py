@@ -12,16 +12,17 @@ Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
 method wins, and the cap fails loudly.  The normal closure and the
 centralizer and normalizer filters are written once against the element
-representations of table.py.  C_G(S) for S in G, D, normalizers (and with
-them the Sylow ascent) and LK's C_G(H) all contain Z(G), so they are unions
-of its cosets: ``by_center_cosets`` tests the first element of each coset
-and keeps or drops the coset whole, in either representation.  The center
-itself and Z2 are filtered element by element (Z2 is cross-checked against
-the preimage of Z(G/Z(G)), which is built from the same cosets).  The
-normalizer runs on G's Cayley table when the table admits G and on Perms
-above that; the other filters run on Perms.  Normality is always checked
-explicitly, never assumed from theory, so implementation bugs surface as
-NotNormal instead of silently wrong answers.
+representations of table.py.  C_G(S) for S in G, Z2, D, normalizers (and
+with them the Sylow ascent) and LK's C_G(H) contain Z(G), so they are
+unions of its cosets: ``by_center_cosets`` tests the first element of each
+coset and keeps or drops the coset whole.  Only Z(G), which defines the
+cosets, is filtered element by element.  Z2 and D are one filter,
+{g | [g, X] <= Z(G)}, and the structure report checks Z2 against the
+preimage of Z(G/Z(G)): the coset map against the quotient's own coset
+walk.  The normalizer runs on G's Cayley table when the table admits G and
+on Perms above that; the other filters run on Perms.  Normality is always
+checked explicitly, never assumed from theory, so implementation bugs
+surface as NotNormal instead of silently wrong answers.
 
 Results that are expensive and reused (derived subgroup, center, second
 center, zed, D, Sylow subgroups, quotients, the structure report) live in
@@ -83,13 +84,11 @@ def by_center_cosets(G: Group, elems, test, cap: int, keep=None) -> list:
     listed beside elems and returned in its place.  test runs once per
     coset, on its first element in that order, and the coset is kept or
     dropped whole: exact whenever the answer is a union of Z(G)-cosets, as
-    for any subgroup of G containing Z(G).  The coset number of each element
-    is memoized on G, numbered in the order the cosets first appear."""
-    cosets = G.memo("center_cosets", lambda: _center_cosets(G, cap),
-                    elements=cap)
+    for any subgroup of G containing Z(G)."""
     passed: list[bool] = []
     out = []
-    for x, y, c in zip(elems, elems if keep is None else keep, cosets):
+    for x, y, c in zip(elems, elems if keep is None else keep,
+                       _center_cosets(G, cap).values()):
         if c == len(passed):
             passed.append(test(x))
         if passed[c]:
@@ -97,18 +96,20 @@ def by_center_cosets(G: Group, elems, test, cap: int, keep=None) -> list:
     return out
 
 
-def _center_cosets(G: Group, cap: int) -> tuple[int, ...]:
-    elems = G.elements(cap)
-    zent = center(G, cap).elements(cap)
-    index = {e: i for i, e in enumerate(elems)}
-    cosets: list[int | None] = [None] * len(elems)
-    count = 0
-    for i, g in enumerate(elems):
-        if cosets[i] is None:
-            for z in zent:
-                cosets[index[g * z]] = count
-            count += 1
-    return tuple(cosets)
+def _center_cosets(G: Group, cap: int) -> dict[tuple[int, ...], int]:
+    """Memoized: G's image tuples, in G's element order, to their Z(G)-coset
+    numbers, numbered in the order the cosets first appear."""
+    def compute():
+        zent = [z._img for z in center(G, cap).elements(cap)]
+        cosets = dict.fromkeys(e._img for e in G.elements(cap))
+        count = 0
+        for g, c in cosets.items():
+            if c is None:
+                for z in zent:  # an existing key keeps its tuple
+                    cosets[gather(g, z)] = count
+                count += 1
+        return cosets
+    return G.memo("center_cosets", compute, elements=cap)
 
 
 def centralizer(G: Group, S: Sequence[Perm],
@@ -132,38 +133,31 @@ def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 
 def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
     """The test g -> [g, x] in Z(G) for every x in X, which holds exactly
-    when [g, <X>] <= Z(G): for central [g, x] and [g, y] one has
-    [g, xy] = [g, y][g, x]^y = [g, y][g, x]."""
-    zimgs = {z._img for z in center(G, cap).element_set(cap)}
-    # x^-1 g x is gather(gather(x^-1, g), x), so each x^-1 is built once
+    when [g, <X>] <= Z(G), as [g, xy] = [g, y][g, x]^y.  [g, x] = g^-1 g^x
+    is central exactly when g^x = x^-1 g x lies in g's coset of Z(G), so no
+    g^-1 is built."""
+    coset = _center_cosets(G, cap)
     pairs = [(x.inverse()._img, x._img) for x in X]
 
     def test(g: Perm) -> bool:
-        ginv, gimg = g.inverse()._img, g._img
-        return all(gather(ginv, gather(gather(xinv, gimg), ximg)) in zimgs
+        mine = coset[g._img]
+        return all(coset[gather(gather(xinv, g._img), ximg)] == mine
                    for xinv, ximg in pairs)
     return test
 
 
 def second_center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """Z2(G) = {g | [g, x] lies in Z(G) for every generator x}, by an
-    element-by-element filter: the structure report checks it against the
-    preimage of Z(G/Z(G)), which is built from the cosets of Z(G)."""
-    def compute():
-        test = _commutes_into_center(G, G.generators, cap)
-        return subgroup_from_elements(
-            G, [g for g in G.elements(cap) if test(g)])
-    return G.memo("second_center", compute, elements=cap)
+    """Z2(G) = {g | [g, G] <= Z(G)}, one test per coset of Z(G)."""
+    return G.memo("second_center", lambda: subgroup_from_elements(
+        G, by_center_cosets(G, G.elements(cap), _commutes_into_center(
+            G, G.generators, cap), cap)), elements=cap)
 
 
 def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """D = {g | [g, G'] <= Z(G)}, filtered on the generators of G', one
-    element per coset of Z(G)."""
-    def compute():
-        test = _commutes_into_center(G, derived_subgroup(G).generators, cap)
-        return subgroup_from_elements(
-            G, by_center_cosets(G, G.elements(cap), test, cap))
-    return G.memo("dee", compute, elements=cap)
+    """D = {g | [g, G'] <= Z(G)}, the same filter on the generators of G'."""
+    return G.memo("dee", lambda: subgroup_from_elements(
+        G, by_center_cosets(G, G.elements(cap), _commutes_into_center(
+            G, derived_subgroup(G).generators, cap), cap)), elements=cap)
 
 
 def normalizer(G: Group, H: Group,
@@ -416,8 +410,8 @@ def structure_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
         cent_derived = centralizer(G, derived.generators, cap)
         dee = dee_subgroup(G, cap)
 
-        # cross-check the filter definition of the second center against the
-        # preimage of the center of G/Z(G)
+        # cross-check the coset filter's second center against the preimage
+        # of the center of G/Z(G), whose cosets come from the quotient's walk
         pres = quotient_by_center(G, coset_cap, cap)
         center_above = center(pres.quotient, cap)
         preimage = set(pres.preimage_elements(center_above.elements(cap)))

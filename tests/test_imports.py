@@ -1,4 +1,4 @@
-"""Three source gates over the package's modules.
+"""Four source gates over the package's modules.
 
 * Every name a module imports is used in that module.  ``__init__.py`` is
   left out: its imports are the package's public API.
@@ -7,6 +7,8 @@
   ``operator.itemgetter``.
 * d(H) and Unknown ranks have one owner, ``rank.py``: no other module
   references the ladder ``_d`` or constructs ``UnknownRank(...)``.
+* One memo entry per result: each ``.memo(`` key literal (``"center"``,
+  ``("sylow", p)``, ...) appears at exactly one call site in the package.
 """
 
 import ast
@@ -126,3 +128,42 @@ def test_gate_sees_a_second_owner():
         "UnknownRank(...) (line 5)", "_d (line 1)", "_d (line 6)",
         "_d (line 6)"]
     assert _rank_owned((SRC / "rank.py").read_text()) != []
+
+
+def _memo_keys(source: str, where: str) -> list[tuple[str, str]]:
+    """(key, place) for each .memo( call: the key's string literal, or the
+    first one of a tuple key."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "memo" and node.args):
+            key = node.args[0]
+            if isinstance(key, ast.Tuple) and key.elts:
+                key = key.elts[0]
+            name = (key.value if isinstance(key, ast.Constant)
+                    else ast.unparse(key))
+            found.append((name, f"{where}:{node.lineno}"))
+    return found
+
+
+def _shared_memo_keys(sources: dict[str, str]) -> dict[str, list[str]]:
+    places: dict[str, list[str]] = {}
+    for where, source in sources.items():
+        for name, place in _memo_keys(source, where):
+            places.setdefault(name, []).append(place)
+    return {name: at for name, at in places.items() if len(at) > 1}
+
+
+def test_one_memo_entry_per_result():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _shared_memo_keys(sources) == {}
+    assert sum(len(_memo_keys(source, where))
+               for where, source in sources.items()) >= 15
+
+
+def test_gate_sees_a_shared_memo_key():
+    assert _shared_memo_keys({
+        "a.py": "G.memo('center', f)\nG.memo(('sylow', p), g, elements=c)\n",
+        "b.py": "def h(G):\n    return G.memo(('sylow', 2), k)\n"
+                "H.memo('d', f)\n",
+    }) == {"sylow": ["a.py:2", "b.py:2"]}

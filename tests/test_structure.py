@@ -2,12 +2,13 @@
 examples (quaternion, dihedral, symmetric, Heisenberg)."""
 
 import random
+import sys
 
 import pytest
 
 from centerbound import statements, structure, witness
 from centerbound.config import Config
-from centerbound.corpus import build_group, parse_group_spec
+from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import (CapExceeded, NotAbelian, NotCoprime,
                                 NotNormal, NotPGroup)
 from centerbound.group import Group, Subgroup
@@ -221,6 +222,7 @@ class TestCenterCosets:
         return {
             "centralizers": [centralizer(G, H.generators).elements()
                              for H in subs],
+            "second_center": second_center(G).elements(),
             "dee": dee_subgroup(G).elements(),
             "normalizers": [(N.elements(), N.generators)
                             for N in (normalizer(G, H) for H in subs)],
@@ -275,22 +277,64 @@ class TestCenterCosets:
 
     @pytest.mark.parametrize("text", COSET_GROUPS)
     def test_second_center_tests_every_element(self, monkeypatch, text):
+        # Z2 and D decide every element of G, each by one test per coset of
+        # Z(G): the tested elements times Z(G) are all of G
         G = group(text)
-        counts = []
+        zent = center(G).elements()
+        tested = []
         make_test = structure._commutes_into_center
 
-        def counting(*args):
+        def recording(*args):
             test = make_test(*args)
-            counts.append(0)
+            tested.append([])
 
-            def counted(g):
-                counts[-1] += 1
+            def recorded(g):
+                tested[-1].append(g)
                 return test(g)
-            return counted
-        monkeypatch.setattr(structure, "_commutes_into_center", counting)
+            return recorded
+        monkeypatch.setattr(structure, "_commutes_into_center", recording)
         second_center(G)
         dee_subgroup(G)
-        assert counts == [G.order(), G.order() // center(G).order()]
+        index = G.order() // len(zent)
+        assert [len(t) for t in tested] == [index, index]
+        for t in tested:
+            assert {g * z for g in t for z in zent} == set(G.elements())
+
+    @pytest.mark.parametrize("text", COSET_GROUPS)
+    def test_second_center_and_dee_build_no_inverse_per_element(
+            self, monkeypatch, text):
+        # one x^-1 per generator x of G and of G': the test looks g^x up in
+        # g's coset of Z(G) and never builds g^-1
+        G = group(text)
+        built = []
+        inverse = Perm.inverse
+
+        def counting(g):
+            if sys._getframe(1).f_globals["__name__"] == structure.__name__:
+                built.append(g)
+            return inverse(g)
+        monkeypatch.setattr(Perm, "inverse", counting)
+        second_center(G)
+        dee_subgroup(G)
+        assert len(built) <= len(G.generators) + len(
+            derived_subgroup(G).generators)
+
+
+@pytest.mark.parametrize("spec", default_corpus().specs,
+                         ids=lambda spec: spec.label)
+def test_center_and_centralizer_of_derived_against_sympy(spec):
+    """|Z(G)| and |C_G(G')| against sympy's independent algorithms."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    G = build_group(spec)
+    # sympy's permutations are 0-based array forms; the identity stands in
+    # for an empty generating set
+    S = combinatorics.PermutationGroup([
+        combinatorics.Permutation([i - 1 for i in g.images])
+        for g in G.generators or [identity(G.degree)]])
+    assert S.order() == G.order()
+    assert S.center().order() == center(G).order()
+    assert S.centralizer(S.derived_subgroup()).order() == centralizer(
+        G, derived_subgroup(G).generators).order()
 
 
 class TestQuotient:
