@@ -23,7 +23,7 @@ import random
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch
-from .perm import Perm, commute, identity
+from .perm import Perm, commute, gather, identity, invert
 
 DEFAULT_ENUMERATION_CAP = 200_000
 DEFAULT_COSET_CAP = 100_000
@@ -58,108 +58,113 @@ class _Level:
     generators first assigned to this level, and a Schreier transversal.
 
     The group of level i is generated by the gens of ALL levels >= i; a
-    generator sits at the first level whose base point it moves.
+    generator sits at the first level whose base point it moves.  The chain
+    is built and sifted on image tuples (``images``, ``inverse``); ``gens``
+    and ``transversal`` hold them as Perms once the chain is complete.
     """
 
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    __slots__ = ("point", "gens", "images", "inverses", "transversal")
 
     def __init__(self, point: int):
         self.point = point              # 0-based internally
-        self.gens: list[Perm] = []
+        self.gens: list = []
+        self.images: dict[int, tuple[int, ...]] = {}
+        self.inverses: dict[int, tuple[int, ...]] = {}
         self.transversal: dict[int, Perm] = {}
-        self.inverses: dict[int, Perm] = {}
 
-    def inverse(self, delta: int) -> Perm:
-        """The inverse of the representative of delta, computed on first
-        use and kept until the next rebuild."""
+    def inverse(self, delta: int) -> tuple[int, ...]:
+        """The inverse image tuple of the representative of delta, computed
+        on first use and kept until the next rebuild."""
         uinv = self.inverses.get(delta)
         if uinv is None:
-            uinv = self.inverses[delta] = self.transversal[delta].inverse()
+            uinv = self.inverses[delta] = invert(self.images[delta])
         return uinv
 
-    def rebuild(self, degree: int, gens: Sequence[Perm]):
+    def rebuild(self, ident: tuple[int, ...], gens: Sequence[tuple[int, ...]]):
         """BFS the orbit of the base point, recording one representative
         u with point^u = delta per orbit member (first writer wins)."""
         self.inverses = {}
-        self.transversal = {self.point: identity(degree)}
+        images = self.images = {self.point: ident}
         queue = [self.point]
-        head = 0
-        while head < len(queue):
-            a = queue[head]
-            head += 1
-            u = self.transversal[a]
+        for a in queue:
+            u = images[a]
             for g in gens:
-                b = g._img[a]
-                if b not in self.transversal:
-                    self.transversal[b] = u * g
+                b = g[a]
+                if b not in images:
+                    images[b] = gather(u, g)
                     queue.append(b)
 
+    def finish(self):
+        """Wrap the strong generators and representatives in Perms."""
+        self.gens = [Perm._raw(g) for g in self.gens]
+        self.transversal = {d: Perm._raw(u) for d, u in self.images.items()}
 
-def _sift(levels: Sequence[_Level], h: Perm) -> Perm:
-    """Strip h through the given levels of a chain; the residue is the
-    identity exactly when h lies in the group of the first of them."""
+
+def _sift(levels: Sequence[_Level], h: tuple[int, ...]) -> tuple[int, ...]:
+    """Strip the image tuple h through the given levels of a chain; the
+    residue is the identity exactly when h lies in the group of the first
+    of them."""
     for level in levels:
-        delta = h._img[level.point]
+        delta = h[level.point]
         if delta == level.point:
             continue
-        if delta not in level.transversal:
+        if delta not in level.images:
             return h
-        h = h * level.inverse(delta)
+        h = gather(h, level.inverse(delta))
     return h
 
 
 def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
-    """Deterministic stabilizer chain (textbook Schreier-Sims).
+    """Deterministic stabilizer chain (textbook Schreier-Sims; Seress,
+    Permutation Group Algorithms, 2003), on image tuples.
 
     Base points are chosen as the smallest point moved by the generator
     that forces a new level; orbits are BFS in generator-list order; level
     i is complete once every Schreier generator at level i sifts to the
-    identity through the deeper levels.
+    identity through the deeper levels.  A Schreier generator u s is
+    compared with the representative of its point before it is sifted, and
+    no Perm is built until the chain is complete.
     """
+    ident = tuple(range(degree))
     levels: list[_Level] = []
 
-    def gens_at(i: int) -> list[Perm]:
-        out: list[Perm] = []
-        for level in levels[i:]:
-            out.extend(level.gens)
-        return out
+    def gens_at(i: int) -> list[tuple[int, ...]]:
+        return [g for level in levels[i:] for g in level.gens]
 
-    def rebuild(i: int):
-        levels[i].rebuild(degree, gens_at(i))
-
-    def place(h: Perm) -> int:
+    def place(h: tuple[int, ...]) -> int:
         """File a new strong generator at the first level whose base point
         it moves, appending a level if it fixes every existing base point."""
         for j, level in enumerate(levels):
-            if h._img[level.point] != level.point:
+            if h[level.point] != level.point:
                 level.gens.append(h)
                 return j
-        moved = next(i for i in range(degree) if h._img[i] != i)
-        levels.append(_Level(moved))
+        levels.append(_Level(next(i for i in range(degree) if h[i] != i)))
         levels[-1].gens.append(h)
         return len(levels) - 1
 
     def complete(i: int):
         """Close level i, assuming all deeper levels are complete."""
-        rebuild(i)
+        level = levels[i]
+        level.rebuild(ident, gens_at(i))
         while True:
-            level = levels[i]
+            images = level.images
             sgens = gens_at(i)
             dirty = False
-            for delta in sorted(level.transversal):
-                u = level.transversal[delta]
+            for delta in sorted(images):
+                u = images[delta]
                 for s in sgens:
-                    us = u * s
-                    image = s._img[delta]
-                    if us == level.transversal[image]:
+                    us = gather(u, s)
+                    image = s[delta]
+                    if us == images[image]:
                         continue  # a trivial Schreier generator
-                    residue = _sift(levels[i + 1:], us * level.inverse(image))
-                    if residue.is_identity():
+                    residue = _sift(levels[i + 1:],
+                                    gather(us, level.inverse(image)))
+                    if residue == ident:
                         continue
                     j = place(residue)
                     for k in range(j, i, -1):
                         complete(k)
-                    rebuild(i)
+                    level.rebuild(ident, gens_at(i))
                     dirty = True
                     break
                 if dirty:
@@ -168,10 +173,12 @@ def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
                 return
 
     for g in generators:
-        if not g.is_identity():
-            place(g)
+        if g._img != ident:
+            place(g._img)
     for i in range(len(levels) - 1, -1, -1):
         complete(i)
+    for level in levels:
+        level.finish()
     return levels
 
 
@@ -231,7 +238,7 @@ class Group:
         if p.degree != self.degree:
             raise DegreeMismatch(
                 f"perm degree {p.degree} != group degree {self.degree}")
-        return _sift(self._chain(), p)
+        return Perm._raw(_sift(self._chain(), p._img))
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
@@ -239,7 +246,7 @@ class Group:
                 f"perm degree {p.degree} != group degree {self.degree}")
         if self._element_set is not None:
             return p in self._element_set
-        return self.sift(p).is_identity()
+        return _sift(self._chain(), p._img) == tuple(range(self.degree))
 
     def __contains__(self, p: Perm) -> bool:
         return self.contains(p)
@@ -250,12 +257,12 @@ class Group:
         """All elements exactly once, in deterministic transversal order."""
         admit("elements", cap, self.order())
         if self._elements is None:
-            elems = [identity(self.degree)]
+            imgs = [tuple(range(self.degree))]
             for level in reversed(self._chain()):
-                reps = [level.transversal[d] for d in sorted(level.transversal)]
-                elems = [e * u for u in reps for e in elems]
-            self._elements = tuple(elems)
-            self._element_set = frozenset(elems)
+                reps = [level.images[d] for d in sorted(level.images)]
+                imgs = [gather(e, u) for u in reps for e in imgs]
+            self._elements = tuple(map(Perm._raw, imgs))
+            self._element_set = frozenset(self._elements)
         return self._elements
 
     def element_set(self, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[Perm]:

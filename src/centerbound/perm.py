@@ -12,8 +12,10 @@ Internally images are stored 0-based; every public surface (constructors,
 ``images``, cycle notation) is 1-based.  Composition has one primitive,
 ``gather``: on 0-based image tuples, ``gather(p, q)`` is the image tuple of
 ``p * q``, gathered in one C call.  ``Perm.__mul__``, ``commute``, the Cayley
-table's rows and the conjugation actions of the subgroup lattice all go
-through it.
+table's rows, the conjugation actions of the subgroup lattice and the
+stabilizer chain, which works on image tuples and wraps in a Perm only what
+it keeps, all go through it.  A Perm hashes its images on first use, so a
+product that is never hashed costs no hash.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ class Perm:
         if sorted(img) != list(range(len(img))):
             raise ValueError(f"not a bijection of 1..{len(img)}: {list(images)!r}")
         self._img = img
-        self._hash = hash(img)
+        self._hash = None
 
     @classmethod
     def _raw(cls, img0: tuple[int, ...]) -> "Perm":
         # trusted 0-based tuple, no validation (hot path)
         p = object.__new__(cls)
         p._img = img0
-        p._hash = hash(img0)
+        p._hash = None
         return p
 
     @property
@@ -69,22 +71,27 @@ class Perm:
         return Perm._raw(gather(self._img, other._img))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self._img)
-        for i, j in enumerate(self._img):
-            inv[j] = i
-        return Perm._raw(tuple(inv))
+        return Perm._raw(invert(self._img))
 
     def __pow__(self, n: int) -> "Perm":
+        """Square and multiply on image tuples, from the lowest set bit of n,
+        squaring only while higher bits remain."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = identity(len(self._img))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
+        if n == 0:
+            return identity(len(self._img))
+        base = self._img
+        while not n & 1:
+            base = gather(base, base)
             n >>= 1
-        return result
+        result = base
+        n >>= 1
+        while n:
+            base = gather(base, base)
+            if n & 1:
+                result = gather(result, base)
+            n >>= 1
+        return Perm._raw(result)
 
     def conjugate(self, h: "Perm") -> "Perm":
         """h^-1 * self * h, which maps h(i) to h(self(i)), in one pass."""
@@ -126,7 +133,10 @@ class Perm:
         return isinstance(other, Perm) and self._img == other._img
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._img)
+        return h
 
     def __lt__(self, other: "Perm") -> bool:
         return self._img < other._img
@@ -146,6 +156,14 @@ def gather(img, by) -> tuple:
         # itemgetter returns a bare item for one key and refuses none
         return tuple(by[i] for i in img)
     return itemgetter(*img)(by)
+
+
+def invert(img) -> tuple:
+    """The image tuple of the inverse of the 0-based image tuple img."""
+    inv = [0] * len(img)
+    for i, j in enumerate(img):
+        inv[j] = i
+    return tuple(inv)
 
 
 def commute(a: Perm, b: Perm) -> bool:

@@ -186,7 +186,8 @@ def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
         _Table, dict[frozenset[int], tuple[int, ...]], list[frozenset[int]]]:
     """G's table, every subgroup of G as its set of table indices mapped to
     generators of it, and one representative per conjugacy class (see
-    all_subgroups).  A new closure is a representative, and its class is
+    all_subgroups).  An extension <H, g> grows from H by whole cosets
+    (_Table.extend).  A new subgroup is a representative, and its class is
     recorded whole by a breadth-first orbit under conjugation by G's
     generators, with conjugated generators.  Only representatives are
     extended, and only they go through group_rank's d and tuple search."""
@@ -241,7 +242,7 @@ def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
                 if g in hset or g in skip:
                     continue
                 new_gens = gens + (g,)
-                record(idx.closure(new_gens), new_gens)
+                record(idx.extend(hset, new_gens), new_gens)
                 # same extension from any <g>-generator conjugated into H
                 g_order = idx.orders[g]
                 gen_powers = [idx.power(g, k) for k in range(1, g_order)
@@ -279,8 +280,9 @@ def normal_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
 
     A normal subgroup is a union of conjugacy classes, so it is the join of
     the normal closures of the classes it contains.  Each class's closure
-    is closed over a greedy generating subset of the class, and the distinct
-    closures are then closed under joins.
+    is grown over a greedy generating subset of the class, and the distinct
+    closures are then closed under joins; both grow a known subgroup by
+    whole cosets (_Table.extend).
     """
     def compute():
         admit("subgroups", subgroup_cap, G.order())
@@ -291,14 +293,14 @@ def normal_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
             for x in cls:
                 if x not in hset:
                     gens.append(x)
-                    hset = idx.closure(gens)
+                    hset = idx.extend(hset, gens)
             closures.setdefault(hset, tuple(gens))
         found = {frozenset({idx.identity}): ()}
         for nset, ngens in closures.items():
             for aset, agens in list(found.items()):
                 if not nset <= aset:
                     joined = agens + ngens
-                    found.setdefault(idx.closure(joined), joined)
+                    found.setdefault(idx.extend(nset, joined), joined)
         return _handles(G, idx, found, cap)
     return G.memo("normals", compute, subgroups=subgroup_cap, elements=cap)
 

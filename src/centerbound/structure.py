@@ -12,15 +12,17 @@ Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
 method wins, and the cap fails loudly.  The normal closure and the
 centralizer and normalizer filters are written once against the element
-representations of table.py.  C_G(S) for S in G, Z2, D, normalizers (and
-with them the Sylow ascent) and LK's C_G(H) contain Z(G), so they are
-unions of its cosets: ``by_center_cosets`` tests the first element of each
-coset and keeps or drops the coset whole.  Only Z(G), which defines the
-cosets, is filtered element by element.  Z2 and D are one filter,
-{g | [g, X] <= Z(G)}, and the structure report checks Z2 against the
-preimage of Z(G/Z(G)): the coset map against the quotient's own coset
-walk.  The normalizer runs on G's Cayley table when the table admits G and
-on Perms above that; the other filters run on Perms.  Normality is always
+representations of table.py.  C_G(S) for S in G, Z2, D, normalizers and
+LK's C_G(H) contain Z(G), so they are unions of its cosets:
+``by_center_cosets`` tests the first element of each coset and keeps or
+drops the coset whole.  Only Z(G), which defines the cosets, is filtered
+element by element.  Z2 and D are one filter, {g | [g, X] <= Z(G)}, and the
+structure report checks Z2 against the preimage of Z(G/Z(G)): the coset map
+against the quotient's own coset walk.  The Sylow ascent builds no
+normalizer: each step scans G for the one element of N_G(P) it adds,
+deciding P^y = P once per coset of Z(G).  The normalizer and that scan run
+on G's Cayley table when the table admits G and on Perms above that; the
+other filters run on Perms.  Normality is always
 checked explicitly, never assumed from theory, so implementation bugs
 surface as NotNormal instead of silently wrong answers.
 
@@ -32,6 +34,7 @@ every hit reruns (see ``Group.memo``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -164,7 +167,9 @@ def normalizer(G: Group, H: Group,
                cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """{g in G | H^g = H} for H <= G, which contains Z(G): filtered one
     element per coset of Z(G), by lookups in G's Cayley table when the table
-    admits G, else by Perm conjugates looked up in H's element set."""
+    admits G, else by Perm conjugates looked up in H's element set.  The
+    Sylow ascent needs one element of N_G(P) per step and finds it without
+    this filter (_ascent_step)."""
     world = _world(G, cap)
     hset, hgens = world.members(world.subgroup(H)), world.generators(H)
     return subgroup_from_elements(G, by_center_cosets(
@@ -217,23 +222,39 @@ def zed_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 
 
 def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
-    """A Sylow p-subgroup by normalizer ascent; trivial when p doesn't
-    divide the order, and G itself (on G's generators) when G is a p-group."""
+    """A Sylow p-subgroup by ascent: trivial when p doesn't divide the order,
+    G itself (on G's generators) when G is a p-group, and otherwise P grown
+    from 1 by one scan per step (_ascent_step)."""
     def compute():
         target = p_part(G.order(), p)
         if target == G.order():
             return Subgroup(G, G.generators, _trusted=True)
+        world = _world(G, cap)
         P = Subgroup(G, (), _trusted=True)
         while P.order() < target:
-            N = normalizer(G, P, cap) if P.order() > 1 else G
-            y = next((y for y in N.elements(cap)
-                      if y not in P and y ** p in P), None)
-            if y is None:
-                raise AssertionError(
-                    f"sylow ascent stalled at order {P.order()} of {target}")
+            y = _ascent_step(G, world, P, p, cap)
             P = Subgroup(G, tuple(P.generators) + (y,), _trusted=True)
         return P
     return G.memo(("sylow", p), compute, elements=cap)
+
+
+def _ascent_step(G: Group, world, P: Group, p: int, cap: int) -> Perm:
+    """The first y in G's element order with y not in P, P^y = P and y^p in
+    P: the first such element of N_G(P), without building N_G(P).  Z(G)
+    normalizes P, so normalizing is decided once per coset of Z(G); while P
+    is trivial every y normalizes it and no coset is needed."""
+    pset, pgens = world.members(world.subgroup(P)), world.generators(P)
+    cosets = _center_cosets(G, cap).values() if pgens else itertools.repeat(0)
+    passed: dict[int, bool] = {}
+    for x, y, c in zip(world.elements(), G.elements(cap), cosets):
+        if x in pset:
+            continue
+        ok = passed.get(c)
+        if ok is None:
+            ok = passed[c] = all(world.conjugate(h, x) in pset for h in pgens)
+        if ok and world.power(x, p) in pset:
+            return y
+    raise AssertionError(f"sylow ascent stalled at order {P.order()}")
 
 
 # -- quotients ----------------------------------------------------------------

@@ -119,6 +119,22 @@ class _Table:
                     frontier.append(y)
         return frozenset(known)
 
+    def extend(self, hset: frozenset[int], gens) -> frozenset[int]:
+        """<gens> for gens that generate a group containing the subgroup
+        hset, such as hset's generators and more: hset grown by whole left
+        cosets zH, one gather of H through row z per new coset, with z = g y
+        for each generator g and coset representative y found so far."""
+        table = self.table
+        known = set(hset)
+        reps = [self.identity]
+        for y in reps:
+            for g in gens:
+                z = table[g][y]
+                if z not in known:
+                    known.update(gather(hset, table[z]))
+                    reps.append(z)
+        return frozenset(known)
+
     def conjugate(self, x: int, h: int) -> int:
         return self.table[self.table[self.inv[h]][x]][h]
 

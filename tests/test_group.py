@@ -192,6 +192,14 @@ BASE_AND_ORDER_SHA256 = (
 # and each Sylow subgroup, in that order
 HANDLE_GENERATORS_SHA256 = (
     "665a741fac05dddefa756134c697281f9b4c891149854a342a6f8b08d2c79f71")
+# sha256 over the corpus and LARGE_SPECS of each chain level's strong
+# generators, level by level
+CHAIN_GENERATORS_SHA256 = (
+    "d39ed34a22bbde2648120dbe12281ece4bbe5529454e4ea40fafaf6d97c0d10b")
+# sha256 over LARGE_SPECS of the generator images of the Sylow subgroups of
+# G, G' and D, prime by prime: groups above TABLE_CAP, scanned as Perms
+LARGE_SYLOW_GENERATORS_SHA256 = (
+    "d316b1b0f20a7451754df65197fe39cfdaf0391fa0dd3c3758d149c8b4a56328")
 
 
 def test_base_and_element_order_are_pinned():
@@ -223,3 +231,29 @@ def test_handle_generators_are_pinned():
         digest.update(json.dumps(
             [[g._img for g in H.generators] for H in handles]).encode())
     assert digest.hexdigest() == HANDLE_GENERATORS_SHA256
+
+
+def test_chain_generators_are_pinned():
+    """The strong generators of every level are the ones the Perm-built
+    chain chose: the transversals, and so the element order, follow them."""
+    specs = list(default_corpus().specs) + [
+        parse_group_spec("family:" + text) for text in LARGE_SPECS]
+    digest = hashlib.sha256()
+    for spec in specs:
+        G = build_group(spec)
+        digest.update(json.dumps(
+            [[g._img for g in level.gens] for level in G._chain()]).encode())
+    assert digest.hexdigest() == CHAIN_GENERATORS_SHA256
+
+
+def test_large_sylow_generators_are_pinned():
+    """The Sylow ascent above TABLE_CAP scans Perms, which the corpus pin
+    above never reaches."""
+    digest = hashlib.sha256()
+    for text in LARGE_SPECS:
+        G = build_group(parse_group_spec("family:" + text))
+        for H in (G, derived_subgroup(G), dee_subgroup(G)):
+            digest.update(json.dumps(
+                [[g._img for g in sylow(H, p).generators]
+                 for p in sorted(prime_factors(H.order()))]).encode())
+    assert digest.hexdigest() == LARGE_SYLOW_GENERATORS_SHA256

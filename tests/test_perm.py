@@ -146,6 +146,18 @@ class TestAlgebraicLaws:
                 acc = acc * p
             assert p ** -1 == p.inverse()
 
+    @pytest.mark.parametrize("degree", [0, 1, 4])
+    def test_power_from_the_lowest_set_bit(self, degree):
+        """x ** n for n in -5..40 on every element of S_degree, against
+        products of n copies of x (of x^-1 for negative n)."""
+        for images in itertools.permutations(range(1, degree + 1)):
+            x = Perm(images)
+            for step in (x, x.inverse()):
+                acc = identity(degree)
+                for n in range(41):
+                    assert x ** (n if step is x else -n) == acc
+                    acc = acc * step
+
     def test_order(self):
         assert identity(4).order() == 1
         assert P("(1 2 3)(4 5)", 5).order() == 6
@@ -202,6 +214,14 @@ class TestPermValue:
         a, b = P("(1 2)", 3), P("(1 3)", 3)
         assert len({a, b, P("(2 1)", 3)}) == 2
         assert sorted([b, a]) == sorted([a, b])
+
+    def test_hash_is_computed_on_first_use(self):
+        a, b = P("(1 2 3)", 4), P("(3 4)", 4)
+        product = a * b
+        assert product._hash is None
+        assert hash(product) == hash(product._img) == product._hash
+        assert hash(product) == hash(Perm(product.images))
+        assert {product: 1}[Perm._raw(gather(a._img, b._img))] == 1
 
     @pytest.mark.parametrize("perm,expected", [
         (Perm(()), True),

@@ -1,6 +1,7 @@
 """Generator counts and ranks against exhaustive-search oracles."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -10,7 +11,7 @@ from centerbound import rank, statements
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
-from centerbound.group import Group
+from centerbound.group import DEFAULT_SUBGROUP_CAP, Group
 from centerbound.perm import Perm, parse_perm
 from centerbound.rank import (RankReport, UnknownRank, _Table, _lattice,
                               abelian_rank, all_subgroups, frattini_p,
@@ -291,6 +292,50 @@ class TestClassLattice:
         assert len(lists) == count
         assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == \
             digest
+
+
+class TestExtend:
+    """_Table.extend grows a known subgroup by whole left cosets; the
+    lattice and the normal subgroups are the ones closure gives."""
+
+    @staticmethod
+    def results(G, subgroup_cap):
+        idx, found, reps = _lattice(G, subgroup_cap, 200_000)
+        normals = normal_subgroups(G, subgroup_cap)
+        return (list(found.items()), reps,
+                [(K.generators, K.elements()) for K in normals])
+
+    @staticmethod
+    def by_closure(monkeypatch):
+        monkeypatch.setattr(_Table, "extend",
+                            lambda self, hset, gens: self.closure(gens))
+
+    def test_corpus_equals_closure(self, monkeypatch):
+        specs = [spec for spec in default_corpus().specs
+                 if build_group(spec).order() <= DEFAULT_SUBGROUP_CAP]
+        assert len(specs) > 100
+        extended = [self.results(build_group(spec), DEFAULT_SUBGROUP_CAP)
+                    for spec in specs]
+        self.by_closure(monkeypatch)
+        assert extended == [
+            self.results(build_group(spec), DEFAULT_SUBGROUP_CAP)
+            for spec in specs]
+
+    @pytest.mark.parametrize("text,subgroup_cap", [
+        ("symmetric(6)", 1600),
+        ("direct_product(symmetric(4),heisenberg(3))", 1024),
+        ("direct_product(symmetric(3),heisenberg(5))", 1024)])
+    def test_above_the_default_cap_equals_closure(self, monkeypatch, text,
+                                                  subgroup_cap):
+        extended = self.results(group(text), subgroup_cap)
+        self.by_closure(monkeypatch)
+        assert extended == self.results(group(text), subgroup_cap)
+
+    def test_extend_is_the_generated_subgroup(self):
+        idx = _lattice(group("symmetric(4)"), 1600, 200_000)[0]
+        for x, y in itertools.product(range(idx.n), repeat=2):
+            hset = idx.closure((x,))
+            assert idx.extend(hset, (x, y)) == idx.closure((x, y))
 
 
 class TestGroupRank:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from centerbound import statements, structure, witness
+from centerbound.arith import p_part, prime_factors
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import (CapExceeded, NotAbelian, NotCoprime,
@@ -161,18 +162,46 @@ class TestSylow:
         ("symmetric(4)", 2, True)])
     def test_p_group_is_its_own_sylow(self, monkeypatch, text, p, ascends):
         calls = []
-        ascent = structure.normalizer
+        ascent = structure._ascent_step
 
         def counting(*args):
             calls.append(args)
             return ascent(*args)
-        monkeypatch.setattr(structure, "normalizer", counting)
+        monkeypatch.setattr(structure, "_ascent_step", counting)
         G = group(text)
         P = sylow(G, p)
         assert bool(calls) == ascends
         if not ascends:
             assert P.generators == G.generators
             assert P.element_set() == G.element_set()
+
+
+    @pytest.mark.parametrize("world", [_table, _Perms])
+    @pytest.mark.parametrize("text", [
+        "dicyclic(4)", "direct_product(symmetric(3),dihedral(4))",
+        "symmetric(4)", "symmetric(5)", "alternating(5)", "dicyclic(6)",
+        "direct_product(heisenberg(3),cyclic(2))", "cyclic(30)"])
+    def test_scan_is_the_normalizer_ascent(self, monkeypatch, text, world):
+        """Each step adds the first y of N_G(P), in G's element order, with
+        y not in P and y^p in P; sylow builds no N_G(P) to find it."""
+        G = group(text)
+        expected = {}
+        for p in prime_factors(G.order()):
+            target = p_part(G.order(), p)
+            P = Subgroup(G, (), _trusted=True)
+            while target < G.order() and P.order() < target:
+                N = normalizer(G, P) if P.order() > 1 else G
+                y = next(y for y in N.elements()
+                         if y not in P and y ** p in P)
+                P = Subgroup(G, P.generators + (y,), _trusted=True)
+            expected[p] = P.generators if P.order() > 1 else G.generators
+
+        def refuse(*args):
+            raise AssertionError("sylow built a normalizer")
+        monkeypatch.setattr(structure, "normalizer", refuse)
+        monkeypatch.setattr(structure, "_world", world)
+        G = group(text)
+        assert {p: sylow(G, p).generators for p in expected} == expected
 
 
 class TestNormalizer:
