@@ -361,14 +361,8 @@ def rank_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                 tuple_cap: int = DEFAULT_TUPLE_CAP) -> RankReport:
     rank = group_rank(G, cap, subgroup_cap, tuple_cap)
     d = min_generators(G, cap, tuple_cap)
-    if G.order() == 1 or G.is_abelian():
-        method = "abelian-socle"
-    elif isinstance(rank, UnknownRank):
-        method = "subgroup-enumeration"
-    elif is_prime_power(G.order()) is not None:
-        method = "frattini"
-    else:
-        method = "subgroup-enumeration"
+    method = ("abelian-socle" if G.order() == 1 or G.is_abelian()
+              else "subgroup-enumeration")
     return RankReport(d, rank, method)
 
 

@@ -237,8 +237,7 @@ class _Evaluator:
             normals, seen = [], set()
             for K in (Subgroup(G, (), _trusted=True), sr.zed, sr.center,
                       sr.derived, sr.second_center,
-                      sr.centralizer_of_derived, sr.dee,
-                      Subgroup(G, G.generators, _trusted=True)):
+                      sr.centralizer_of_derived, sr.dee, G):
                 if (kset := K.element_set(self.cap)) not in seen:
                     seen.add(kset)
                     normals.append(K)

@@ -3,10 +3,11 @@ subgroups, the second center, Sylow subgroups, normalizers, quotients by
 normal subgroups, socles of abelian p-groups, and coprime Fitting
 decompositions.
 
-A quotient G/N is a breadth-first walk over the right cosets of N, each
-coset stored once as a block of its elements, with one dict from element to
-coset number: projecting an element costs one product per coset, and
-preimages are whole blocks.
+Cosets of a normal subgroup N have one owner, ``_cosets``: a memoized map
+from G's image tuples to N-coset numbers, in order of first appearance.  The
+quotient G/N groups G's own elements into blocks by that map: projecting an
+element costs one gather and one lookup per coset, and preimages are whole
+blocks.  The filters below and G/Z(G) read the same map for N = Z(G).
 
 Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
@@ -17,12 +18,12 @@ LK's C_G(H) contain Z(G), so they are unions of its cosets:
 ``by_center_cosets`` tests the first element of each coset and keeps or
 drops the coset whole.  Only Z(G), which defines the cosets, is filtered
 element by element.  Z2 and D are one filter, {g | [g, X] <= Z(G)}, and the
-structure report checks Z2 against the preimage of Z(G/Z(G)): the coset map
-against the quotient's own coset walk.  The Sylow ascent builds no
-normalizer: each step scans G for the one element of N_G(P) it adds,
-deciding P^y = P once per coset of Z(G).  The normalizer and that scan run
-on G's Cayley table when the table admits G and on Perms above that; the
-other filters run on Perms.  Normality is always
+structure report checks Z2 against the preimage of Z(G/Z(G)): the
+commutator filter against the center of the quotient's action, over one
+coset map.  The Sylow ascent builds no normalizer: each step scans G for the
+one element of N_G(P) it adds, deciding P^y = P once per coset of Z(G).  The
+normalizer and that scan run on G's Cayley table when the table admits G and
+on Perms above that; the other filters run on Perms.  Normality is always
 checked explicitly, never assumed from theory, so implementation bugs
 surface as NotNormal instead of silently wrong answers.
 
@@ -91,7 +92,7 @@ def by_center_cosets(G: Group, elems, test, cap: int, keep=None) -> list:
     passed: list[bool] = []
     out = []
     for x, y, c in zip(elems, elems if keep is None else keep,
-                       _center_cosets(G, cap).values()):
+                       _cosets(G, center(G, cap), cap).values()):
         if c == len(passed):
             passed.append(test(x))
         if passed[c]:
@@ -99,20 +100,20 @@ def by_center_cosets(G: Group, elems, test, cap: int, keep=None) -> list:
     return out
 
 
-def _center_cosets(G: Group, cap: int) -> dict[tuple[int, ...], int]:
-    """Memoized: G's image tuples, in G's element order, to their Z(G)-coset
-    numbers, numbered in the order the cosets first appear."""
+def _cosets(G: Group, N: Group, cap: int) -> dict[tuple[int, ...], int]:
+    """Memoized per normal N: G's image tuples, in G's element order, to
+    their N-coset numbers, numbered in the order the cosets first appear."""
     def compute():
-        zent = [z._img for z in center(G, cap).elements(cap)]
+        kernel = [n._img for n in N.elements(cap)]
         cosets = dict.fromkeys(e._img for e in G.elements(cap))
         count = 0
         for g, c in cosets.items():
             if c is None:
-                for z in zent:  # an existing key keeps its tuple
-                    cosets[gather(g, z)] = count
+                for n in kernel:  # an existing key keeps its tuple
+                    cosets[gather(g, n)] = count
                 count += 1
         return cosets
-    return G.memo("center_cosets", compute, elements=cap)
+    return G.memo(("cosets", N), compute, elements=cap)
 
 
 def centralizer(G: Group, S: Sequence[Perm],
@@ -139,7 +140,7 @@ def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
     when [g, <X>] <= Z(G), as [g, xy] = [g, y][g, x]^y.  [g, x] = g^-1 g^x
     is central exactly when g^x = x^-1 g x lies in g's coset of Z(G), so no
     g^-1 is built."""
-    coset = _center_cosets(G, cap)
+    coset = _cosets(G, center(G, cap), cap)
     pairs = [(x.inverse()._img, x._img) for x in X]
 
     def test(g: Perm) -> bool:
@@ -244,7 +245,8 @@ def _ascent_step(G: Group, world, P: Group, p: int, cap: int) -> Perm:
     normalizes P, so normalizing is decided once per coset of Z(G); while P
     is trivial every y normalizes it and no coset is needed."""
     pset, pgens = world.members(world.subgroup(P)), world.generators(P)
-    cosets = _center_cosets(G, cap).values() if pgens else itertools.repeat(0)
+    cosets = (_cosets(G, center(G, cap), cap).values() if pgens
+              else itertools.repeat(0))
     passed: dict[int, bool] = {}
     for x, y, c in zip(world.elements(), G.elements(cap), cosets):
         if x in pset:
@@ -261,42 +263,47 @@ def _ascent_step(G: Group, world, P: Group, p: int, cap: int) -> Perm:
 
 
 class QuotientPresentation:
-    """A faithful action of G/N on the right cosets of N.
+    """A faithful action of G/N on the cosets of N.
 
-    Each coset is a block: the list of its elements.  ``quotient`` is the
-    image group; ``projection`` maps an element of G to its image
-    permutation, one coset lookup per block; ``section`` maps an image
-    element back to the first element of its coset.  Because the coset
-    action of the quotient on itself is regular, the coset of q is the image
-    of the identity coset, block ``q(0)``.
+    Each coset is a block: G's own elements in it, in G's element order,
+    numbered as in ``_cosets``.  ``quotient`` is the image group;
+    ``projection`` maps an element of G to its image permutation, one gather
+    and one coset lookup per block; ``section`` maps an image element back
+    to the first element of its coset.  Because the coset action of the
+    quotient on itself is regular, the coset of q is the image of N's own
+    coset: block ``q(c)``, where c is the number of the identity's coset
+    (not always 0, since G's first element need not be the identity).
     """
 
-    def __init__(self, source: Group, kernel: Group, quotient: Group,
-                 blocks: list[list[Perm]], coset_index: dict[Perm, int]):
+    def __init__(self, source: Group, kernel: Group, blocks: list[list[Perm]],
+                 cosets: dict[tuple[int, ...], int]):
         self.source = source
         self.kernel = kernel
-        self.quotient = quotient
         self._blocks = blocks
-        self._coset_index = coset_index
+        self._cosets = cosets
+        self._firsts = [block[0]._img for block in blocks]
+        self._home = cosets[tuple(range(source.degree))]
+        self.quotient = Group(len(blocks), map(self.projection,
+                                               source.generators))
 
     def projection(self, g: Perm) -> Perm:
-        index = self._coset_index
-        return Perm._raw(tuple(index[block[0] * g] for block in self._blocks))
+        cosets, img = self._cosets, g._img
+        return Perm._raw(tuple(cosets[gather(x, img)] for x in self._firsts))
 
     def section(self, q: Perm) -> Perm:
-        return self._blocks[q._img[0]][0]
+        return self._blocks[q._img[self._home]][0]
 
     def preimage_elements(self, elems: Sequence[Perm]) -> list[Perm]:
         """All of G mapping onto the given quotient elements, coset by
         coset."""
-        return [x for q in elems for x in self._blocks[q._img[0]]]
+        return [x for q in elems for x in self._blocks[q._img[self._home]]]
 
 
 class _IdentityQuotient(QuotientPresentation):
     """Quotient by the trivial subgroup: G is its own coset action."""
 
     def __init__(self, source: Group, kernel: Group):
-        super().__init__(source, kernel, source, [], {})
+        self.source, self.kernel, self.quotient = source, kernel, source
 
     def projection(self, g: Perm) -> Perm:
         return g
@@ -310,16 +317,16 @@ class _IdentityQuotient(QuotientPresentation):
 
 def quotient(G: Group, N: Group, coset_cap: int = DEFAULT_COSET_CAP,
              cap: int = DEFAULT_ENUMERATION_CAP) -> QuotientPresentation:
-    """The right-coset action of G on the cosets of a normal subgroup N,
-    memoized on G per N."""
+    """The action of G on the cosets of a normal subgroup N, memoized on G
+    per N."""
     return G.memo(("quotient", N), lambda: _coset_action(G, N, coset_cap, cap),
                   cosets=coset_cap, elements=cap)
 
 
 def _coset_action(G: Group, N: Group, coset_cap: int,
                   cap: int) -> QuotientPresentation:
-    """Walk the cosets breadth-first from N, generators in order: the block
-    of a new coset is its parent's block times the generator."""
+    """Group G's own elements by the memoized coset map of N (``_cosets``),
+    in G's element order: the blocks come in coset-number order."""
     if not is_normal(G, N):
         raise NotNormal("quotient requires a normal subgroup")
     index = G.order() // N.order()
@@ -327,22 +334,15 @@ def _coset_action(G: Group, N: Group, coset_cap: int,
     if N.order() == 1:
         return _IdentityQuotient(G, N)
 
-    blocks = [list(N.elements(cap))]
-    coset_index = dict.fromkeys(blocks[0], 0)
-    for block in blocks:
-        for s in G.generators:
-            if block[0] * s not in coset_index:
-                new = [x * s for x in block]
-                coset_index.update(dict.fromkeys(new, len(blocks)))
-                blocks.append(new)
-    if len(blocks) != index:
+    cosets = _cosets(G, N, cap)
+    blocks: dict[int, list[Perm]] = {}
+    for g, c in zip(G.elements(cap), cosets.values()):
+        blocks.setdefault(c, []).append(g)
+    if any(len(block) != N.order() for block in blocks.values()):
         raise AssertionError(
-            f"coset walk found {len(blocks)} cosets, expected {index}")
+            f"the {len(blocks)} cosets are not {index} blocks of {N.order()}")
 
-    presentation = QuotientPresentation(G, N, Group(0), blocks, coset_index)
-    image_gens = [presentation.projection(s) for s in G.generators]
-    presentation.quotient = Group(index, image_gens)
-    return presentation
+    return QuotientPresentation(G, N, list(blocks.values()), cosets)
 
 
 def quotient_by_center(G: Group, coset_cap: int = DEFAULT_COSET_CAP,
@@ -431,8 +431,8 @@ def structure_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
         cent_derived = centralizer(G, derived.generators, cap)
         dee = dee_subgroup(G, cap)
 
-        # cross-check the coset filter's second center against the preimage
-        # of the center of G/Z(G), whose cosets come from the quotient's walk
+        # cross-check the commutator filter's second center against the
+        # preimage of the center of G/Z(G), the same cosets' action
         pres = quotient_by_center(G, coset_cap, cap)
         center_above = center(pres.quotient, cap)
         preimage = set(pres.preimage_elements(center_above.elements(cap)))

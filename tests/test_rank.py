@@ -361,7 +361,7 @@ class TestGroupRank:
 
     def test_rank_report_methods(self):
         assert rank_report(group("cyclic(6)")).method == "abelian-socle"
-        assert rank_report(group("dihedral(4)")).method == "frattini"
+        assert rank_report(group("dihedral(4)")).method == "subgroup-enumeration"
         assert rank_report(group("symmetric(4)")).method == "subgroup-enumeration"
         report = rank_report(group("symmetric(6)"))
         assert isinstance(report.rank, UnknownRank)

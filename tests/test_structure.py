@@ -583,23 +583,23 @@ def _quotient_case(name):
     return G, kernel(G)
 
 
-# degree and image generators of quotient(G, N).quotient: the coset
-# numbering of the breadth-first walk, generators in order
+# degree and image generators of quotient(G, N).quotient: cosets numbered
+# in order of first appearance in G's element order, generators in order
 QUOTIENT_IMAGES = {
-    "S4/V4": (6, ["(1 2)(3 5)(4 6)", "(1 3)(2 4)(5 6)"]),
+    "S4/V4": (6, ["(1 2)(3 6)(4 5)", "(1 6)(2 5)(3 4)"]),
     "S3xD4/Z": (24, [
-        "(1 2)(3 9)(4 7)(5 8)(6 10)(11 17)(12 18)(13 16)(14 19)(15 20)"
-        "(21 23)(22 24)",
-        "(1 3 10)(2 6 9)(4 11 19)(5 12 20)(7 14 17)(8 15 18)(13 21 24)"
-        "(16 22 23)",
-        "(1 4)(2 7)(3 11)(5 13)(6 14)(8 16)(9 17)(10 19)(12 21)(15 22)"
-        "(18 23)(20 24)",
-        "(1 5)(2 8)(3 12)(4 13)(6 15)(7 16)(9 18)(10 20)(11 21)(14 22)"
-        "(17 23)(19 24)"]),
-    "dicyclic(8)/Z": (16, ["(1 2 4 7 11 15 14 10)(3 6 9 13 16 12 8 5)",
-                           "(1 3)(2 5)(4 8)(6 10)(7 12)(9 14)(11 16)(13 15)"]),
-    "heisenberg(3)/zed": (9, ["(1 2 4)(3 5 7)(6 8 9)",
-                              "(1 3 6)(2 5 8)(4 7 9)"]),
+        "(1 9)(2 10)(3 11)(4 12)(5 13)(6 14)(7 15)(8 16)(17 18)(19 20)"
+        "(21 22)(23 24)",
+        "(1 10 18)(2 9 17)(3 12 20)(4 11 19)(5 14 22)(6 13 21)(7 16 24)"
+        "(8 15 23)",
+        "(1 5)(2 6)(3 7)(4 8)(9 13)(10 14)(11 15)(12 16)(17 21)(18 22)"
+        "(19 23)(20 24)",
+        "(1 3)(2 4)(5 7)(6 8)(9 11)(10 12)(13 15)(14 16)(17 19)(18 20)"
+        "(21 23)(22 24)"]),
+    "dicyclic(8)/Z": (16, ["(1 2 3 4 5 6 7 8)(9 16 15 14 13 12 11 10)",
+                           "(1 9)(2 10)(3 11)(4 12)(5 13)(6 14)(7 15)(8 16)"]),
+    "heisenberg(3)/zed": (9, ["(1 4 7)(2 5 8)(3 6 9)",
+                              "(1 2 3)(4 5 6)(7 8 9)"]),
 }
 
 
@@ -651,3 +651,76 @@ class TestCosetBlocks:
         pres = quotient(G, N)
         for q in pres.quotient.elements():
             assert pres.section(q) == pres.preimage_elements([q])[0]
+
+
+class TestOneCosetMap:
+    """One coset map per normal subgroup: a quotient's blocks are G's own
+    elements, grouped by the map the Z(G)-coset filters read."""
+
+    @pytest.mark.parametrize("spec", default_corpus().specs,
+                             ids=lambda spec: spec.label)
+    def test_central_quotient_shares_the_filters_map(self, spec, monkeypatch):
+        G = build_group(spec)
+        if center(G).order() == 1:
+            return
+        maps = []
+        cosets = structure._cosets
+
+        def spy(G, N, cap):
+            maps.append(cosets(G, N, cap))
+            return maps[-1]
+        monkeypatch.setattr(structure, "_cosets", spy)
+        by_center_cosets(G, G.elements(), lambda g: True, 10 ** 6)
+        pres = structure.quotient_by_center(G)
+        assert len(maps) == 2 and maps[0] is maps[1] is pres._cosets
+        mine = {id(g) for g in G.elements()}
+        block_elements = pres.preimage_elements(pres.quotient.elements())
+        assert len(block_elements) == G.order()
+        assert all(id(x) in mine for x in block_elements)
+
+    @pytest.mark.parametrize("text", [
+        "direct_product(symmetric(3),dihedral(4))", "dicyclic(8)",
+        "direct_product(symmetric(4),heisenberg(3))"])
+    @pytest.mark.parametrize("kernel", [center, derived_subgroup])
+    def test_building_a_quotient_makes_few_perms(self, text, kernel,
+                                                 monkeypatch):
+        G = group(text)
+        N = kernel(G)
+        G.elements()
+        N.elements()
+        made = []
+        raw = Perm._raw
+
+        def counting(img):
+            made.append(img)
+            return raw(img)
+        monkeypatch.setattr(Perm, "_raw", counting)
+        quotient(G, N)
+        # is_normal's conjugates, then the image generators
+        assert len(made) <= len(G.generators) * (len(N.generators) + 1)
+
+    def test_quotient_admits_the_whole_group(self):
+        G = group("dicyclic(4)")
+        N = center(G)
+        with pytest.raises(CapExceeded):
+            quotient(G, N, cap=N.order())
+        assert quotient(G, N).quotient.order() == G.order() // N.order()
+        with pytest.raises(CapExceeded):  # a memo hit refuses alike
+            quotient(G, N, cap=G.order() - 1)
+
+    @pytest.mark.parametrize("text", [
+        "symmetric(6)", "alternating(5)",
+        "direct_product(alternating(5),cyclic(2))",
+        "direct_product(alternating(5),dihedral(4))"])
+    def test_identity_coset_is_not_block_zero(self, text):
+        G = group(text)
+        assert not G.elements()[0].is_identity()
+        for kernel in (center, derived_subgroup, zed_subgroup):
+            N = kernel(G)
+            if N.order() == 1:
+                continue
+            pres = quotient(G, N)
+            one = pres.quotient.identity_element()
+            assert sorted(pres.preimage_elements([one])) == sorted(
+                N.elements())
+            assert pres.section(one) in N
