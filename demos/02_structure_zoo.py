@@ -29,7 +29,7 @@ for text in ZOO:
           f"{o['centralizer_of_derived']}  |D|={o['dee']}  |zed|={o['zed']}")
 print()
 
-# Sylow subgroups by normalizer ascent
+# Sylow subgroups by ascent, one element of the normalizer per step
 S4 = build_group(parse_group_spec("family:symmetric(4)"))
 for p in (2, 3, 5):
     print(f"Sylow {p}-subgroup of Sym(4) has order", sylow(S4, p).order())

@@ -46,10 +46,8 @@ def p_part(n: int, p: int) -> int:
 
 
 def is_prime_power(n: int) -> int | None:
-    """The prime p when n is a power of p (n >= 1 counts for every p); else None.
-
-    Returns None for n = 1 since no prime is determined.
-    """
+    """The prime p when n = p^k with k >= 1; else None, for n = 1 too,
+    since 1 determines no prime."""
     if n == 1:
         return None
     factors = prime_factors(n)

@@ -203,7 +203,11 @@ def cmd_check(args, config: Config) -> int:
     if args.statements.strip().lower() == "all":
         tags = list(STATEMENT_TAGS)
     else:
-        tags = [t.strip().upper() for t in args.statements.split(",") if t.strip()]
+        tags = list(dict.fromkeys(t.strip().upper()
+                                  for t in args.statements.split(",")
+                                  if t.strip()))
+        if not tags:
+            raise ParseError(f"no statement in {args.statements!r}")
         for t in tags:
             if t not in STATEMENT_TAGS:
                 raise ParseError(f"unknown statement {t!r}")

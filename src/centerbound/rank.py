@@ -13,8 +13,8 @@ ambient group, and memoizes d on H, so every statement asking for d(G')
 shares one run.  The rungs:
 
 * trivial group: 0;
-* abelian: the number of invariant factors, read off socle sizes (for each
-  prime p the solutions of x^p = 1 number p^k with k the p-rank);
+* abelian: the number of invariant factors, _abelianization_d with H' = 1
+  (for each prime p the solutions of x^p = 1 number p^k, k the p-rank);
 * p-group: the Burnside basis theorem, d = log_p |G : Phi(G)| with Phi the
   subgroup generated by commutators and p-th powers, normally closed;
 * general: d >= 2, so a greedily pruned generating set of size 2 is the
@@ -91,7 +91,7 @@ def _d(world, H, gens, tuple_cap: int) -> int:
     if size == 1:
         return 0
     if all(world.commute(a, b) for a, b in itertools.combinations(gens, 2)):
-        return _socle_rank(world, H)
+        return _abelianization_d(world, H, gens)
     p = is_prime_power(size)
     if p is not None:
         return integer_log(size // world.size(_frattini(world, gens, p)), p)
@@ -104,15 +104,6 @@ def _d(world, H, gens, tuple_cap: int) -> int:
     return world.search(H, lower, upper, tuple_cap)
 
 
-def _socle_rank(world, A) -> int:
-    """Invariant-factor count of an abelian A: the largest p-socle rank."""
-    best = 0
-    for p in prime_factors(world.size(A)):
-        count = sum(1 for x in world.members(A) if world.order_of(x) in (1, p))
-        best = max(best, integer_log(count, p))
-    return best
-
-
 def _frattini(world, gens, p: int):
     """For a p-group: the normal closure of generator commutators and
     generator p-th powers."""
@@ -122,6 +113,8 @@ def _frattini(world, gens, p: int):
 
 
 def _abelianization_d(world, H, gens) -> int:
+    """d(H/H'): for each prime p the x with x^p in H' number |H'| p^k, k the
+    p-rank of H/H'; the largest k.  For abelian H, H' = 1 and this is d(H)."""
     derived = normal_closure(
         world, [world.commutator(a, b)
                 for a, b in itertools.combinations(gens, 2)], gens)
@@ -165,10 +158,10 @@ def frattini_p(G: Group, p: int,
 
 def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Invariant-factor count of a finite abelian group: the largest p-socle
-    rank over primes p dividing the order."""
+    rank over primes p dividing the order (_abelianization_d with A' = 1)."""
     if not A.is_abelian():
         raise NotAbelian("abelian_rank requires an abelian group")
-    return _socle_rank(_Perms(A, cap), A)
+    return _abelianization_d(_Perms(A, cap), A, A.generators)
 
 
 def min_generators(H: Group, cap: int = DEFAULT_ENUMERATION_CAP,
@@ -325,7 +318,7 @@ def group_rank(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                tuple_cap: int = DEFAULT_TUPLE_CAP) -> "int | UnknownRank":
     """max d(H) over one H per conjugacy class of subgroups, so the tuple
     search runs only on class representatives; abelian groups shortcut
-    through socle ranks.  Past any cap the result is Unknown, never a
+    through abelian_rank.  Past any cap the result is Unknown, never a
     guess."""
     def compute():
         if G.is_abelian():

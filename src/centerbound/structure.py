@@ -11,9 +11,9 @@ blocks.  The filters below and G/Z(G) read the same map for N = Z(G).
 
 Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
-method wins, and the cap fails loudly.  The normal closure and the
-centralizer and normalizer filters are written once against the element
-representations of table.py.  C_G(S) for S in G, Z2, D, normalizers and
+method wins, and the cap fails loudly.  The normal closure and the coset
+filter are written once against the element representations of table.py;
+the other filters run on Perms.  C_G(S) for S in G, Z2, D, normalizers and
 LK's C_G(H) contain Z(G), so they are unions of its cosets:
 ``by_center_cosets`` tests the first element of each coset and keeps or
 drops the coset whole.  Only Z(G), which defines the cosets, is filtered
@@ -21,10 +21,9 @@ element by element.  Z2 and D are one filter, {g | [g, X] <= Z(G)}, and the
 structure report checks Z2 against the preimage of Z(G/Z(G)): the
 commutator filter against the center of the quotient's action, over one
 coset map.  The Sylow ascent builds no normalizer: each step scans G for the
-one element of N_G(P) it adds, deciding P^y = P once per coset of Z(G).  The
-normalizer and that scan run on G's Cayley table when the table admits G and
-on Perms above that; the other filters run on Perms.  Normality is always
-checked explicitly, never assumed from theory, so implementation bugs
+one element of N_G(P) it adds, deciding P^y = P once per coset of Z(G), on
+G's Cayley table when the table admits G and on Perms above that.  Normality
+is always checked explicitly, never assumed from theory, so implementation bugs
 surface as NotNormal instead of silently wrong answers.
 
 Results that are expensive and reused (derived subgroup, center, second
@@ -44,7 +43,7 @@ from .arith import p_part, prime_factors
 from .errors import NotAbelian, NotCoprime, NotNormal, NotPGroup
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
                     Subgroup, admit, subgroup_from_elements)
-from .perm import Perm, commutator, gather
+from .perm import Perm, commutator, commute, gather
 from .table import _Perms, _world
 
 
@@ -76,27 +75,25 @@ def normal_closure(world, seed, conjugators):
 # -- centralizer-style filters ---------------------------------------------
 
 
-def centralizing(world, elems, S) -> list:
-    """The members of elems commuting with every s in S, in order, in
-    either representation: the one element-by-element centralizer filter."""
-    return [g for g in elems if all(world.commute(g, s) for s in S)]
+def centralizing(elems, S) -> list[Perm]:
+    """The members of elems commuting with every s in S, in order: the one
+    element-by-element centralizer filter."""
+    return [g for g in elems if all(commute(g, s) for s in S)]
 
 
-def by_center_cosets(G: Group, elems, test, cap: int, keep=None) -> list:
+def by_center_cosets(G: Group, elems, test, cap: int) -> list:
     """The members of elems, which lists G in G's element order in either
-    representation, whose coset of Z(G) passes test; keep, when given, is
-    listed beside elems and returned in its place.  test runs once per
+    representation, whose coset of Z(G) passes test.  test runs once per
     coset, on its first element in that order, and the coset is kept or
     dropped whole: exact whenever the answer is a union of Z(G)-cosets, as
     for any subgroup of G containing Z(G)."""
     passed: list[bool] = []
     out = []
-    for x, y, c in zip(elems, elems if keep is None else keep,
-                       _cosets(G, center(G, cap), cap).values()):
+    for x, c in zip(elems, _cosets(G, center(G, cap), cap).values()):
         if c == len(passed):
             passed.append(test(x))
         if passed[c]:
-            out.append(y)
+            out.append(x)
     return out
 
 
@@ -120,10 +117,8 @@ def centralizer(G: Group, S: Sequence[Perm],
                 cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """{g in G | gs = sg for all s in S} for S a subset of G, which contains
     Z(G): filtered one element per coset of Z(G)."""
-    world = _Perms(G, cap)
     return subgroup_from_elements(G, by_center_cosets(
-        G, world.elements(), lambda g: all(world.commute(g, s) for s in S),
-        cap))
+        G, G.elements(cap), lambda g: all(commute(g, s) for s in S), cap))
 
 
 def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
@@ -131,7 +126,7 @@ def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     element-by-element filter (it defines the cosets the other filters
     walk)."""
     return G.memo("center", lambda: subgroup_from_elements(
-        G, centralizing(_Perms(G, cap), G.elements(cap), G.generators)),
+        G, centralizing(G.elements(cap), G.generators)),
         elements=cap)
 
 
@@ -167,16 +162,13 @@ def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 def normalizer(G: Group, H: Group,
                cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """{g in G | H^g = H} for H <= G, which contains Z(G): filtered one
-    element per coset of Z(G), by lookups in G's Cayley table when the table
-    admits G, else by Perm conjugates looked up in H's element set.  The
-    Sylow ascent needs one element of N_G(P) per step and finds it without
-    this filter (_ascent_step)."""
-    world = _world(G, cap)
-    hset, hgens = world.members(world.subgroup(H)), world.generators(H)
+    element per coset of Z(G), by Perm conjugates looked up in H's element
+    set.  The Sylow ascent needs one element of N_G(P) per step and finds it
+    without this filter (_ascent_step)."""
+    hset = H.element_set(cap)
     return subgroup_from_elements(G, by_center_cosets(
-        G, world.elements(),
-        lambda g: all(world.conjugate(h, g) in hset for h in hgens),
-        cap, keep=G.elements(cap)))
+        G, G.elements(cap),
+        lambda g: all(h.conjugate(g) in hset for h in H.generators), cap))
 
 
 def intersection(A: Group, B: Group,
@@ -381,7 +373,7 @@ def fitting_decomposition(P: Group, Q: Group,
     if not is_normal(Q, P):
         raise NotNormal("P must be normalised by Q")
     commutator_part = mutual_commutator(P, Q)
-    fixed = centralizing(_Perms(P, cap), P.elements(cap), Q.generators)
+    fixed = centralizing(P.elements(cap), Q.generators)
     fixed_part = subgroup_from_elements(_ambient(P), fixed)
     meet = [x for x in fixed if x in commutator_part]
     product_order = commutator_part.order() * fixed_part.order() // len(meet)

@@ -1,6 +1,6 @@
 """The two representations of a group's elements, one protocol for both:
-the normal closure, the d ladder, the centralizer and normalizer filters
-and lemma LK are each written once against it.
+the normal closure, the d ladder, the Sylow ascent and lemma LK are each
+written once against it.
 
 * ``_Table``, G's Cayley table: elements as indices into G's element list,
   subgroups as frozensets of indices.  Only groups of at most TABLE_CAP
@@ -89,9 +89,6 @@ class _Table:
     @staticmethod
     def members(hset: frozenset[int]) -> frozenset[int]:
         return hset
-
-    def order_of(self, x: int) -> int:
-        return self.orders[x]
 
     def commute(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
@@ -186,7 +183,6 @@ class _Perms:
     commutator = staticmethod(commutator)
     commute = staticmethod(commute)
     conjugate = staticmethod(Perm.conjugate)
-    order_of = staticmethod(Perm.order)
     size = staticmethod(Group.order)
 
     def __init__(self, G: Group, cap: int = DEFAULT_ENUMERATION_CAP):

@@ -41,7 +41,6 @@ from .structure import (by_center_cosets, center, centralizing,
                         derived_subgroup, intersection, is_normal, quotient,
                         socle_p, StructureReport, structure_report, sylow,
                         zed_subgroup)
-from .table import _Perms
 
 
 @dataclass
@@ -226,7 +225,7 @@ def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
     image_gens = [pres.projection(x) for x in xs]
     Q = pres.quotient
     m_elems = pres.preimage_elements(
-        centralizing(_Perms(Q, cap), Q.elements(cap), image_gens))
+        centralizing(Q.elements(cap), image_gens))
     M = subgroup_from_elements(G, sorted(m_elems))
     return T, M
 
@@ -235,8 +234,7 @@ def _lb_section(sr: StructureReport, p: int, P: Group,
                 cap: int) -> tuple[list[Perm], bool]:
     """The elements of C_{G'}(P), and whether |G' : C_{G'}(P)| is a power of
     p (1 included): lemma LB for a Sylow p-subgroup P of D."""
-    cgp = centralizing(_Perms(sr.group, cap), sr.derived.elements(cap),
-                       P.generators)
+    cgp = centralizing(sr.derived.elements(cap), P.generators)
     index = sr.orders["derived"] // len(cgp)
     return cgp, index == 1 or is_prime_power(index) == p
 
@@ -264,7 +262,7 @@ def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
     first_x: dict[frozenset, Perm] = {}
     for x in actions.values():
         first_x.setdefault(frozenset(
-            centralizing(_Perms(G, cap), pig_elems, [x])), x)
+            centralizing(pig_elems, [x])), x)
     family = [subgroup_from_elements(
         A, sorted({pres.projection(c) for c in cx})) for cx in first_x]
     x_of = {id(H): x for H, x in zip(family, first_x.values())}

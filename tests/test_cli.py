@@ -103,6 +103,21 @@ class TestCheck:
         assert main(["check", "family:cyclic(2)",
                      "--statements", "T9"]) == 4
 
+    @pytest.mark.parametrize("tags", [",", "", " , "])
+    def test_no_statement_exits_4(self, capsys, tags):
+        # checking nothing is not a success
+        assert main(["check", "family:cyclic(2)", "--statements", tags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_repeated_tags_evaluate_once(self, capsys):
+        assert main(["check", "family:cyclic(2)", "--statements", "T1,t1,T2",
+                     "--format", "json"]) == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        assert [r["statement"] for r in records] == ["T1", "T2"]
+
 
 class TestExitCodeRule:
     def test_violation_maps_to_2(self):

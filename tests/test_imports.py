@@ -1,4 +1,4 @@
-"""Four source gates over the package's modules.
+"""Five source gates over the package's modules.
 
 * Every name a module imports is used in that module.  ``__init__.py`` is
   left out: its imports are the package's public API.
@@ -9,6 +9,9 @@
   references the ladder ``_d`` or constructs ``UnknownRank(...)``.
 * One memo entry per result: each ``.memo(`` key literal (``"center"``,
   ``("sylow", p)``, ...) appears at exactly one call site in the package.
+* No stranded code: every module-level private function or class, and
+  every method of the element protocols ``_Table`` and ``_Perms``, is named
+  somewhere in the package besides its definition.
 """
 
 import ast
@@ -167,3 +170,67 @@ def test_gate_sees_a_shared_memo_key():
         "b.py": "def h(G):\n    return G.memo(('sylow', 2), k)\n"
                 "H.memo('d', f)\n",
     }) == {"sylow": ["a.py:2", "b.py:2"]}
+
+
+PROTOCOLS = ("_Table", "_Perms")
+
+
+def _definitions(source: str, where: str) -> list[tuple[str, str]]:
+    """(name, place) for each module-level private function or class, and
+    each method or class attribute of a protocol class."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") and not node.name.startswith("__"):
+            found.append((node.name, f"{where}:{node.lineno}"))
+        if isinstance(node, ast.ClassDef) and node.name in PROTOCOLS:
+            for item in node.body:
+                names = ([item.name] if isinstance(item, ast.FunctionDef)
+                         else [t.id for t in getattr(item, "targets", ())
+                               if isinstance(t, ast.Name)])
+                found += [(f"{node.name}.{name}", f"{where}:{item.lineno}")
+                          for name in names if not name.startswith("__")]
+    return found
+
+
+def _stranded(sources: dict[str, str]) -> list[str]:
+    """Definitions that no source reads by name (a load of a bare name or
+    of an attribute).  It matches by name only, so a method with a generic
+    name such as ``elements`` or ``size`` counts as used wherever any
+    object's attribute of that name is read: for those the gate is weak."""
+    loaded = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                if isinstance(node, ast.Name):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loaded.add(node.attr)
+    return sorted(f"{name} ({place})"
+                  for where, source in sources.items()
+                  for name, place in _definitions(source, where)
+                  if name.rpartition(".")[2] not in loaded)
+
+
+def test_no_stranded_code():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _stranded(sources) == []
+    definitions = [d for where, source in sources.items()
+                   for d in _definitions(source, where)]
+    assert sum("." in name for name, _ in definitions) >= 20
+
+
+def test_gate_sees_stranded_code():
+    assert _stranded({
+        "a.py": "def _used():\n    pass\n"
+                "def _stranded():\n    pass\n"
+                "class _Perms:\n"
+                "    size = staticmethod(len)\n"
+                "    order_of = staticmethod(len)\n"
+                "    def kept(self):\n        return self.size([])\n"
+                "    def dropped(self):\n        self.dropped_too = 1\n",
+        "b.py": "from .a import _used, _stranded\n"
+                "def f(w):\n    return _used(), w.kept()\n",
+    }) == ["_Perms (a.py:5)", "_Perms.dropped (a.py:10)",
+           "_Perms.order_of (a.py:7)", "_stranded (a.py:3)"]

@@ -1,5 +1,6 @@
 """Generator counts and ranks against exhaustive-search oracles."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -11,15 +12,17 @@ from centerbound import rank, statements
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
-from centerbound.group import DEFAULT_SUBGROUP_CAP, Group
+from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
+                               Group)
 from centerbound.perm import Perm, parse_perm
 from centerbound.rank import (RankReport, UnknownRank, _Table, _lattice,
                               abelian_rank, all_subgroups, frattini_p,
                               group_rank, min_generators, normal_subgroups,
                               rank_report, shrink_generating_set)
 from centerbound.statements import _Evaluator, evaluate_all
-from centerbound.structure import (derived_subgroup, is_normal,
+from centerbound.structure import (center, derived_subgroup, is_normal,
                                    quotient_by_center)
+from centerbound.table import _world
 
 from _oracles import closure, min_generators_oracle, subgroups_oracle
 
@@ -704,3 +707,36 @@ class TestOneDPath:
                   "direct_product(heisenberg(3),heisenberg(3)))")
         assert min_generators(G) == 6
         assert G._elements is None
+
+
+class TestAbelianCountAgainstSympy:
+    """d of abelian groups and of abelianizations against sympy's
+    abelian_invariants: the invariants of G/G' as prime powers, so d(G/G')
+    is the largest number of entries that are powers of any one prime."""
+
+    @staticmethod
+    def _sympy_d(H):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        # sympy's permutations are 0-based array forms; the identity stands
+        # in for an empty generating set
+        S = combinatorics.PermutationGroup([
+            combinatorics.Permutation([i - 1 for i in g.images])
+            for g in H.generators or [H.identity_element()]])
+        primes = collections.Counter(
+            next(p for p in itertools.count(2) if q % p == 0)
+            for q in S.abelian_invariants())
+        return max(primes.values(), default=0)
+
+    @pytest.mark.parametrize("spec", default_corpus().specs,
+                             ids=lambda spec: spec.label)
+    def test_corpus_group(self, spec):
+        G = build_group(spec)
+        world = _world(G, DEFAULT_ENUMERATION_CAP)
+        assert rank._abelianization_d(
+            world, world.subgroup(G), world.generators(G)) == \
+            self._sympy_d(G)
+        derived = derived_subgroup(G)
+        for A in (G, center(G), derived):
+            if A.is_abelian():
+                assert abelian_rank(A) == min_generators(A) == \
+                    self._sympy_d(A)

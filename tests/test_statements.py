@@ -282,7 +282,7 @@ class TestLkSampling:
 
 
 class TestLkTablePath:
-    """LK and the normalizer filter run on the world ``_world`` gives for G:
+    """LK and the Sylow ascent run on the world ``_world`` gives for G:
     G's Cayley table when the table admits G, and Perms otherwise (the large
     groups above TABLE_CAP).  Giving Perms to small groups runs the Perm
     world where it can be compared."""
