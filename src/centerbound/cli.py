@@ -197,20 +197,28 @@ def cmd_info(args, config: Config) -> int:
     return 3 if isinstance(rank, UnknownRank) else 0
 
 
+def _statement_tags(text: str) -> list[str]:
+    """The tags of a --statements list, in order and without repeats."""
+    if text.strip().lower() == "all":
+        return list(STATEMENT_TAGS)
+    tags = list(dict.fromkeys(t.strip().upper() for t in text.split(",")
+                              if t.strip()))
+    if not tags:
+        raise ParseError(f"no statement in {text!r}")
+    for t in tags:
+        if t not in STATEMENT_TAGS:
+            raise ParseError(f"unknown statement {t!r}")
+    return tags
+
+
 def cmd_check(args, config: Config) -> int:
+    try:
+        tags = _statement_tags(args.statements)
+    except ParseError as exc:
+        print(f"bad statement list: {exc}", file=sys.stderr)
+        return 4
     spec = parse_group_spec(args.spec)
     G = build_group(spec)
-    if args.statements.strip().lower() == "all":
-        tags = list(STATEMENT_TAGS)
-    else:
-        tags = list(dict.fromkeys(t.strip().upper()
-                                  for t in args.statements.split(",")
-                                  if t.strip()))
-        if not tags:
-            raise ParseError(f"no statement in {args.statements!r}")
-        for t in tags:
-            if t not in STATEMENT_TAGS:
-                raise ParseError(f"unknown statement {t!r}")
     verdicts = [evaluate(tag, G, config) for tag in tags]
     records = [_record(spec.label, v) for v in verdicts]
     print(_emit(records, config.output_format))

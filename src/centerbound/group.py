@@ -15,6 +15,12 @@ not for concurrent threads.
 Element enumeration walks the transversal chain in sorted-orbit order and is
 guarded by a configurable cap: operations that need the full element list
 fail loudly with CapExceeded rather than subsample.
+
+The base doubles as an element key.  Two elements of a group are equal
+exactly when they agree on a base of it, and a base of the ambient group is
+a base of each of its subgroups, so ``Group.points()`` (the ambient chain's
+base) decides commuting (``perm.commute``) and keys the coset maps of
+structure.py by a few images in place of a whole image tuple.
 """
 
 from __future__ import annotations
@@ -221,6 +227,11 @@ class Group:
         """The 1-based base points of the stabilizer chain."""
         return tuple(level.point + 1 for level in self._chain())
 
+    def points(self) -> tuple[int, ...]:
+        """The 0-based base of the ambient group's chain (this group's own
+        unless it is a handle), a base of every group below it."""
+        return tuple(level.point for level in self._chain())
+
     def order(self) -> int:
         if self._order is None:
             if self._elements is not None:
@@ -308,8 +319,9 @@ class Group:
         return g
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(commute(a, b) for i, a in enumerate(gens) for b in gens[i + 1:])
+        gens, points = self.generators, self.points()
+        return all(commute(a, b, points)
+                   for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def identity_element(self) -> Perm:
         return identity(self.degree)
@@ -334,6 +346,10 @@ class Subgroup(Group):
             for g in self.generators:
                 if not parent.contains(g):
                     raise ValueError(f"generator {g} lies outside the parent group")
+
+    def points(self) -> tuple[int, ...]:
+        """The parent's points: a handle builds no chain for them."""
+        return self.parent.points()
 
     def __repr__(self) -> str:
         return f"Sub{super().__repr__()}"

@@ -11,11 +11,12 @@ Conventions, fixed once and used everywhere:
 Internally images are stored 0-based; every public surface (constructors,
 ``images``, cycle notation) is 1-based.  Composition has one primitive,
 ``gather``: on 0-based image tuples, ``gather(p, q)`` is the image tuple of
-``p * q``, gathered in one C call.  ``Perm.__mul__``, ``commute``, the Cayley
-table's rows, the conjugation actions of the subgroup lattice and the
-stabilizer chain, which works on image tuples and wraps in a Perm only what
-it keeps, all go through it.  A Perm hashes its images on first use, so a
-product that is never hashed costs no hash.
+``p * q``, gathered in one C call.  ``Perm.__mul__``, the Cayley table's
+rows, the conjugation actions of the subgroup lattice and the stabilizer
+chain, which works on image tuples and wraps in a Perm only what it keeps,
+all go through it.  A Perm hashes its images on first use, so a product that
+is never hashed costs no hash.  ``commute`` compares images of base
+points only, so a test costs the base length, not the degree.
 """
 
 from __future__ import annotations
@@ -166,11 +167,19 @@ def invert(img) -> tuple:
     return tuple(inv)
 
 
-def commute(a: Perm, b: Perm) -> bool:
-    """a * b == b * a, decided on the image tuples without building a Perm."""
-    if len(a._img) != len(b._img):
-        raise DegreeMismatch(f"degree {len(a._img)} vs {len(b._img)}")
-    return gather(a._img, b._img) == gather(b._img, a._img)
+def commute(a: Perm, b: Perm, points) -> bool:
+    """a * b == b * a, decided on the 0-based points: b(a(p)) == a(b(p)) for
+    each p.  Two elements of a group are equal exactly when they agree on a
+    base of it, so points must hold a base of a group containing both a and
+    b (``Group.points()``), or be range(degree) when no such group is at
+    hand."""
+    img, other = a._img, b._img
+    if len(img) != len(other):
+        raise DegreeMismatch(f"degree {len(img)} vs {len(other)}")
+    for p in points:
+        if other[img[p]] != img[other[p]]:
+            return False
+    return True
 
 
 def identity(degree: int) -> Perm:

@@ -4,10 +4,14 @@ normal subgroups, socles of abelian p-groups, and coprime Fitting
 decompositions.
 
 Cosets of a normal subgroup N have one owner, ``_cosets``: a memoized map
-from G's image tuples to N-coset numbers, in order of first appearance.  The
-quotient G/N groups G's own elements into blocks by that map: projecting an
-element costs one gather and one lookup per coset, and preimages are whole
-blocks.  The filters below and G/Z(G) read the same map for N = Z(G).
+from G's elements, keyed by their images of G's base points
+(``Group.points()``, by ``_key``), to N-coset numbers, in order of first
+appearance.  Elements of G agree on a base only when they are equal, and
+the key of a product g n is one short gather of n by the key of g.  The
+quotient G/N groups G's own elements into blocks by that map: projecting
+an element costs one short gather and one lookup per coset, and preimages
+are whole blocks.  The filters below and G/Z(G) read the same map for
+N = Z(G).
 
 Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
@@ -75,10 +79,11 @@ def normal_closure(world, seed, conjugators):
 # -- centralizer-style filters ---------------------------------------------
 
 
-def centralizing(elems, S) -> list[Perm]:
+def centralizing(elems, S, points) -> list[Perm]:
     """The members of elems commuting with every s in S, in order: the one
-    element-by-element centralizer filter."""
-    return [g for g in elems if all(commute(g, s) for s in S)]
+    element-by-element centralizer filter.  Commuting is decided on points,
+    a base of a group holding elems and S (see ``perm.commute``)."""
+    return [g for g in elems if all(commute(g, s, points) for s in S)]
 
 
 def by_center_cosets(G: Group, elems, test, cap: int) -> list:
@@ -97,12 +102,22 @@ def by_center_cosets(G: Group, elems, test, cap: int) -> list:
     return out
 
 
+def _key(G: Group):
+    """The key of an element of G in G's coset maps, from its image tuple:
+    its images of G.points(), which only equal elements share.  The key of
+    g n is gather(key(g), n)."""
+    points = G.points()
+    return lambda img: gather(points, img)
+
+
 def _cosets(G: Group, N: Group, cap: int) -> dict[tuple[int, ...], int]:
-    """Memoized per normal N: G's image tuples, in G's element order, to
-    their N-coset numbers, numbered in the order the cosets first appear."""
+    """Memoized per normal N: G's elements, by their ``_key`` in G's element
+    order, to their N-coset numbers, numbered in the order the cosets first
+    appear."""
     def compute():
+        key = _key(G)
         kernel = [n._img for n in N.elements(cap)]
-        cosets = dict.fromkeys(e._img for e in G.elements(cap))
+        cosets = dict.fromkeys(key(e._img) for e in G.elements(cap))
         count = 0
         for g, c in cosets.items():
             if c is None:
@@ -117,8 +132,10 @@ def centralizer(G: Group, S: Sequence[Perm],
                 cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """{g in G | gs = sg for all s in S} for S a subset of G, which contains
     Z(G): filtered one element per coset of Z(G)."""
+    points = G.points()
     return subgroup_from_elements(G, by_center_cosets(
-        G, G.elements(cap), lambda g: all(commute(g, s) for s in S), cap))
+        G, G.elements(cap),
+        lambda g: all(commute(g, s, points) for s in S), cap))
 
 
 def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
@@ -126,7 +143,7 @@ def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     element-by-element filter (it defines the cosets the other filters
     walk)."""
     return G.memo("center", lambda: subgroup_from_elements(
-        G, centralizing(G.elements(cap), G.generators)),
+        G, centralizing(G.elements(cap), G.generators, G.points())),
         elements=cap)
 
 
@@ -134,13 +151,16 @@ def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
     """The test g -> [g, x] in Z(G) for every x in X, which holds exactly
     when [g, <X>] <= Z(G), as [g, xy] = [g, y][g, x]^y.  [g, x] = g^-1 g^x
     is central exactly when g^x = x^-1 g x lies in g's coset of Z(G), so no
-    g^-1 is built."""
+    g^-1 is built.  The coset map's key of g^x is the key of x^-1 (a few
+    images, computed once per x) gathered through g, then through x."""
     coset = _cosets(G, center(G, cap), cap)
-    pairs = [(x.inverse()._img, x._img) for x in X]
+    key = _key(G)
+    pairs = [(key(x.inverse()._img), x._img) for x in X]
 
     def test(g: Perm) -> bool:
-        mine = coset[g._img]
-        return all(coset[gather(gather(xinv, g._img), ximg)] == mine
+        img = g._img
+        mine = coset[key(img)]
+        return all(coset[gather(gather(xinv, img), ximg)] == mine
                    for xinv, ximg in pairs)
     return test
 
@@ -259,9 +279,10 @@ class QuotientPresentation:
 
     Each coset is a block: G's own elements in it, in G's element order,
     numbered as in ``_cosets``.  ``quotient`` is the image group;
-    ``projection`` maps an element of G to its image permutation, one gather
-    and one coset lookup per block; ``section`` maps an image element back
-    to the first element of its coset.  Because the coset action of the
+    ``projection`` maps an element of G to its image permutation: per block,
+    one short gather of the element by the key of the block's first element
+    and one coset lookup.  ``section`` maps an image element back to the
+    first element of its coset.  Because the coset action of the
     quotient on itself is regular, the coset of q is the image of N's own
     coset: block ``q(c)``, where c is the number of the identity's coset
     (not always 0, since G's first element need not be the identity).
@@ -273,8 +294,9 @@ class QuotientPresentation:
         self.kernel = kernel
         self._blocks = blocks
         self._cosets = cosets
-        self._firsts = [block[0]._img for block in blocks]
-        self._home = cosets[tuple(range(source.degree))]
+        key = _key(source)
+        self._firsts = [key(block[0]._img) for block in blocks]
+        self._home = cosets[key(range(source.degree))]  # the identity's
         self.quotient = Group(len(blocks), map(self.projection,
                                                source.generators))
 
@@ -373,7 +395,7 @@ def fitting_decomposition(P: Group, Q: Group,
     if not is_normal(Q, P):
         raise NotNormal("P must be normalised by Q")
     commutator_part = mutual_commutator(P, Q)
-    fixed = centralizing(P.elements(cap), Q.generators)
+    fixed = centralizing(P.elements(cap), Q.generators, range(P.degree))
     fixed_part = subgroup_from_elements(_ambient(P), fixed)
     meet = [x for x in fixed if x in commutator_part]
     product_order = commutator_part.order() * fixed_part.order() // len(meet)

@@ -6,7 +6,9 @@ written once against it.
   subgroups as frozensets of indices.  Only groups of at most TABLE_CAP
   elements get one, and it lives in the group's memo.
 * ``_Perms``: elements as Perm, subgroups as handles on G with membership
-  by sifting; any size.  Its d search runs on the subgroup's own table.
+  by sifting; any size.  It decides commuting on G's points (the ambient
+  base, ``Group.points()``), not on whole image tuples.  Its d search runs
+  on the subgroup's own table.
 
 ``_world(G, cap)`` gives G's table when the table admits G and G's Perms
 when it refuses: the one place a refusal chooses the representation.
@@ -15,6 +17,7 @@ when it refuses: the one place a refusal chooses the representation.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import gcd
 
 from .errors import CapExceeded
@@ -181,7 +184,6 @@ class _Perms:
 
     power = staticmethod(pow)
     commutator = staticmethod(commutator)
-    commute = staticmethod(commute)
     conjugate = staticmethod(Perm.conjugate)
     size = staticmethod(Group.order)
 
@@ -189,6 +191,14 @@ class _Perms:
         self.G = G
         self.cap = cap
         self.identity = G.identity_element()
+
+    @cached_property
+    def points(self) -> tuple[int, ...]:
+        """G's points, read on the first commute test."""
+        return self.G.points()
+
+    def commute(self, a: Perm, b: Perm) -> bool:
+        return commute(a, b, self.points)
 
     @staticmethod
     def generators(K: Group):

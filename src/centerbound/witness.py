@@ -225,7 +225,7 @@ def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
     image_gens = [pres.projection(x) for x in xs]
     Q = pres.quotient
     m_elems = pres.preimage_elements(
-        centralizing(Q.elements(cap), image_gens))
+        centralizing(Q.elements(cap), image_gens, Q.points()))
     M = subgroup_from_elements(G, sorted(m_elems))
     return T, M
 
@@ -234,7 +234,8 @@ def _lb_section(sr: StructureReport, p: int, P: Group,
                 cap: int) -> tuple[list[Perm], bool]:
     """The elements of C_{G'}(P), and whether |G' : C_{G'}(P)| is a power of
     p (1 included): lemma LB for a Sylow p-subgroup P of D."""
-    cgp = centralizing(sr.derived.elements(cap), P.generators)
+    cgp = centralizing(sr.derived.elements(cap), P.generators,
+                       sr.group.points())
     index = sr.orders["derived"] // len(cgp)
     return cgp, index == 1 or is_prime_power(index) == p
 
@@ -259,10 +260,11 @@ def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
     actions: dict[tuple[Perm, ...], Perm] = {}
     by_center_cosets(G, G.elements(cap), lambda x: actions.setdefault(
         tuple(a.conjugate(x) for a in pig_gens), x) is x, cap)
+    points = G.points()
     first_x: dict[frozenset, Perm] = {}
     for x in actions.values():
         first_x.setdefault(frozenset(
-            centralizing(pig_elems, [x])), x)
+            centralizing(pig_elems, [x], points)), x)
     family = [subgroup_from_elements(
         A, sorted({pres.projection(c) for c in cx})) for cx in first_x]
     x_of = {id(H): x for H, x in zip(family, first_x.values())}

@@ -111,6 +111,18 @@ class TestCheck:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("tags", ["T9", ",", "T1,XX"])
+    def test_bad_statement_list_blames_the_list(self, capsys, tags):
+        # the group was built fine, so the message is not a build error
+        assert main(["check", "family:cyclic(2)", "--statements", tags]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("bad statement list: ")
+        assert "cannot build group" not in err
+
+    def test_bad_group_with_good_statements_is_a_build_error(self, capsys):
+        assert main(["check", "family:wreath(2)", "--statements", "T1"]) == 4
+        assert capsys.readouterr().err.startswith("cannot build group: ")
+
     def test_repeated_tags_evaluate_once(self, capsys):
         assert main(["check", "family:cyclic(2)", "--statements", "T1,t1,T2",
                      "--format", "json"]) == 0

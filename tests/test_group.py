@@ -174,6 +174,24 @@ def test_base_points_are_one_based():
     assert all(1 <= b <= 3 for b in G.base)
 
 
+def test_handle_points_are_the_ambient_base():
+    # a base of G is a base of every subgroup, so a handle reads its points
+    # from its parent and builds no chain of its own for them
+    G = build("sym4")
+    points = tuple(b - 1 for b in G.base)
+    whole = subgroup_from_elements(G, list(G.elements()))
+    klein = subgroup_from_elements(G, sorted(closure(
+        4, [parse_perm("(1 2)(3 4)", 4), parse_perm("(1 3)(2 4)", 4)])))
+    for H in (whole, Subgroup(whole, [parse_perm("(1 2 3)", 4)]),
+              Subgroup(klein, klein.generators)):
+        assert H._levels is None
+        assert H.points() == points
+        assert H._levels is None
+    # the Klein group's own chain has a shorter base; its points are G's
+    assert klein.points() == points
+    assert tuple(b - 1 for b in klein.base) != points
+
+
 # the seven groups of order 1,024-3,600 of the benchmark's large workload
 LARGE_SPECS = (
     "direct_product(heisenberg(3),heisenberg(5))",

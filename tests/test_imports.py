@@ -1,4 +1,4 @@
-"""Five source gates over the package's modules.
+"""Six source gates over the package's modules.
 
 * Every name a module imports is used in that module.  ``__init__.py`` is
   left out: its imports are the package's public API.
@@ -12,6 +12,10 @@
 * No stranded code: every module-level private function or class, and
   every method of the element protocols ``_Table`` and ``_Perms``, is named
   somewhere in the package besides its definition.
+* One commute test, on points: only ``perm.py`` defines a module-level
+  ``commute``, and every call of it (``commute(...)`` or
+  ``perm.commute(...)``) passes the points to decide on.  The element
+  protocols' ``world.commute(a, b)`` methods are not calls of it.
 """
 
 import ast
@@ -234,3 +238,42 @@ def test_gate_sees_stranded_code():
                 "def f(w):\n    return _used(), w.kept()\n",
     }) == ["_Perms (a.py:5)", "_Perms.dropped (a.py:10)",
            "_Perms.order_of (a.py:7)", "_stranded (a.py:3)"]
+
+
+def _commute_uses(source: str, owner: bool) -> list[str]:
+    """A module-level commute defined outside its owner, and calls of
+    commute, bare or as perm.commute, with fewer than three arguments."""
+    tree = ast.parse(source)
+    found = [f"def commute (line {node.lineno})" for node in tree.body
+             if not owner and isinstance(node, ast.FunctionDef)
+             and node.name == "commute"]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if ((isinstance(func, ast.Name) and func.id == "commute")
+                or (isinstance(func, ast.Attribute) and func.attr == "commute"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "perm")):
+            if len(node.args) + len(node.keywords) < 3:
+                found.append(f"commute without points (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_commute_is_decided_on_points(path):
+    assert _commute_uses(path.read_text(), path.name == "perm.py") == []
+
+
+def test_gate_sees_a_second_commute_and_a_call_without_points():
+    assert _commute_uses(
+        "from . import perm\n"
+        "def commute(a, b):\n"
+        "    return a * b == b * a\n"
+        "def f(a, b, w, pts):\n"
+        "    return (commute(a, b), perm.commute(a, b), commute(a, b, pts),\n"
+        "            w.commute(a, b), perm.commute(a, b, points=pts))\n",
+        owner=False) == [
+        "commute without points (line 5)", "commute without points (line 5)",
+        "def commute (line 2)"]
+    assert _commute_uses((SRC / "perm.py").read_text(), owner=False) != []

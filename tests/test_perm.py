@@ -66,13 +66,14 @@ class TestGather:
     def test_mixed_degrees_are_refused(self):
         a, b = P("(1 2)", 2), P("(1 2)", 3)
         for op in (lambda: a * b, lambda: b * a,
-                   lambda: commute(a, b), lambda: commute(b, a)):
+                   lambda: commute(a, b, range(2)),
+                   lambda: commute(b, a, range(3))):
             with pytest.raises(DegreeMismatch):
                 op()
 
     def test_commute_agrees_with_the_products_on_s4(self):
         s4 = [Perm(images) for images in itertools.permutations(range(1, 5))]
-        verdicts = [commute(a, b) for a in s4 for b in s4]
+        verdicts = [commute(a, b, range(4)) for a in s4 for b in s4]
         assert verdicts == [a * b == b * a for a in s4 for b in s4]
         # commuting pairs number |G| times the class count, 5 for S4
         assert sum(verdicts) == 24 * 5
@@ -83,8 +84,8 @@ class TestGather:
             a = random_perm(rng, 29)
             # every fourth pair commutes by construction
             b = a ** k if k % 4 == 0 else random_perm(rng, 29)
-            assert commute(a, b) is (a * b == b * a)
-            assert commute(a, b) is commute(b, a)
+            assert commute(a, b, range(29)) is (a * b == b * a)
+            assert commute(a, b, range(29)) is commute(b, a, range(29))
 
 
 class TestCommutator:

@@ -1,0 +1,101 @@
+"""Property tests: element identity decided on base points agrees with
+whole image tuples, on random small groups.
+
+The groups have degree at most 8 and come from one to three random
+permutations.  Each generator preserves a random split of the points into
+two blocks, so many groups are intransitive; a generator is dropped from
+the end until the group has at most ``MAX_ORDER`` elements, so the checks
+over every pair stay cheap.  Each property runs on the group itself, on a
+handle from ``subgroup_from_elements`` (the centralizer of a random element)
+and on a ``Subgroup`` child of that handle.  The runs are derandomized, so
+every run draws the same groups.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from centerbound.group import Group, Subgroup, subgroup_from_elements
+from centerbound.perm import Perm, commute
+from centerbound.structure import (_cosets, center, derived_subgroup,
+                                   quotient)
+
+from _oracles import center_oracle
+
+MAX_ORDER = 200
+DEFAULTS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=100)
+
+
+@st.composite
+def _perm_on_blocks(draw, degree: int, split: int) -> Perm:
+    """A random permutation of 1..degree mapping {1..split} to itself."""
+    low = draw(st.permutations(range(1, split + 1)))
+    high = draw(st.permutations(range(split + 1, degree + 1)))
+    return Perm(list(low) + list(high))
+
+
+@st.composite
+def groups(draw) -> Group:
+    """A random group, a handle on it, or a child of that handle."""
+    degree = draw(st.sampled_from(range(1, 9)))
+    split = draw(st.one_of(st.just(degree),
+                           st.sampled_from(range(1, degree + 1))))
+    gens = draw(st.lists(_perm_on_blocks(degree, split),
+                         min_size=1, max_size=3))
+    G = Group(degree, gens)
+    while G.order() > MAX_ORDER:
+        gens = gens[:-1]
+        G = Group(degree, gens)
+    kind = draw(st.sampled_from(["group", "handle", "child"]))
+    if kind == "group":
+        return G
+    x = G.elements()[draw(st.integers(0, G.order() - 1))]
+    H = subgroup_from_elements(
+        G, [g for g in G.elements() if g * x == x * g])
+    if kind == "handle":
+        return H
+    return Subgroup(H, [x])
+
+
+def _numbering(G: Group, zset: set) -> list[int]:
+    """Coset numbers of G's elements in G's element order, numbered by first
+    appearance, from whole Perms."""
+    number: dict[Perm, int] = {}
+    count = 0
+    for g in G.elements():
+        if g not in number:
+            number.update((g * z, count) for z in zset)
+            count += 1
+    return [number[g] for g in G.elements()]
+
+
+@DEFAULTS
+@given(groups())
+def test_commute_on_points_agrees_with_products(G):
+    points = G.points()
+    elems = G.elements()
+    assert [commute(a, b, points) for a in elems for b in elems] == \
+        [a * b == b * a for a in elems for b in elems]
+
+
+@DEFAULTS
+@given(groups())
+def test_keyed_center_cosets_match_a_whole_tuple_numbering(G):
+    zset = center_oracle(G.elements())
+    assert set(center(G).elements()) == zset
+    cosets = _cosets(G, center(G), 10 ** 6)
+    assert len(cosets) == G.order()
+    assert list(cosets.values()) == _numbering(G, zset)
+
+
+@DEFAULTS
+@given(groups())
+def test_projection_matches_the_whole_tuple_projection(G):
+    for N in (center(G), derived_subgroup(G)):
+        if N.order() == 1:
+            continue  # G is its own quotient: projection is the identity
+        pres = quotient(G, N)
+        blocks = pres._blocks
+        block_of = {x: c for c, block in enumerate(blocks) for x in block}
+        for g in G.elements():
+            assert pres.projection(g)._img == tuple(
+                block_of[block[0] * g] for block in blocks)

@@ -296,7 +296,7 @@ class TestCenterCosets:
         # the centralizer filter asks commute about |G : Z(G)| elements
         tested = set()
 
-        def commute(a, b):
+        def commute(a, b, points):
             tested.add(a)
             return a * b == b * a
         monkeypatch.setattr(structure, "commute", commute)

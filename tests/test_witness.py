@@ -464,10 +464,10 @@ class TestAlsoCentralizers:
         filter_ = witness.centralizing
         G = group(text)
 
-        def counting(elems, S):
+        def counting(elems, S, points):
             if elems and elems[0].degree == G.degree:
                 calls.append((tuple(elems), tuple(S)))
-            return filter_(elems, S)
+            return filter_(elems, S, points)
         monkeypatch.setattr(witness, "centralizing", counting)
         also_witness(G)
         actions = {(elems, tuple(a.conjugate(x) for a in elems))
