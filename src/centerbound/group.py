@@ -16,15 +16,29 @@ Element enumeration walks the transversal chain in sorted-orbit order and is
 guarded by a configurable cap: operations that need the full element list
 fail loudly with CapExceeded rather than subsample.
 
+A known order saves verification.  Sims' criterion (Seress, Permutation
+Group Algorithms, 2003, section 4): the group of each level fixes the base
+points above it, so |H| is at least the product of the basic orbit lengths,
+with equality only when the chain is complete.  A group whose order is
+proven before its chain is built (the ``order`` argument, given for a
+quotient, a Sylow ascent step and a filtered element list, or an adopted
+element list) stops testing Schreier generators once that product reaches
+it, and a handle stops at its parent's known order when it is the whole
+parent (Lagrange).  The chain is the one built without the order.
+``subgroup_from_elements`` builds no chain at all: it closes the element
+keys of the next paragraph coset by coset.
+
 The base doubles as an element key.  Two elements of a group are equal
 exactly when they agree on a base of it, and a base of the ambient group is
 a base of each of its subgroups, so ``Group.points()`` (the ambient chain's
-base) decides commuting (``perm.commute``) and keys the coset maps of
-structure.py by a few images in place of a whole image tuple.
+base) decides commuting (``perm.commute``), and ``_key`` keys an element by
+its images of that base in place of a whole image tuple: in the coset maps
+of structure.py and in the closure of ``subgroup_from_elements``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Callable, Iterable, Sequence
 
@@ -120,7 +134,8 @@ def _sift(levels: Sequence[_Level], h: tuple[int, ...]) -> tuple[int, ...]:
     return h
 
 
-def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
+def _schreier_sims(degree: int, generators: Sequence[Perm],
+                   bound: int | None = None) -> list[_Level]:
     """Deterministic stabilizer chain (textbook Schreier-Sims; Seress,
     Permutation Group Algorithms, 2003), on image tuples.
 
@@ -130,6 +145,15 @@ def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
     identity through the deeper levels.  A Schreier generator u s is
     compared with the representative of its point before it is sifted, and
     no Perm is built until the chain is complete.
+
+    bound, when given, is a proven upper bound on the order of the group.
+    Sims' criterion (Seress 2003, section 4) makes it a stopping rule: the
+    group of each level fixes the base points above it, so the order is at
+    least the product of the basic orbit lengths, with equality exactly
+    when the chain is complete.  Once level 0 is rebuilt over complete
+    deeper levels and that product equals bound, every Schreier generator
+    left to test at level 0 is trivial, and none is tested.  The chain is
+    the one built without a bound.
     """
     ident = tuple(range(degree))
     levels: list[_Level] = []
@@ -153,6 +177,8 @@ def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
         level = levels[i]
         level.rebuild(ident, gens_at(i))
         while True:
+            if i == 0 and bound == math.prod(len(lv.images) for lv in levels):
+                return  # Sims' criterion: the chain is complete
             images = level.images
             sgens = gens_at(i)
             dirty = False
@@ -189,9 +215,16 @@ def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
 
 
 class Group:
-    """A finite permutation group given by generators on {1..degree}."""
+    """A finite permutation group given by generators on {1..degree}.
 
-    def __init__(self, degree: int, generators: Iterable[Perm] = ()):
+    order, when given, is the proven order of the group: the stabilizer
+    chain stops verifying once it reaches it, and a finished chain of any
+    other order raises AssertionError.  It is the one way a known order
+    enters a group; pass it only with a proof.
+    """
+
+    def __init__(self, degree: int, generators: Iterable[Perm] = (),
+                 order: int | None = None):
         self.degree = degree
         gens = []
         seen = set()
@@ -205,7 +238,7 @@ class Group:
             gens.append(g)
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._levels: list[_Level] | None = None
-        self._order: int | None = None
+        self._order: int | None = order
         self._elements: tuple[Perm, ...] | None = None
         self._element_set: frozenset[Perm] | None = None
         self._memo: dict = {}
@@ -214,8 +247,18 @@ class Group:
 
     def _chain(self) -> list[_Level]:
         if self._levels is None:
-            self._levels = _schreier_sims(self.degree, self.generators)
+            levels = _schreier_sims(self.degree, self.generators,
+                                    self._order_bound())
+            n = math.prod(len(level.images) for level in levels)
+            if self._order is not None and n != self._order:
+                raise AssertionError(
+                    f"a chain of order {n} for a group of order {self._order}")
+            self._levels = levels
         return self._levels
+
+    def _order_bound(self) -> int | None:
+        """A proven upper bound on the order: the order, when known."""
+        return self._order
 
     def build_bsgs(self) -> "Group":
         """Force construction of the stabilizer chain; idempotent."""
@@ -271,7 +314,10 @@ class Group:
             imgs = [tuple(range(self.degree))]
             for level in reversed(self._chain()):
                 reps = [level.images[d] for d in sorted(level.images)]
-                imgs = [gather(e, u) for u in reps for e in imgs]
+                # the deepest level's representatives times the identity
+                # are the representatives themselves
+                imgs = (reps if len(imgs) == 1
+                        else [gather(e, u) for u in reps for e in imgs])
             self._elements = tuple(map(Perm._raw, imgs))
             self._element_set = frozenset(self._elements)
         return self._elements
@@ -339,8 +385,8 @@ class Subgroup(Group):
     """
 
     def __init__(self, parent: Group, generators: Iterable[Perm] = (),
-                 _trusted: bool = False):
-        super().__init__(parent.degree, generators)
+                 _trusted: bool = False, order: int | None = None):
+        super().__init__(parent.degree, generators, order)
         self.parent = parent
         if not _trusted:
             for g in self.generators:
@@ -351,8 +397,20 @@ class Subgroup(Group):
         """The parent's points: a handle builds no chain for them."""
         return self.parent.points()
 
+    def _order_bound(self) -> int | None:
+        """The order when known, else the parent's (Lagrange)."""
+        return self._order or self.parent._order
+
     def __repr__(self) -> str:
         return f"Sub{super().__repr__()}"
+
+
+def _key(G: Group) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The key of an element of G, from its image tuple: its images of
+    G.points(), which only equal elements share.  The key of g n is
+    gather(key(g), n)."""
+    points = G.points()
+    return lambda img: gather(points, img)
 
 
 def subgroup_from_elements(parent: Group, elems: Sequence[Perm]) -> Subgroup:
@@ -360,19 +418,49 @@ def subgroup_from_elements(parent: Group, elems: Sequence[Perm]) -> Subgroup:
     selecting a small generating subset and caching the elements.
 
     The generator selection is greedy in list order: an element joins the
-    generators when it does not sift through the chain of the handle built
-    so far, until that handle has all of elems.  Deterministic input order
-    gives a deterministic handle.
+    generators when it lies outside the group they generate so far, until
+    that group has all of elems.  Deterministic input order gives a
+    deterministic handle.  No chain is built: membership is decided on the
+    keys (``_key``) of the group generated so far, its elements' images of
+    a base of the parent.  A list that is not a subgroup raises
+    AssertionError.
     """
+    key = _key(parent)
+    keys = [key(e._img) for e in elems]
     if len(elems) == parent.order():
-        found = Subgroup(parent, parent.generators, _trusted=True)
+        gens, known = list(parent.generators), set(keys)
     else:
-        found = Subgroup(parent, (), _trusted=True)
-        for e in elems:
-            if e not in found:
-                found = Subgroup(parent, found.generators + (e,),
-                                 _trusted=True)
-                if found.order() == len(elems):
+        gens = []
+        identity_key = key(range(parent.degree))
+        members, known = [identity_key], {identity_key}
+        for e, k in zip(elems, keys):
+            if k not in known:
+                gens.append(e)
+                _grow(members, known, [g._img for g in gens])
+                if len(known) == len(elems):
                     break
+    if len(known) != len(elems) or known != set(keys):
+        raise AssertionError(
+            f"{len(elems)} elements, {len(set(keys))} distinct, are not a "
+            f"subgroup: they generate {len(known)}")
+    found = Subgroup(parent, gens, _trusted=True, order=len(elems))
     found._adopt_elements(list(elems))
     return found
+
+
+def _grow(members: list, known: set, gens: Sequence[tuple[int, ...]]):
+    """Grow members, the listed keys of a group K with the identity's first,
+    and known, the same as a set, to the keys of the group generated by K and
+    gens, by whole right cosets K y: the key of k y is gather(key(k), y).
+    Each coset representative y is kept with its key, so y s is built in
+    full only when it starts a new coset."""
+    coset = list(members)
+    reps = [(members[0], tuple(range(len(gens[0]))))]
+    for key, x in reps:
+        for s in gens:
+            if (ykey := gather(key, s)) not in known:
+                y = gather(x, s)
+                new = [gather(k, y) for k in coset]
+                members += new
+                known.update(new)
+                reps.append((ykey, y))

@@ -153,10 +153,13 @@ def gather(img, by) -> tuple:
     """The tuple of by[i] for i in img, in img's iteration order, gathered in
     one C call.  On 0-based image tuples gather(p, q) is the image tuple of
     p * q: apply p, then q."""
-    if len(img) < 2:
-        # itemgetter returns a bare item for one key and refuses none
-        return tuple(by[i] for i in img)
-    return itemgetter(*img)(by)
+    if len(img) > 1:
+        return itemgetter(*img)(by)
+    # itemgetter returns a bare item for one key and refuses none; img may
+    # be a set, so its one key is read by iterating, not by index
+    for i in img:
+        return (by[i],)
+    return ()
 
 
 def invert(img) -> tuple:

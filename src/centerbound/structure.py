@@ -5,7 +5,7 @@ decompositions.
 
 Cosets of a normal subgroup N have one owner, ``_cosets``: a memoized map
 from G's elements, keyed by their images of G's base points
-(``Group.points()``, by ``_key``), to N-coset numbers, in order of first
+(``Group.points()``, by ``group._key``), to N-coset numbers, in order of first
 appearance.  Elements of G agree on a base only when they are equal, and
 the key of a product g n is one short gather of n by the key of g.  The
 quotient G/N groups G's own elements into blocks by that map: projecting
@@ -46,7 +46,7 @@ from typing import Sequence
 from .arith import p_part, prime_factors
 from .errors import NotAbelian, NotCoprime, NotNormal, NotPGroup
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
-                    Subgroup, admit, subgroup_from_elements)
+                    Subgroup, _key, admit, subgroup_from_elements)
 from .perm import Perm, commutator, commute, gather
 from .table import _Perms, _world
 
@@ -100,14 +100,6 @@ def by_center_cosets(G: Group, elems, test, cap: int) -> list:
         if passed[c]:
             out.append(x)
     return out
-
-
-def _key(G: Group):
-    """The key of an element of G in G's coset maps, from its image tuple:
-    its images of G.points(), which only equal elements share.  The key of
-    g n is gather(key(g), n)."""
-    points = G.points()
-    return lambda img: gather(points, img)
 
 
 def _cosets(G: Group, N: Group, cap: int) -> dict[tuple[int, ...], int]:
@@ -246,7 +238,9 @@ def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
         P = Subgroup(G, (), _trusted=True)
         while P.order() < target:
             y = _ascent_step(G, world, P, p, cap)
-            P = Subgroup(G, tuple(P.generators) + (y,), _trusted=True)
+            # y normalizes P and y^p lies in P, so |<P, y>| = |P| p
+            P = Subgroup(G, tuple(P.generators) + (y,), _trusted=True,
+                         order=P.order() * p)
         return P
     return G.memo(("sylow", p), compute, elements=cap)
 
@@ -297,8 +291,10 @@ class QuotientPresentation:
         key = _key(source)
         self._firsts = [key(block[0]._img) for block in blocks]
         self._home = cosets[key(range(source.degree))]  # the identity's
+        # G/N acts regularly on the cosets of N: one element per block
         self.quotient = Group(len(blocks), map(self.projection,
-                                               source.generators))
+                                               source.generators),
+                              order=len(blocks))
 
     def projection(self, g: Perm) -> Perm:
         cosets, img = self._cosets, g._img

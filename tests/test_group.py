@@ -9,11 +9,13 @@ import pytest
 from centerbound.arith import prime_factors
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, DegreeMismatch
-from centerbound.group import Group, Subgroup, subgroup_from_elements
+from centerbound import group
+from centerbound.group import (Group, Subgroup, _schreier_sims,
+                               subgroup_from_elements)
 from centerbound.perm import Perm, identity, parse_perm
 from centerbound.structure import (center, centralizer, dee_subgroup,
-                                   derived_subgroup, second_center, sylow,
-                                   zed_subgroup)
+                                   derived_subgroup, quotient_by_center,
+                                   second_center, sylow, zed_subgroup)
 
 from _oracles import closure
 
@@ -169,6 +171,64 @@ def test_subgroup_from_elements_whole_group_shortcut():
     assert H.generators == G.generators
 
 
+@pytest.mark.parametrize("elems", [
+    ["()", "(1 2)", "(3 4)"],  # generates the Klein group of order 4
+    ["()", "(1 2)", "(1 2)", "(3 4)"],  # a repeat, and (1 2)(3 4) missing
+    # S3 on 1..3 is closed after (1 3), before (1 4) is read
+    ["()", "(1 2)", "(1 3)", "(2 3)", "(1 2 3)", "(1 4)"],
+    ["(1 2)", "()"] * 12,  # as long as S4, with repeats
+])
+def test_subgroup_from_elements_refuses_a_non_subgroup(elems):
+    G = build("sym4")
+    with pytest.raises(AssertionError):
+        subgroup_from_elements(G, [parse_perm(s, 4) for s in elems])
+
+
+def test_subgroup_from_elements_builds_no_chain(monkeypatch):
+    G = build_group(parse_group_spec("family:symmetric(5)")).build_bsgs()
+    builds = []
+    real = group._schreier_sims
+    monkeypatch.setattr(group, "_schreier_sims",
+                        lambda *args: builds.append(args) or real(*args))
+    H = centralizer(G, [parse_perm("(1 2)", 5)])
+    assert builds == []
+    assert H.order() == 12
+    # its chain, when asked for, is built at the handle's known order
+    H.build_bsgs()
+    assert [args[2] for args in builds] == [12]
+
+
+def test_a_regular_quotient_tests_no_schreier_generator(monkeypatch):
+    """Level 0's orbit of a regular action is every point, so its product
+    reaches the known order as soon as the orbit is built: the gathers are
+    the orbit's breadth-first search, one per point but the base point."""
+    G = build_group(parse_group_spec("family:direct_product("
+                                     "symmetric(4),heisenberg(3))"))
+    Q = quotient_by_center(G).quotient
+    assert Q._levels is None and Q.order() == 216
+    gathers = []
+    real = group.gather
+    monkeypatch.setattr(group, "gather",
+                        lambda img, by: gathers.append(1) or real(img, by))
+    assert len(Q._chain()) == 1
+    assert len(gathers) == Q.degree - 1
+
+
+def test_a_wrong_exact_order_raises():
+    degree, gens, order = SMALL_GROUPS["alt5"]
+    perms = [parse_perm(s, degree) for s in gens]
+    with pytest.raises(AssertionError):
+        Group(degree, perms, order=2 * order).build_bsgs()
+    # a multiple of a handle's order from its parent is only a bound
+    assert Subgroup(Group(degree, perms, order=order), perms[:1]).order() == 3
+
+
+def _chain_data(levels) -> list:
+    return [(level.point, [g._img for g in level.gens],
+             [(d, u._img) for d, u in level.transversal.items()])
+            for level in levels]
+
+
 def test_base_points_are_one_based():
     G = build("sym3")
     assert all(1 <= b <= 3 for b in G.base)
@@ -275,3 +335,25 @@ def test_large_sylow_generators_are_pinned():
                 [[g._img for g in sylow(H, p).generators]
                  for p in sorted(prime_factors(H.order()))]).encode())
     assert digest.hexdigest() == LARGE_SYLOW_GENERATORS_SHA256
+
+
+def test_chains_built_at_a_known_order_are_the_unbounded_chains():
+    """Every chain that stops at a proven order (G/Z(G), the Sylow
+    subgroups, and the filtered handles Z, Z2, C_G(G'), D and zed) is the
+    chain that Schreier-Sims builds with no bound."""
+    specs = list(default_corpus().specs) + [
+        parse_group_spec("family:" + text) for text in LARGE_SPECS]
+    for spec in specs:
+        G = build_group(spec)
+        handles = [quotient_by_center(G).quotient, center(G),
+                   second_center(G),
+                   centralizer(G, derived_subgroup(G).generators),
+                   dee_subgroup(G), zed_subgroup(G)]
+        handles += [sylow(G, p) for p in sorted(prime_factors(G.order()))]
+        for H in handles:
+            bound = H._order_bound()
+            assert bound == H.order()
+            unbounded = _chain_data(_schreier_sims(H.degree, H.generators))
+            assert _chain_data(H._chain()) == unbounded
+            assert _chain_data(
+                _schreier_sims(H.degree, H.generators, bound)) == unbounded

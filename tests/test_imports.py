@@ -1,4 +1,4 @@
-"""Six source gates over the package's modules.
+"""Seven source gates over the package's modules.
 
 * Every name a module imports is used in that module.  ``__init__.py`` is
   left out: its imports are the package's public API.
@@ -16,6 +16,10 @@
   ``commute``, and every call of it (``commute(...)`` or
   ``perm.commute(...)``) passes the points to decide on.  The element
   protocols' ``world.commute(a, b)`` methods are not calls of it.
+* Proven orders have one owner, ``group.py``: no other module assigns an
+  ``._order`` attribute.  A known order enters a group through the
+  ``order`` argument of ``Group`` and ``Subgroup``, because the stabilizer
+  chain stops verifying once it reaches that order.
 """
 
 import ast
@@ -277,3 +281,41 @@ def test_gate_sees_a_second_commute_and_a_call_without_points():
         "commute without points (line 5)", "commute without points (line 5)",
         "def commute (line 2)"]
     assert _commute_uses((SRC / "perm.py").read_text(), owner=False) != []
+
+
+def _order_assignments(source: str) -> list[str]:
+    """Lines that assign an ._order attribute, plainly, augmented, annotated
+    or inside a tuple or list target."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for part in ast.walk(target):
+                if isinstance(part, ast.Attribute) and part.attr == "_order":
+                    found.append(f"._order = (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "group.py"],
+                         ids=lambda p: p.name)
+def test_group_owns_proven_orders(path):
+    assert _order_assignments(path.read_text()) == []
+
+
+def test_gate_sees_a_second_order_owner():
+    assert _order_assignments(
+        "def f(G, H, n):\n"
+        "    G._order = n\n"
+        "    H._order += 1\n"
+        "    G._levels, H._order = None, n\n"
+        "    K: int = H._order\n"
+        "    G.order_ = H._order_bound()\n"
+        "    G.x._order: int = 2\n") == [
+        "._order = (line 2)", "._order = (line 3)", "._order = (line 4)",
+        "._order = (line 7)"]
+    assert _order_assignments((SRC / "group.py").read_text()) != []

@@ -61,6 +61,7 @@ class TestGather:
         assert gather((), (5, 6)) == ()
         assert gather((1,), (5, 6)) == (6,)
         assert gather(frozenset({1}), (5, 6)) == (6,)
+        assert gather(frozenset(), (5, 6)) == ()
         assert gather(["a", "b"], {"a": 1, "b": 2}) == (1, 2)
 
     def test_mixed_degrees_are_refused(self):

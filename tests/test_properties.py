@@ -1,5 +1,6 @@
-"""Property tests: element identity decided on base points agrees with
-whole image tuples, on random small groups.
+"""Property tests on random small groups: element identity decided on base
+points agrees with whole image tuples, and a stabilizer chain built at a
+proven order bound is the chain built without one.
 
 The groups have degree at most 8 and come from one to three random
 permutations.  Each generator preserves a random split of the points into
@@ -11,9 +12,11 @@ and on a ``Subgroup`` child of that handle.  The runs are derandomized, so
 every run draws the same groups.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from centerbound.group import Group, Subgroup, subgroup_from_elements
+from centerbound.group import (Group, Subgroup, _schreier_sims,
+                               subgroup_from_elements)
 from centerbound.perm import Perm, commute
 from centerbound.structure import (_cosets, center, derived_subgroup,
                                    quotient)
@@ -99,3 +102,28 @@ def test_projection_matches_the_whole_tuple_projection(G):
         for g in G.elements():
             assert pres.projection(g)._img == tuple(
                 block_of[block[0] * g] for block in blocks)
+
+
+def _chain_data(levels) -> list:
+    return [(level.point, [g._img for g in level.gens],
+             [(d, u._img) for d, u in level.transversal.items()])
+            for level in levels]
+
+
+@DEFAULTS
+@given(groups(), st.integers(1, 4))
+def test_a_chain_at_an_order_bound_is_the_unbounded_chain(G, multiple):
+    """At the true order the chain stops verifying early; at a proper
+    multiple of it the product never reaches the bound and every Schreier
+    generator is tested.  Both give the chain built with no bound."""
+    unbounded = _chain_data(_schreier_sims(G.degree, G.generators))
+    assert _chain_data(_schreier_sims(
+        G.degree, G.generators, G.order() * multiple)) == unbounded
+
+
+@DEFAULTS
+@given(groups(), st.integers(2, 4))
+def test_a_known_order_too_large_raises(G, multiple):
+    H = Group(G.degree, G.generators, order=G.order() * multiple)
+    with pytest.raises(AssertionError):
+        H.build_bsgs()
