@@ -10,7 +10,9 @@ be re-verified and audited:
 * factorize_commutator: write any element of the derived subgroup of a
   p-group P = <a_1..a_d, Z(P)> as [x_1,a_1]...[x_d,a_d], by layered
   product-set search with predecessor tracking; the layers are kept in P's
-  memo per anchor tuple, and each factorisation is re-verified.
+  memo per anchor tuple, and each factorisation is re-verified.  The
+  distinct [x, a] of a layer are found by their keys (images of P's base
+  points), and each is built as a Perm once.
 * also_witness / szivas_witness: the per-prime T/M construction bounding
   |C_G(G') : Z_2(G)| and |D : C_G(G')| by powers of |G' : G' n Z(G)|,
   written once in _tm_witness; each record is kept in the group's memo.
@@ -19,7 +21,9 @@ be re-verified and audited:
 * check_commutator_homomorphism: a -> [a, x] is a homomorphism on C_G(G').
 * rank_embedding_pl: the commutator-map embeddings bounding the ranks of
   C_G(G')/Z_2(G) and D/C_G(G') in p-groups; it says if its pairs sampled,
-  and reports the section rank as a value, Unknown past caps.
+  and reports the section rank as a value, Unknown past caps.  Each map
+  value is built once per domain element, and the checks modulo zed read
+  G's zed-coset numbers, so every map value must lie in G.
 """
 
 from __future__ import annotations
@@ -27,17 +31,18 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .arith import is_prime_power, prime_factors
 from .errors import BadAnchors, BadFamily, NotInDerived, NotPGroup
 from .config import DEFAULT_SAMPLE_PAIRS
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
                     DEFAULT_SUBGROUP_CAP, DEFAULT_TUPLE_CAP, Group, Subgroup,
-                    subgroup_from_elements)
-from .perm import Perm, commutator, format_perm
+                    _key, subgroup_from_elements)
+from .perm import Perm, commutator, format_perm, gather
 from .rank import (UnknownRank, _section_rank, abelian_rank, known,
                    shrink_generating_set)
-from .structure import (by_center_cosets, center, centralizing,
+from .structure import (_cosets, by_center_cosets, center, centralizing,
                         derived_subgroup, intersection, is_normal, quotient,
                         socle_p, StructureReport, structure_report, sylow,
                         zed_subgroup)
@@ -152,18 +157,26 @@ def commutator_product_layers(P: Group, anchors: list[Perm],
                               cap: int = DEFAULT_ENUMERATION_CAP
                               ) -> list[dict[Perm, tuple[Perm, Perm] | None]]:
     """Layer i holds every product [x_1,a_1]...[x_i,a_i], mapped to a
-    (predecessor, x_i) pair; first writer wins, in element order."""
+    (predecessor, x_i) pair; first writer wins, in element order.  The
+    anchors lie in P, so each [x, a] = x^-1 a^-1 x a does, and the distinct
+    ones are found by key (``group._key``): the key of x^-1 is each base
+    point's position in x, gathered through a^-1, x and a.  A commutator is
+    built only when its key is new."""
     elems = P.elements(cap)
+    points = P.points()
     layers: list[dict] = [{P.identity_element(): None}]
     for a in anchors:
-        step: dict[Perm, Perm] = {}
+        ainv, aimg = a.inverse()._img, a._img
+        step: dict[tuple[int, ...], tuple[Perm, Perm]] = {}
         for x in elems:
-            c = commutator(x, a)
-            if c not in step:
-                step[c] = x
+            img = x._img
+            k = gather(gather(gather(tuple(map(img.index, points)), ainv),
+                              img), aimg)
+            if k not in step:
+                step[k] = (commutator(x, a), x)
         nxt: dict[Perm, tuple[Perm, Perm]] = {}
         for prev in layers[-1]:
-            for c, x in step.items():
+            for c, x in step.values():
                 prod = prev * c
                 if prod not in nxt:
                     nxt[prod] = (prev, x)
@@ -390,8 +403,8 @@ def szivas_witness(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
 # -- commutator homomorphism and the rank embeddings -------------------------
 
 
-def _pairs(elems: tuple[Perm, ...], maps: int, sample_pairs: int,
-           key: str) -> tuple[list[tuple[Perm, Perm]], bool]:
+def _pairs(elems: Sequence, maps: int, sample_pairs: int,
+           key: str) -> tuple[list[tuple], bool]:
     """The pairs each of a check's maps runs over, and whether they were
     sampled: all pairs while len(elems)^2 * maps fits max(sample_pairs, 2500),
     past it sample_pairs pairs drawn with the seed key; none without maps."""
@@ -447,7 +460,14 @@ def rank_embedding_pl(G: Group, which: str,
     """Replay the rank embeddings: for pl1 the maps a -> [a, x_i] embed
     C_G(G')/(M n C_G(G')) into a power of G'/zed, giving
     rank(C_G(G')/Z_2) <= r^2; for pl2 the maps a -> [x_i, a], [y_i, a] on D
-    give rank(D/C_G(G')) <= 2 r^2.  The xs come from the lemma's witness."""
+    give rank(D/C_G(G')) <= 2 r^2.  The xs come from the lemma's witness.
+
+    Each map f is evaluated once per domain element, and both checks run
+    on G's zed-coset numbers (``structure._cosets``): f(ab) = f(a)f(b) mod
+    zed exactly when the keys of f(ab) and of f(a)f(b), which is
+    gather(key(f(a)), f(b)), lie in one coset, and f(a) lies in zed exactly
+    when its coset is the identity's.  So every map value must lie in G, as a commutator of
+    elements of G does.  An embedding with no maps builds no coset map."""
     if which not in _MAPS:
         raise ValueError("which must be 'pl1' or 'pl2'")
     order = G.order()
@@ -460,15 +480,27 @@ def rank_embedding_pl(G: Group, which: str,
     lemma, fmap = _MAPS[which]
     domain, target, exponent = _LEMMAS[lemma][0](sr, r)
     xs = _tm_witness(G, lemma, cap, coset_cap, subgroup_cap, tuple_cap).xs
-    zed_set = sr.zed.element_set(cap)
     dom_elems = domain.elements(cap)
-    pairs, sampled = _pairs(dom_elems, len(xs), sample_pairs,
+    # pairs of positions in dom_elems: the same draws as pairs of elements
+    pairs, sampled = _pairs(range(len(dom_elems)), len(xs), sample_pairs,
                             f"{seed}:{which}")
-    homs_ok = all(fmap(a * b, t) * (fmap(a, t) * fmap(b, t)).inverse()
-                  in zed_set for t in xs for a, b in pairs)
+    homs_ok, kernel = True, range(len(dom_elems))
+    if xs:
+        coset = _cosets(G, sr.zed, cap)
+        key = _key(G)
+        one = coset[key(range(G.degree))]
+        imgs = [a._img for a in dom_elems]
+        keys = [key(img) for img in imgs]
+        for t in xs:
+            values = [fmap(a, t)._img for a in dom_elems]
+            value_keys = [key(v) for v in values]
+            number = {k: coset[v] for k, v in zip(keys, value_keys)}
+            homs_ok = homs_ok and all(
+                number[gather(keys[a], imgs[b])]
+                == coset[gather(value_keys[a], values[b])] for a, b in pairs)
+            kernel = [i for i in kernel if number[keys[i]] == one]
     target_set = target.element_set(cap)
-    kernel_contained = all(a in target_set for a in dom_elems
-                           if all(fmap(a, t) in zed_set for t in xs))
+    kernel_contained = all(dom_elems[i] in target_set for i in kernel)
     section_rank = _section_rank(domain, target, cap, subgroup_cap,
                                  tuple_cap, coset_cap)
     bound = exponent * r

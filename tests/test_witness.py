@@ -1,20 +1,26 @@
 """Proof-replay operations: socle chains, commutator factorisation, the
 T/M witnesses, the commutator homomorphism, and the rank embeddings."""
 
+import hashlib
 import random
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
 
 from centerbound import witness
 from centerbound.arith import is_prime_power
+from centerbound.config import DEFAULT_SAMPLE_PAIRS
 from centerbound.corpus import (build_group, default_corpus, direct_product,
                                 parse_group_spec)
 from centerbound.errors import (BadAnchors, BadFamily, CapExceeded,
                                 NotInDerived, NotPGroup)
-from centerbound.group import Group, Subgroup
+from centerbound.group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
+                               DEFAULT_SUBGROUP_CAP, DEFAULT_TUPLE_CAP, Group,
+                               Subgroup)
 from centerbound.perm import commutator, parse_perm
-from centerbound.rank import abelian_rank, shrink_generating_set
+from centerbound.rank import (UnknownRank, _section_rank, abelian_rank,
+                              shrink_generating_set)
 from centerbound.structure import (centralizer, derived_subgroup,
                                    second_center, structure_report,
                                    zed_subgroup)
@@ -512,3 +518,223 @@ def test_corpus_p_group_soundness():
             rep = rank_embedding_pl(G, which)
             assert rep.homomorphisms_ok and rep.kernel_contained, label
             assert rep.bound_holds is not False, label
+
+
+def embedding_oracle(G, which, sample_pairs):
+    """The fields of rank_embedding_pl(G, which) with each pair checked by
+    Perm products: f(ab) (f(a) f(b))^-1 in zed, three map values a pair,
+    and the kernel by whole map values against zed's element set."""
+    caps = (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP, DEFAULT_TUPLE_CAP,
+            DEFAULT_COSET_CAP)
+    sr = structure_report(G)
+    r = _section_rank(sr.derived, sr.zed, *caps)
+    lemma, fmap = witness._MAPS[which]
+    domain, target, exponent = witness._LEMMAS[lemma][0](sr, r)
+    xs = (also_witness if lemma == "also" else szivas_witness)(G).xs
+    zed = set(sr.zed.elements())
+    elems = domain.elements()
+    pairs, sampled = witness._pairs(elems, len(xs), sample_pairs,
+                                    f"0:{which}")
+    homs_ok = all(fmap(a * b, t) * (fmap(a, t) * fmap(b, t)).inverse() in zed
+                  for t in xs for a, b in pairs)
+    target_set = set(target.elements())
+    kernel_contained = all(a in target_set for a in elems
+                           if all(fmap(a, t) in zed for t in xs))
+    rank = _section_rank(domain, target, *caps)
+    bound = exponent * r
+    holds = None if isinstance(rank, UnknownRank) else rank <= bound
+    return (which, is_prime_power(G.order()), len(xs), homs_ok,
+            kernel_contained, rank, bound, holds, sampled)
+
+
+class TestEmbeddingChecks:
+    """The embeddings decide both checks on zed-coset keys; the Perm-product
+    oracle above decides them on whole products."""
+
+    @pytest.mark.parametrize("sample_pairs", [DEFAULT_SAMPLE_PAIRS, 50])
+    def test_corpus_p_groups_match_the_oracle(self, sample_pairs):
+        maps = 0
+        for label, G in corpus_p_groups():
+            for which in ("pl1", "pl2"):
+                rep = rank_embedding_pl(G, which, sample_pairs=sample_pairs)
+                assert astuple(rep) == \
+                    embedding_oracle(G, which, sample_pairs), (label, which)
+                maps += rep.map_count
+        assert maps > 0
+
+    @pytest.mark.parametrize("text", ["dihedral(16)", "dicyclic(32)"])
+    def test_planted_non_homomorphism(self, monkeypatch, text):
+        # a -> t is constant and t lies outside zed: f(ab) = t, but
+        # f(a) f(b) = t^2, so no pair passes.  No value lies in zed, so the
+        # kernel is empty
+        monkeypatch.setitem(witness._MAPS, "pl1", ("also", lambda a, t: t))
+        rep = rank_embedding_pl(group(text), "pl1")
+        assert rep.map_count == 1
+        assert not rep.homomorphisms_ok
+        assert rep.kernel_contained
+
+    @pytest.mark.parametrize("text", ["dihedral(16)", "dicyclic(32)"])
+    def test_planted_kernel_escapes_the_target(self, monkeypatch, text):
+        # the trivial map is a homomorphism whose kernel is all of C_G(G'),
+        # which is larger than Z_2 here
+        monkeypatch.setitem(witness._MAPS, "pl1",
+                            ("also", lambda a, t: t * t.inverse()))
+        G = group(text)
+        rep = rank_embedding_pl(G, "pl1")
+        sr = structure_report(G)
+        assert sr.orders["centralizer_of_derived"] > \
+            sr.orders["second_center"]
+        assert rep.map_count == 1
+        assert rep.homomorphisms_ok
+        assert not rep.kernel_contained
+
+    @pytest.mark.parametrize("text,maps", [
+        ("heisenberg(5)", 0),
+        ("direct_product(heisenberg(3),heisenberg(3))", 0),
+        ("dihedral(16)", 1)])
+    def test_coset_map_only_with_maps(self, text, maps):
+        # embeddings with no maps build no zed-coset map; G's memo holds
+        # one only when some map needs it
+        G = group(text)
+        assert rank_embedding_pl(G, "pl1").map_count == maps
+        assert rank_embedding_pl(G, "pl2").map_count == 0
+        assert (("cosets", structure_report(G).zed) in G._memo) == bool(maps)
+
+
+# sha256 of repr([list(layer.items()) for layer in layers]) for each corpus
+# p-group at its shrink_generating_set anchors
+PINNED_LAYERS = {
+    "cyclic(2)":
+        "d35a5aa55dcbc58adb4752db5ad479ef361d88589299afea270a0c1ecf7d8654",
+    "cyclic(3)":
+        "1351db413e8bbb25119fb6aa4517a8bb09dfb2a6126a88732e3ca09d5aa6519f",
+    "cyclic(4)":
+        "d26cfb26d36ad7ecfadd4229ef7adc434d74260160ff6e7bc4d09a7d80eb0b01",
+    "cyclic(5)":
+        "2619843b9282ef57ef9f9bfdb4d30c9481e5df7c28138ae89f4969281fd54d7e",
+    "cyclic(7)":
+        "b7ffe9470e4099f64dbdc2bccba0b6fbf8850d29ca2ab1c2d38e53092d978c90",
+    "cyclic(8)":
+        "b9db34f3985109782814ce08e60f665621e4e1174e4a0ee63e01c5913caa4f04",
+    "cyclic(9)":
+        "838acba785e72775cf6802e2d01274315d637ad57b4bd64524990cb8c52fe421",
+    "cyclic(11)":
+        "5f0ecd0ff51d6e8fb2155b1443ffbbb03046375cd47c9a33f97d7dfdda8450ca",
+    "cyclic(13)":
+        "224c025b9ff2f32b62a8cce0defce81e44bc02ca3fed41725986aaeec86a5e6f",
+    "cyclic(16)":
+        "6b224d95c2ab97f5219d1a6f69119f78ab1217acc18b456abc99e60b4b2fd086",
+    "cyclic(17)":
+        "972cb1afa81f2c85a94073f4a1da6835a5a8f9de644947f36e528cfa49117c22",
+    "cyclic(19)":
+        "1d0a9d829fc196c59aeefb020cc5d59f2f494a3698f470cbfce5b71bc11f0101",
+    "cyclic(23)":
+        "b7527e80cd4cebb2a7692738645616435a1f1de2333c6618e9ccdc9da1ae9931",
+    "cyclic(25)":
+        "8804926a6d76a14842605ba418ae7ca24f7fe8817bd06bd40b6f1dd781f257b4",
+    "cyclic(27)":
+        "d77fd00c1db5338800fe6c541137e0716b53f5688c18b1716ee49cf356231789",
+    "cyclic(29)":
+        "38c76642015e5e2582db4ba68337d2e6591fa4551b7171d5a8a8f975b0737962",
+    "cyclic(31)":
+        "f42ce6473ae0dc2193af74ceb76191bf81ae980f898dcc98a97150c95b971322",
+    "cyclic(32)":
+        "927cf8b3edf2e7653678a180096a91cfd0c110e5156b3e49c06d47cd48430507",
+    "dihedral(1)":
+        "d35a5aa55dcbc58adb4752db5ad479ef361d88589299afea270a0c1ecf7d8654",
+    "dihedral(2)":
+        "79a253229a3a0b4d83624597d1bb9fbc74964ac7387e3b8081c944f29a50f742",
+    "dihedral(4)":
+        "4dc3d30bda818223cd194223092811537ea7a205a614e784ad14445fd46e611f",
+    "dihedral(8)":
+        "6270cb7bb51ba3cb685788d50935ccc59c58006b9d2f43caec33d8ad8fc95752",
+    "dihedral(16)":
+        "39ca07afe0aa65575abbf9c18d45c4f0814d5ca2eab35527dd5f006b505fb7c0",
+    "dihedral(32)":
+        "809cc542b3a3d3b018599be6df4e9b2a573af24cff22788fcb49fb7ad189b9de",
+    "dicyclic(1)":
+        "d26cfb26d36ad7ecfadd4229ef7adc434d74260160ff6e7bc4d09a7d80eb0b01",
+    "dicyclic(2)":
+        "af0537405dacf8a62c26fb406e2a544ffd4252f00c5529c41c8ec44810bba70b",
+    "dicyclic(4)":
+        "dd75cdc42b7b16f5e95e484dd68245d91490ba79f8505301398db654cafbfb34",
+    "dicyclic(8)":
+        "5d6e89bbcaefed844766999cdc274bb448faf508048dae7f65d94a35e55c424d",
+    "dicyclic(16)":
+        "ec92e67605179b7a854aa7ff44fae15dec7fc477888105c601dd2fc7a36f7bba",
+    "dicyclic(32)":
+        "feaf02dafc8281fc75f59f2a17043d9917629749467c6bff2930401050522bc7",
+    "symmetric(2)":
+        "d35a5aa55dcbc58adb4752db5ad479ef361d88589299afea270a0c1ecf7d8654",
+    "alternating(3)":
+        "1351db413e8bbb25119fb6aa4517a8bb09dfb2a6126a88732e3ca09d5aa6519f",
+    "elem_abelian(2,1)":
+        "d35a5aa55dcbc58adb4752db5ad479ef361d88589299afea270a0c1ecf7d8654",
+    "elem_abelian(2,2)":
+        "79a253229a3a0b4d83624597d1bb9fbc74964ac7387e3b8081c944f29a50f742",
+    "elem_abelian(2,3)":
+        "b0c89e3956ac91bb45908e8a6131cc1a981471841876000e76afa7368f1a930d",
+    "elem_abelian(3,1)":
+        "1351db413e8bbb25119fb6aa4517a8bb09dfb2a6126a88732e3ca09d5aa6519f",
+    "elem_abelian(3,2)":
+        "c172d626090c33322070cd16a68110fdaf6e664645b7bba091685388a5f33d4d",
+    "elem_abelian(3,3)":
+        "3c92db1bb9b3e63eaba95fbc3a41096586c2c335b3b77320fa90beb86043a803",
+    "elem_abelian(5,1)":
+        "2619843b9282ef57ef9f9bfdb4d30c9481e5df7c28138ae89f4969281fd54d7e",
+    "elem_abelian(5,2)":
+        "a638127bff2e604c604f267b4bd56c791edfa0a951adfe26bfabc7250c933cf4",
+    "elem_abelian(5,3)":
+        "29f4efa4d365e0326396c099811747b1aa14a7af087f2585b72bf3f76913ebfb",
+    "heisenberg(2)":
+        "f5ff75fc63aeb6749a57a7c82c7494a3e5d0d6c665a619ada09ee3ca158ab2d1",
+    "heisenberg(3)":
+        "a6bed2039e2b0267e365cb074767b305a58875b175ec87e3225e7bf9eb9e7c13",
+    "heisenberg(5)":
+        "cdb58baa4995e4178b56b691b128ab7205f38f389bb23176208f3bfac4c65ec4",
+    "direct_product(dihedral(4),dihedral(4))":
+        "c116300f07032bd7689bb7297d32a49760e2828449e5ab7450f639294db9c70a",
+    "direct_product(heisenberg(3),heisenberg(3))":
+        "12c932144b2cbe06b16167fe85743aa0a04603b46a894c6b42e547543673a1a3",
+    "direct_product(heisenberg(3),cyclic(3))":
+        "746243ffce109648700d82d675134109fd2613d0f881a8ed92c12acc6dbb0f7c",
+    "direct_product(dihedral(4),cyclic(2))":
+        "bab83045bacaea7deba7c58181080d84210ffbb458c918fad7a2bd2c99e17414",
+    "direct_product(dicyclic(2),dihedral(4))":
+        "211c51f731556519f8b962286d9274f939652f5fd0d6a77eb2cf015d317b4ddf",
+}
+
+
+class TestLayersByKey:
+    def test_layers_are_pinned(self):
+        groups = corpus_p_groups()
+        assert [label for label, _ in groups] == list(PINNED_LAYERS)
+        for label, G in groups:
+            anchors = shrink_generating_set(G, list(G.generators))
+            layers = commutator_product_layers(G, anchors)
+            digest = hashlib.sha256(repr(
+                [list(layer.items()) for layer in layers]).encode())
+            assert digest.hexdigest() == PINNED_LAYERS[label], label
+
+    def test_one_commutator_per_distinct_value(self, monkeypatch):
+        # each anchor's distinct [x, a] are found by key; a Perm commutator
+        # is built for a new key only, not for every x in P
+        calls = []
+        build = witness.commutator
+
+        def counting(x, a):
+            calls.append(a)
+            return build(x, a)
+        monkeypatch.setattr(witness, "commutator", counting)
+        fewer = 0
+        for label, G in corpus_p_groups():
+            anchors = shrink_generating_set(G, list(G.generators))
+            calls.clear()
+            commutator_product_layers(G, anchors)
+            elems = G.elements()
+            built = Counter(calls)
+            for a in anchors:
+                distinct = len({build(x, a) for x in elems})
+                assert built[a] == distinct, label
+                fewer += distinct < len(elems)
+        assert fewer > 0
