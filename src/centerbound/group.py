@@ -79,18 +79,18 @@ class _Level:
 
     The group of level i is generated by the gens of ALL levels >= i; a
     generator sits at the first level whose base point it moves.  The chain
-    is built and sifted on image tuples (``images``, ``inverse``); ``gens``
-    and ``transversal`` hold them as Perms once the chain is complete.
+    is built, sifted and read on image tuples: ``gens`` holds the strong
+    generators and ``images`` the transversal, delta -> the representative
+    u with point^u = delta.
     """
 
-    __slots__ = ("point", "gens", "images", "inverses", "transversal")
+    __slots__ = ("point", "gens", "images", "inverses")
 
     def __init__(self, point: int):
         self.point = point              # 0-based internally
-        self.gens: list = []
+        self.gens: list[tuple[int, ...]] = []
         self.images: dict[int, tuple[int, ...]] = {}
         self.inverses: dict[int, tuple[int, ...]] = {}
-        self.transversal: dict[int, Perm] = {}
 
     def inverse(self, delta: int) -> tuple[int, ...]:
         """The inverse image tuple of the representative of delta, computed
@@ -113,11 +113,6 @@ class _Level:
                 if b not in images:
                     images[b] = gather(u, g)
                     queue.append(b)
-
-    def finish(self):
-        """Wrap the strong generators and representatives in Perms."""
-        self.gens = [Perm._raw(g) for g in self.gens]
-        self.transversal = {d: Perm._raw(u) for d, u in self.images.items()}
 
 
 def _sift(levels: Sequence[_Level], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -209,8 +204,6 @@ def _schreier_sims(degree: int, generators: Sequence[Perm],
             place(g._img)
     for i in range(len(levels) - 1, -1, -1):
         complete(i)
-    for level in levels:
-        level.finish()
     return levels
 
 
@@ -280,10 +273,8 @@ class Group:
             if self._elements is not None:
                 self._order = len(self._elements)
             else:
-                n = 1
-                for level in self._chain():
-                    n *= len(level.transversal)
-                self._order = n
+                self._order = math.prod(
+                    len(level.images) for level in self._chain())
         return self._order
 
     def sift(self, p: Perm) -> Perm:
@@ -358,11 +349,10 @@ class Group:
 
     def random_element(self, rng: random.Random) -> Perm:
         """Uniform random element, drawn level-by-level from the transversals."""
-        g = identity(self.degree)
+        g = tuple(range(self.degree))
         for level in reversed(self._chain()):
-            delta = rng.choice(sorted(level.transversal))
-            g = g * level.transversal[delta]
-        return g
+            g = gather(g, level.images[rng.choice(sorted(level.images))])
+        return Perm._raw(g)
 
     def is_abelian(self) -> bool:
         gens, points = self.generators, self.points()

@@ -179,11 +179,14 @@ def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
         _Table, dict[frozenset[int], tuple[int, ...]], list[frozenset[int]]]:
     """G's table, every subgroup of G as its set of table indices mapped to
     generators of it, and one representative per conjugacy class (see
-    all_subgroups).  An extension <H, g> grows from H by whole cosets
-    (_Table.extend).  A new subgroup is a representative, and its class is
-    recorded whole by a breadth-first orbit under conjugation by G's
-    generators, with conjugated generators.  Only representatives are
-    extended, and only they go through group_rank's d and tuple search."""
+    all_subgroups).  The unit of the walk is the cyclic subgroup: each is
+    walked once, from its first element x in index order, which stands for
+    it as its generator, its candidate and its entry in a skip set.  An
+    extension <H, g> grows from H by whole cosets (_Table.extend).  A new
+    subgroup is a representative, and its class is recorded whole by a
+    breadth-first orbit under conjugation by G's generators, with conjugated
+    generators.  Only representatives are extended, and only they go
+    through group_rank's d and tuple search."""
     def compute():
         order = G.order()
         admit("subgroups", subgroup_cap, order)
@@ -209,19 +212,26 @@ def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
                         found[conj] = gather(gather(found[K], row), col)
                         orbit.append(conj)
 
+        # cyclic[y] is the first element, in index order, of the cyclic
+        # subgroup y generates, and stands for it: x^k generates <x> exactly
+        # when gcd(k, |<x>|) = 1, so one walk of <x> labels all its generators
+        cyclic: list[int | None] = [None] * idx.n
+        cyclic[idx.identity] = idx.identity
         record(frozenset({idx.identity}), ())
+        candidates = []
         for x in range(idx.n):
-            if x == idx.identity:
+            if cyclic[x] is not None:
                 continue
-            powers = {x}
-            y = table[x][x]
-            while y != x:
-                powers.add(y)
-                y = table[y][x]
+            powers = [x]
+            while powers[-1] != idx.identity:
+                powers.append(table[powers[-1]][x])
+            m = len(powers)
+            for k, y in enumerate(powers, 1):
+                if gcd(k, m) == 1:
+                    cyclic[y] = x
             record(frozenset(powers), (x,))
-
-        candidates = [x for x in range(idx.n)
-                      if is_prime_power(idx.orders[x]) is not None]
+            if is_prime_power(m) is not None:
+                candidates.append(x)
 
         pos = 0
         while pos < len(reps):
@@ -236,13 +246,17 @@ def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
                     continue
                 new_gens = gens + (g,)
                 record(idx.extend(hset, new_gens), new_gens)
-                # same extension from any <g>-generator conjugated into H
-                g_order = idx.orders[g]
-                gen_powers = [idx.power(g, k) for k in range(1, g_order)
-                              if gcd(k, g_order) == 1]
-                for gk in gen_powers:
-                    for h in hset:
-                        skip.add(idx.conjugate(gk, h))
+                # the same extension from each H-conjugate of <g>: the orbit
+                # of <g> under H's generators.  skip holds whole H-orbits,
+                # so it doubles as the orbit's visited set
+                orbit = [g]
+                skip.add(g)
+                for c in orbit:
+                    for h in gens:
+                        d = cyclic[idx.conjugate(c, h)]
+                        if d not in skip:
+                            skip.add(d)
+                            orbit.append(d)
         return idx, found, reps
     return G.memo("lattice", compute, subgroups=subgroup_cap, elements=cap)
 
@@ -255,11 +269,12 @@ def all_subgroups(G: Group, subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
     then repeated one-element extensions of one representative per class,
     deduplicated by element-set fingerprint, each new class listed whole.
 
-    Extensions only need elements of prime-power order (every subgroup is
-    generated by such elements), and for a fixed H the candidates g, g^k
-    (for <g^k> = <g>) and g^h (h in H) all generate the same extension, so
-    one representative per such orbit is tried.  A conjugate of H extends
-    to the conjugates of H's extensions, so only representatives extend.
+    Extensions only need cyclic subgroups of prime-power order (every
+    subgroup is generated by such elements), each tried through its first
+    element.  For a fixed H, <g> and its conjugates under H give the same
+    extension, so one cyclic subgroup per H-orbit is tried; the orbit is
+    closed under H's generators.  A conjugate of H extends to the
+    conjugates of H's extensions, so only representatives extend.
     """
     return G.memo("subgroups", lambda: _handles(
         G, *_lattice(G, subgroup_cap, cap)[:2], cap),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd
 
 from .errors import CapExceeded
 from .group import DEFAULT_ENUMERATION_CAP, TABLE_CAP, Group, Subgroup, admit
@@ -39,7 +38,9 @@ class _Table:
     that run in C.  inv[a] is where row a meets the identity.
 
     index maps each element of G to its index, so a Perm handle on G
-    becomes indices by dict lookups."""
+    becomes indices by dict lookups.  The table keeps no element orders:
+    the subgroup lattice reads them off its one walk per cyclic subgroup
+    (rank._lattice)."""
 
     def __init__(self, G: Group, cap: int):
         admit("table", TABLE_CAP, G.order())  # before listing G
@@ -62,17 +63,6 @@ class _Table:
         self.index = index
         self.table = rows
         self.inv = tuple(row.index(self.identity) for row in rows)
-        # x^k has order m / gcd(k, m) when x has order m
-        orders = [0] * n
-        for x in range(n):
-            if not orders[x]:
-                powers = [x]
-                while powers[-1] != self.identity:
-                    powers.append(rows[powers[-1]][x])
-                m = len(powers)
-                for k, y in enumerate(powers, 1):
-                    orders[y] = m // gcd(k, m)
-        self.orders = tuple(orders)
         self.n = n
 
     def generators(self, K: Group) -> tuple[int, ...]:

@@ -63,15 +63,41 @@ def normalizer_oracle(elems, sub_elems) -> set[Perm]:
     return out
 
 
-def subgroups_oracle(degree: int, elems) -> set[frozenset[Perm]]:
-    """All subgroups of a tiny group: closures of all generator subsets
-    of size at most 3 (complete for every group whose rank is <= 3)."""
-    elems = sorted(elems)
-    found = {frozenset({identity(degree)})}
-    for k in (1, 2, 3):
-        for combo in itertools.combinations(elems, k):
-            found.add(frozenset(closure(degree, combo)))
-    return found
+def lattice_oracle(elems) -> set[frozenset[Perm]]:
+    """Every subgroup of a small group: its cyclic subgroups, closed under
+    joins with one cyclic subgroup at a time.  That is complete, and closed
+    under every pairwise join, since a subgroup is the join of the cyclic
+    subgroups of its elements.  The closures run on a table of the Perm
+    products of elems."""
+    elems = list(elems)
+    index = {g: i for i, g in enumerate(elems)}
+    mult = [[index[a * b] for b in elems] for a in elems]
+    one = next(i for i, g in enumerate(elems) if g.is_identity())
+
+    def close(gens) -> frozenset[int]:
+        known, frontier = {one}, [one]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = mult[x][g]
+                if y not in known:
+                    known.add(y)
+                    frontier.append(y)
+        return frozenset(known)
+
+    cyclic = {close((g,)): g for g in range(len(elems))}
+    found = {hset: (g,) for hset, g in cyclic.items()}
+    pending = list(found)
+    while pending:
+        hset = pending.pop()
+        for cset, c in cyclic.items():
+            if not cset <= hset:
+                gens = found[hset] + (c,)
+                joined = close(gens)
+                if joined not in found:
+                    found[joined] = gens
+                    pending.append(joined)
+    return {frozenset(elems[i] for i in hset) for hset in found}
 
 
 def min_generators_oracle(degree: int, elems) -> int:

@@ -15,13 +15,15 @@ every run draws the same groups.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centerbound.group import (Group, Subgroup, _schreier_sims,
+from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
+                               Group, Subgroup, _schreier_sims,
                                subgroup_from_elements)
 from centerbound.perm import Perm, commute
+from centerbound.rank import _lattice
 from centerbound.structure import (_cosets, center, derived_subgroup,
                                    quotient)
 
-from _oracles import center_oracle
+from _oracles import center_oracle, closure, lattice_oracle
 
 MAX_ORDER = 200
 DEFAULTS = settings(derandomize=True, database=None, deadline=None,
@@ -37,15 +39,16 @@ def _perm_on_blocks(draw, degree: int, split: int) -> Perm:
 
 
 @st.composite
-def groups(draw) -> Group:
-    """A random group, a handle on it, or a child of that handle."""
+def groups(draw, max_order: int = MAX_ORDER) -> Group:
+    """A random group of at most max_order elements, a handle on it, or a
+    child of that handle."""
     degree = draw(st.sampled_from(range(1, 9)))
     split = draw(st.one_of(st.just(degree),
                            st.sampled_from(range(1, degree + 1))))
     gens = draw(st.lists(_perm_on_blocks(degree, split),
                          min_size=1, max_size=3))
     G = Group(degree, gens)
-    while G.order() > MAX_ORDER:
+    while G.order() > max_order:
         gens = gens[:-1]
         G = Group(degree, gens)
     kind = draw(st.sampled_from(["group", "handle", "child"]))
@@ -105,8 +108,7 @@ def test_projection_matches_the_whole_tuple_projection(G):
 
 
 def _chain_data(levels) -> list:
-    return [(level.point, [g._img for g in level.gens],
-             [(d, u._img) for d, u in level.transversal.items()])
+    return [(level.point, level.gens, list(level.images.items()))
             for level in levels]
 
 
@@ -127,3 +129,23 @@ def test_a_known_order_too_large_raises(G, multiple):
     H = Group(G.degree, G.generators, order=G.order() * multiple)
     with pytest.raises(AssertionError):
         H.build_bsgs()
+
+
+@DEFAULTS
+@given(groups(max_order=64))
+def test_the_lattice_is_every_subgroup_one_representative_per_class(G):
+    """_lattice's subgroups are the oracle's, each with generators of
+    itself, and the classes of its representatives split them."""
+    idx, found, reps = _lattice(G, DEFAULT_SUBGROUP_CAP,
+                                DEFAULT_ENUMERATION_CAP)
+    elems = idx.elems
+    subgroups = {frozenset(elems[i] for i in hset): [elems[i] for i in gens]
+                 for hset, gens in found.items()}
+    assert set(subgroups) == lattice_oracle(G.elements())
+    for hset, gens in subgroups.items():
+        assert closure(G.degree, gens) == hset
+    inverses = [(h.inverse(), h) for h in G.elements()]
+    classes = [{frozenset(hinv * x * h for x in rep) for hinv, h in inverses}
+               for rep in (frozenset(elems[i] for i in r) for r in reps)]
+    assert sum(map(len, classes)) == len(set().union(*classes)) == \
+        len(subgroups)

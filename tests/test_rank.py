@@ -24,7 +24,7 @@ from centerbound.structure import (center, derived_subgroup, is_normal,
                                    quotient_by_center)
 from centerbound.table import _world
 
-from _oracles import closure, min_generators_oracle, subgroups_oracle
+from _oracles import closure, lattice_oracle, min_generators_oracle
 
 
 def group(text):
@@ -140,7 +140,7 @@ class TestAllSubgroups:
     def test_matches_closure_oracle(self, text):
         G = group(text)
         mine = {frozenset(H.elements()) for H in all_subgroups(G)}
-        oracle = subgroups_oracle(G.degree, closure(G.degree, G.generators))
+        oracle = lattice_oracle(closure(G.degree, G.generators))
         assert mine == oracle
 
     def test_each_subgroup_once(self):
@@ -177,7 +177,6 @@ class TestTable:
         assert table.table == [tuple(index[a * b] for b in elems)
                                for a in elems]
         assert table.inv == tuple(index[e.inverse()] for e in elems)
-        assert table.orders == tuple(e.order() for e in elems)
         assert table.identity == index[G.identity_element()]
 
     def test_products_per_generator_not_per_pair(self, monkeypatch):
@@ -214,7 +213,7 @@ class TestNormalSubgroups:
     def test_matches_oracle(self, text):
         G = group(text)
         elems = closure(G.degree, G.generators)
-        oracle = {H for H in subgroups_oracle(G.degree, elems)
+        oracle = {H for H in lattice_oracle(elems)
                   if all(g.inverse() * h * g in H for g in elems for h in H)}
         mine = [frozenset(K.elements()) for K in normal_subgroups(G)]
         assert len(mine) == len(set(mine))
@@ -294,6 +293,35 @@ class TestClassLattice:
                  for H in all_subgroups(group(text), subgroup_cap=1600)]
         assert len(lists) == count
         assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == \
+            digest
+
+    # sha256 of the JSON of [[(sorted(H), list(gens)) for H, gens in found],
+    # [sorted(R) for R in reps]] from _lattice, recorded before the lattice
+    # walked each cyclic subgroup once: the subgroups, their generators, the
+    # representatives and the order of all three
+    @pytest.mark.parametrize("text,subgroup_cap,digest", [
+        ("symmetric(4)", 1600, "fef35fb67e8c83e36d9b512cce4566ac"
+                               "e236556fc6719720e75aa4923fc6af9a"),
+        ("symmetric(5)", 1600, "1ce67af34bb43410fb981ef177cce816"
+                               "cbf853866fed5f58566ac768cc9ba113"),
+        ("alternating(6)", 1600, "95b322b5cc2884e625e08ad800a23789"
+                                 "49dbbd4b8b6081f719e53cc37b61af59"),
+        ("dicyclic(8)", 1600, "6f3b52fbadf3092fb82f837a80481b7f"
+                              "7eb4ab6fd05f86d8ed5a1d2e12acc6d3"),
+        ("direct_product(dihedral(4),dihedral(4))", 1600,
+         "d66c6d67293e652a538f45c57d096233814a1f4a6db074f246e477f4c18d1396"),
+        ("direct_product(symmetric(4),dihedral(4))", 1600,
+         "19b0f43df054aea0b60c219f015ec9fd213cb63ccb8e1795f06001414fb5e3c2"),
+        ("symmetric(6)", 1600,
+         "82280d2cba36c8af495705c19adf38caac4df43c33786f929434fe4c626f1b11"),
+        ("direct_product(heisenberg(3),heisenberg(3))", 5000,
+         "f5fd6cfc09e4b26f587ab1b24951e6bd1a8234eb2f53b84d3ea0ea0ef9a9c515"),
+    ])
+    def test_whole_lattice_unchanged(self, text, subgroup_cap, digest):
+        _, found, reps = _lattice(group(text), subgroup_cap, 200_000)
+        data = [[(sorted(hset), list(gens)) for hset, gens in found.items()],
+                [sorted(rep) for rep in reps]]
+        assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == \
             digest
 
 
