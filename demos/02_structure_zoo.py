@@ -36,8 +36,8 @@ for p in (2, 3, 5):
 print()
 
 # Quotients act faithfully on right cosets, each coset a block of elements;
-# projection looks up one coset per block, and section returns the first
-# element of a coset, so the two are mutually consistent.
+# projection looks up one coset per block, and preimage_elements returns
+# whole blocks.
 Q8 = build_group(parse_group_spec("family:dicyclic(2)"))
 sr = structure_report(Q8)
 pres = quotient(Q8, sr.center)

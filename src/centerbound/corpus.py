@@ -36,10 +36,6 @@ from .errors import ArgOutOfRange, DegreeViolation, ParseError, UnknownFamily
 from .group import Group
 from .perm import Perm, from_cycles, parse_perm
 
-FAMILY_NAMES = ("cyclic", "dihedral", "dicyclic", "symmetric", "alternating",
-                "elem_abelian", "heisenberg", "direct_product")
-
-
 @dataclass(frozen=True)
 class FamilyExpr:
     """A family name applied to integer or nested-family arguments."""
@@ -181,6 +177,15 @@ def direct_product(left: Group, right: Group) -> Group:
     return Group(degree, gens)
 
 
+# the families of integer arguments: name -> (builder, arity)
+_FAMILIES = {"cyclic": (_cyclic, 1), "dihedral": (_dihedral, 1),
+             "dicyclic": (_dicyclic, 1), "symmetric": (_symmetric, 1),
+             "alternating": (_alternating, 1),
+             "elem_abelian": (_elem_abelian, 2),
+             "heisenberg": (_heisenberg, 1)}
+FAMILY_NAMES = (*_FAMILIES, "direct_product")
+
+
 def build_family(name: str, args) -> Group:
     """Build a named family member; args are integers, except for
     direct_product where they are nested FamilyExpr values."""
@@ -192,28 +197,12 @@ def build_family(name: str, args) -> Group:
                               build_family(args[1].name, args[1].args))
     if not all(isinstance(a, int) for a in args):
         raise ArgOutOfRange(f"{name} takes integer arguments")
-    if name == "cyclic":
-        return _with_arity(_cyclic, args, 1)
-    if name == "dihedral":
-        return _with_arity(_dihedral, args, 1)
-    if name == "dicyclic":
-        return _with_arity(_dicyclic, args, 1)
-    if name == "symmetric":
-        return _with_arity(_symmetric, args, 1)
-    if name == "alternating":
-        return _with_arity(_alternating, args, 1)
-    if name == "elem_abelian":
-        return _with_arity(_elem_abelian, args, 2)
-    if name == "heisenberg":
-        return _with_arity(_heisenberg, args, 1)
-    raise UnknownFamily(f"unknown family {name!r}; known: {FAMILY_NAMES}")
-
-
-def _with_arity(builder, args, arity: int) -> Group:
+    if name not in _FAMILIES:
+        raise UnknownFamily(f"unknown family {name!r}; known: {FAMILY_NAMES}")
+    builder, arity = _FAMILIES[name]
     if len(args) != arity:
         raise ArgOutOfRange(
-            f"{builder.__name__.lstrip('_')} takes {arity} argument(s), "
-            f"got {len(args)}")
+            f"{name} takes {arity} argument(s), got {len(args)}")
     return builder(*args)
 
 

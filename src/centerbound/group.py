@@ -277,14 +277,6 @@ class Group:
                     len(level.images) for level in self._chain())
         return self._order
 
-    def sift(self, p: Perm) -> Perm:
-        """Strip p through the chain; the residue is the identity exactly
-        when p is a member."""
-        if p.degree != self.degree:
-            raise DegreeMismatch(
-                f"perm degree {p.degree} != group degree {self.degree}")
-        return Perm._raw(_sift(self._chain(), p._img))
-
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(

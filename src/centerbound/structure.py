@@ -21,10 +21,11 @@ the other filters run on Perms.  C_G(S) for S in G, Z2, D, normalizers and
 LK's C_G(H) contain Z(G), so they are unions of its cosets:
 ``by_center_cosets`` tests the first element of each coset and keeps or
 drops the coset whole.  Only Z(G), which defines the cosets, is filtered
-element by element.  Z2 and D are one filter, {g | [g, X] <= Z(G)}, and the
-structure report checks Z2 against the preimage of Z(G/Z(G)): the
-commutator filter against the center of the quotient's action, over one
-coset map.  The Sylow ascent builds no normalizer: each step scans G for the
+element by element.  Z2, D and the T/M witness's M are one filter,
+{g | [g, X] <= Z(G)}; M asks for [g, X] <= G' n Z(G), the same set, since
+commutators lie in G'.  The structure report checks Z2 against the
+preimage of Z(G/Z(G)): the commutator filter against the center of the
+quotient's action, over one coset map.  The Sylow ascent builds no normalizer: each step scans G for the
 one element of N_G(P) it adds, deciding P^y = P once per coset of Z(G), on
 G's Cayley table when the table admits G and on Perms above that.  Normality
 is always checked explicitly, never assumed from theory, so implementation bugs
@@ -141,10 +142,12 @@ def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 
 def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
     """The test g -> [g, x] in Z(G) for every x in X, which holds exactly
-    when [g, <X>] <= Z(G), as [g, xy] = [g, y][g, x]^y.  [g, x] = g^-1 g^x
-    is central exactly when g^x = x^-1 g x lies in g's coset of Z(G), so no
-    g^-1 is built.  The coset map's key of g^x is the key of x^-1 (a few
-    images, computed once per x) gathered through g, then through x."""
+    when [g, <X>] <= Z(G), as [g, xy] = [g, y][g, x]^y.  For X in G it is
+    also the test [g, <X>] <= zed = G' n Z(G), since [g, x] lies in G'.
+    [g, x] = g^-1 g^x is central exactly when g^x = x^-1 g x lies in g's
+    coset of Z(G), so no g^-1 is built.  The coset map's key of g^x is the
+    key of x^-1 (a few images, computed once per x) gathered through g, then
+    through x."""
     coset = _cosets(G, center(G, cap), cap)
     key = _key(G)
     pairs = [(key(x.inverse()._img), x._img) for x in X]
@@ -216,11 +219,9 @@ def derived_subgroup(G: Group) -> Subgroup:
 
 def zed_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
     """The intersection of the derived subgroup with the center."""
-    def compute():
-        gp = derived_subgroup(G)
-        selected = [z for z in center(G, cap).elements(cap) if z in gp]
-        return subgroup_from_elements(G, selected)
-    return G.memo("zed", compute, elements=cap)
+    return G.memo("zed", lambda: intersection(center(G, cap),
+                                              derived_subgroup(G), cap),
+                  elements=cap)
 
 
 # -- Sylow subgroups ---------------------------------------------------------
@@ -275,17 +276,14 @@ class QuotientPresentation:
     numbered as in ``_cosets``.  ``quotient`` is the image group;
     ``projection`` maps an element of G to its image permutation: per block,
     one short gather of the element by the key of the block's first element
-    and one coset lookup.  ``section`` maps an image element back to the
-    first element of its coset.  Because the coset action of the
-    quotient on itself is regular, the coset of q is the image of N's own
-    coset: block ``q(c)``, where c is the number of the identity's coset
-    (not always 0, since G's first element need not be the identity).
+    and one coset lookup.  Because the coset action of the quotient on
+    itself is regular, the coset of q is the image of N's own coset: block
+    ``q(c)``, where c is the number of the identity's coset (not always 0,
+    since G's first element need not be the identity).
     """
 
-    def __init__(self, source: Group, kernel: Group, blocks: list[list[Perm]],
+    def __init__(self, source: Group, blocks: list[list[Perm]],
                  cosets: dict[tuple[int, ...], int]):
-        self.source = source
-        self.kernel = kernel
         self._blocks = blocks
         self._cosets = cosets
         key = _key(source)
@@ -300,9 +298,6 @@ class QuotientPresentation:
         cosets, img = self._cosets, g._img
         return Perm._raw(tuple(cosets[gather(x, img)] for x in self._firsts))
 
-    def section(self, q: Perm) -> Perm:
-        return self._blocks[q._img[self._home]][0]
-
     def preimage_elements(self, elems: Sequence[Perm]) -> list[Perm]:
         """All of G mapping onto the given quotient elements, coset by
         coset."""
@@ -312,14 +307,11 @@ class QuotientPresentation:
 class _IdentityQuotient(QuotientPresentation):
     """Quotient by the trivial subgroup: G is its own coset action."""
 
-    def __init__(self, source: Group, kernel: Group):
-        self.source, self.kernel, self.quotient = source, kernel, source
+    def __init__(self, source: Group):
+        self.quotient = source
 
     def projection(self, g: Perm) -> Perm:
         return g
-
-    def section(self, q: Perm) -> Perm:
-        return q
 
     def preimage_elements(self, elems: Sequence[Perm]) -> list[Perm]:
         return list(elems)
@@ -342,7 +334,7 @@ def _coset_action(G: Group, N: Group, coset_cap: int,
     index = G.order() // N.order()
     admit("cosets", coset_cap, index)
     if N.order() == 1:
-        return _IdentityQuotient(G, N)
+        return _IdentityQuotient(G)
 
     cosets = _cosets(G, N, cap)
     blocks: dict[int, list[Perm]] = {}
@@ -352,7 +344,7 @@ def _coset_action(G: Group, N: Group, coset_cap: int,
         raise AssertionError(
             f"the {len(blocks)} cosets are not {index} blocks of {N.order()}")
 
-    return QuotientPresentation(G, N, list(blocks.values()), cosets)
+    return QuotientPresentation(G, list(blocks.values()), cosets)
 
 
 def quotient_by_center(G: Group, coset_cap: int = DEFAULT_COSET_CAP,

@@ -42,10 +42,10 @@ from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
 from .perm import Perm, commutator, format_perm, gather
 from .rank import (UnknownRank, _section_rank, abelian_rank, known,
                    shrink_generating_set)
-from .structure import (_cosets, by_center_cosets, center, centralizing,
-                        derived_subgroup, intersection, is_normal, quotient,
-                        socle_p, StructureReport, structure_report, sylow,
-                        zed_subgroup)
+from .structure import (_commutes_into_center, _cosets, by_center_cosets,
+                        center, centralizing, derived_subgroup, intersection,
+                        is_normal, quotient, socle_p, StructureReport,
+                        structure_report, sylow)
 
 
 @dataclass
@@ -229,17 +229,16 @@ def factorize_commutator(P: Group, anchors: list[Perm], w: Perm,
 # -- the T/M witness constructions ------------------------------------------
 
 
-def _tm_construction(G: Group, xs: list[Perm], coset_cap: int,
+def _tm_construction(G: Group, xs: list[Perm],
                      cap: int) -> tuple[Subgroup, Subgroup]:
-    """T = <xs> and M = the full preimage of the centralizer of the image
-    of T in the quotient by zed = G' n Z(G)."""
+    """T = <xs> and M = {g in G | [g, x] in zed for each x in xs}, with
+    zed = G' n Z(G): the preimage of the centralizer of T's image in G/zed,
+    without building G/zed.  A commutator of G lies in G', so it lies in
+    zed exactly when it is central, and M is the Z2/D filter on xs: one
+    test per coset of Z(G), as [gz, x] = [g, x] for central z."""
     T = Subgroup(G, xs)
-    pres = quotient(G, zed_subgroup(G, cap), coset_cap, cap)
-    image_gens = [pres.projection(x) for x in xs]
-    Q = pres.quotient
-    m_elems = pres.preimage_elements(
-        centralizing(Q.elements(cap), image_gens, Q.points()))
-    M = subgroup_from_elements(G, sorted(m_elems))
+    M = subgroup_from_elements(G, sorted(by_center_cosets(
+        G, G.elements(cap), _commutes_into_center(G, xs, cap), cap)))
     return T, M
 
 
@@ -362,9 +361,10 @@ def _tm_witness(G: Group, lemma: str, cap: int, coset_cap: int,
             xs = pick(G, sr, p, P, r, cap, coset_cap)
             T = M = None
             if xs:
-                T, M = _tm_construction(G, xs, coset_cap, cap)
-                if any(g not in bottom_set
-                       for g in intersection(M, P, cap).elements(cap)):
+                T, M = _tm_construction(G, xs, cap)
+                m_set = M.element_set(cap)
+                if any(g in m_set and g not in bottom_set
+                       for g in P.elements(cap)):
                     raise AssertionError(f"{lemma}: M n P escapes the bottom")
                 if record.tee is None:
                     record.xs, record.tee, record.em = xs, T, M

@@ -53,6 +53,25 @@ def second_center_oracle(degree: int, elems) -> set[Perm]:
             if all(inv[g] * inv[x] * g * x in z for x in elems)}
 
 
+def commutes_into_oracle(elems, xs, kernel) -> set[Perm]:
+    """{g | [g, x] in the kernel for every x in xs}, from whole products."""
+    kset = set(kernel)
+    return {g for g in elems
+            if all(g.inverse() * x.inverse() * g * x in kset for x in xs)}
+
+
+def central_preimage_oracle(elems, xs, kernel) -> set[Perm]:
+    """The preimage in G of the centralizer in G/N of the images of xs, for
+    N normal in G given by its elements: the g whose coset gN commutes with
+    each coset xN, with the cosets built as element sets."""
+    coset: dict[Perm, frozenset[Perm]] = {}
+    for g in elems:
+        if g not in coset:
+            block = frozenset(g * n for n in kernel)
+            coset.update(dict.fromkeys(block, block))
+    return {g for g in elems if all(coset[g * x] == coset[x * g] for x in xs)}
+
+
 def normalizer_oracle(elems, sub_elems) -> set[Perm]:
     sub = set(sub_elems)
     out = set()

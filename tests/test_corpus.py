@@ -130,6 +130,33 @@ class TestSpecGrammar:
         with pytest.raises(ParseError):
             parse_group_spec("group:dihedral(4)")
 
+    @pytest.mark.parametrize("text,error,message", [
+        ("cyclic(2,3)", ArgOutOfRange, "cyclic takes 1 argument(s), got 2"),
+        ("elem_abelian(2)", ArgOutOfRange,
+         "elem_abelian takes 2 argument(s), got 1"),
+        ("heisenberg()", ArgOutOfRange,
+         "heisenberg takes 1 argument(s), got 0"),
+        ("dihedral(cyclic(2))", ArgOutOfRange,
+         "dihedral takes integer arguments"),
+        ("direct_product(cyclic(2))", ArgOutOfRange,
+         "direct_product takes exactly two family expressions"),
+        ("direct_product(cyclic(2),3)", ArgOutOfRange,
+         "direct_product takes exactly two family expressions"),
+        ("direct_product(cyclic(2),cyclic(3),cyclic(5))", ArgOutOfRange,
+         "direct_product takes exactly two family expressions"),
+        ("wreath(2,2)", UnknownFamily,
+         "unknown family 'wreath'; known: ('cyclic', 'dihedral', "
+         "'dicyclic', 'symmetric', 'alternating', 'elem_abelian', "
+         "'heisenberg', 'direct_product')")])
+    def test_error_texts(self, text, error, message):
+        with pytest.raises(error) as raised:
+            build_group(parse_group_spec(f"family:{text}"))
+        assert str(raised.value) == message
+        if error is UnknownFamily:  # the builder's own check, past the parser
+            with pytest.raises(error) as raised:
+                build_family("wreath", (2, 2))
+            assert str(raised.value) == message
+
 
 class TestGroupFiles:
     def test_sym3(self, tmp_path):

@@ -8,22 +8,27 @@ two blocks, so many groups are intransitive; a generator is dropped from
 the end until the group has at most ``MAX_ORDER`` elements, so the checks
 over every pair stay cheap.  Each property runs on the group itself, on a
 handle from ``subgroup_from_elements`` (the centralizer of a random element)
-and on a ``Subgroup`` child of that handle.  The runs are derandomized, so
+and on a ``Subgroup`` child of that handle.  The commutator filter's
+property draws direct products instead (see ``groups``), which reach
+non-abelian groups of order 16 and more.  The runs are derandomized, so
 every run draws the same groups.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from centerbound.corpus import direct_product
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                                Group, Subgroup, _schreier_sims,
                                subgroup_from_elements)
 from centerbound.perm import Perm, commute
 from centerbound.rank import _lattice
-from centerbound.structure import (_cosets, center, derived_subgroup,
-                                   quotient)
+from centerbound.structure import (_commutes_into_center, _cosets,
+                                   by_center_cosets, center, derived_subgroup,
+                                   quotient, sylow, zed_subgroup)
 
-from _oracles import center_oracle, closure, lattice_oracle
+from _oracles import (center_oracle, closure, commutes_into_oracle,
+                      lattice_oracle)
 
 MAX_ORDER = 200
 DEFAULTS = settings(derandomize=True, database=None, deadline=None,
@@ -38,11 +43,10 @@ def _perm_on_blocks(draw, degree: int, split: int) -> Perm:
     return Perm(list(low) + list(high))
 
 
-@st.composite
-def groups(draw, max_order: int = MAX_ORDER) -> Group:
-    """A random group of at most max_order elements, a handle on it, or a
-    child of that handle."""
-    degree = draw(st.sampled_from(range(1, 9)))
+def _generated(draw, max_order: int, least: int = 1) -> Group:
+    """A group of at most max_order elements on least to 8 points, drawn
+    with groups' draw."""
+    degree = draw(st.sampled_from(range(least, 9)))
     split = draw(st.one_of(st.just(degree),
                            st.sampled_from(range(1, degree + 1))))
     gens = draw(st.lists(_perm_on_blocks(degree, split),
@@ -51,6 +55,25 @@ def groups(draw, max_order: int = MAX_ORDER) -> Group:
     while G.order() > max_order:
         gens = gens[:-1]
         G = Group(degree, gens)
+    return G
+
+
+@st.composite
+def groups(draw, max_order: int = MAX_ORDER,
+           products: bool = False) -> Group:
+    """A random group of at most max_order elements, a handle on it, or a
+    child of that handle.  Most such groups are tiny and abelian.  With
+    products the group is the direct product of the Sylow 2-subgroup of
+    one group on 4 to 8 points (D4 for S4 and S5, D4 x C2 for S6 and S7)
+    and a second group on 4 to 8 points, small enough for the product to
+    have at most max_order elements: such products are often non-abelian
+    of order 16 or more, or have G' n Z(G) strictly between 1 and Z(G)."""
+    if products:
+        left = sylow(_generated(draw, max_order, 4), 2)
+        G = direct_product(left,
+                           _generated(draw, max_order // left.order(), 4))
+    else:
+        G = _generated(draw, max_order)
     kind = draw(st.sampled_from(["group", "handle", "child"]))
     if kind == "group":
         return G
@@ -105,6 +128,20 @@ def test_projection_matches_the_whole_tuple_projection(G):
         for g in G.elements():
             assert pres.projection(g)._img == tuple(
                 block_of[block[0] * g] for block in blocks)
+
+
+@DEFAULTS
+@given(groups(products=True), st.data())
+def test_the_commutator_filter_is_the_brute_force_set(G, data):
+    """The Z2/D filter on a random X in G keeps {g | [g, X] <= N} both for
+    N = Z(G) and for N = G' n Z(G), the set the T/M construction's M is."""
+    elems = G.elements()
+    X = data.draw(st.lists(st.sampled_from(elems), max_size=3))
+    test = _commutes_into_center(G, X, 10 ** 6)
+    passed = {g for g in elems if test(g)}
+    assert set(by_center_cosets(G, elems, test, 10 ** 6)) == passed
+    for N in (center(G), zed_subgroup(G)):
+        assert passed == commutes_into_oracle(elems, X, N.elements())
 
 
 def _chain_data(levels) -> list:

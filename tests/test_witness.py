@@ -2,6 +2,7 @@
 T/M witnesses, the commutator homomorphism, and the rank embeddings."""
 
 import hashlib
+import inspect
 import random
 from collections import Counter
 from dataclasses import astuple
@@ -10,17 +11,18 @@ import pytest
 
 from centerbound import witness
 from centerbound.arith import is_prime_power
-from centerbound.config import DEFAULT_SAMPLE_PAIRS
+from centerbound.config import DEFAULT_SAMPLE_PAIRS, Config
 from centerbound.corpus import (build_group, default_corpus, direct_product,
                                 parse_group_spec)
 from centerbound.errors import (BadAnchors, BadFamily, CapExceeded,
                                 NotInDerived, NotPGroup)
 from centerbound.group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
                                DEFAULT_SUBGROUP_CAP, DEFAULT_TUPLE_CAP, Group,
-                               Subgroup)
-from centerbound.perm import commutator, parse_perm
+                               Subgroup, subgroup_from_elements)
+from centerbound.perm import commutator, format_perm, parse_perm
 from centerbound.rank import (UnknownRank, _section_rank, abelian_rank,
                               shrink_generating_set)
+from centerbound.statements import evaluate
 from centerbound.structure import (centralizer, derived_subgroup,
                                    second_center, structure_report,
                                    zed_subgroup)
@@ -28,6 +30,8 @@ from centerbound.witness import (also_witness, check_commutator_homomorphism,
                                  commutator_product_layers,
                                  factorize_commutator, rank_embedding_pl,
                                  select_socle_chain, szivas_witness)
+
+from _oracles import central_preimage_oracle
 
 
 def group(text):
@@ -453,6 +457,74 @@ class TestWitnessMemo:
             also_witness(G, subgroup_cap=8)
         assert also_witness(G).to_json() == \
             also_witness(group("symmetric(4)")).to_json()
+
+
+class TestTMFilter:
+    """M = {g | [g, x] in zed for each x in xs} is the Z2/D filter on xs, as
+    a commutator lies in zed exactly when it is central; G/zed is never
+    built."""
+
+    def test_em_is_the_preimage_of_a_centralizer_over_the_corpus(
+            self, monkeypatch):
+        built = []
+        build = witness._tm_construction
+
+        def recording(G, xs, cap):
+            T, M = build(G, xs, cap)
+            built.append((G, xs, M))
+            return T, M
+        monkeypatch.setattr(witness, "_tm_construction", recording)
+        for spec in default_corpus().specs:
+            G = build_group(spec)
+            for replay in (also_witness, szivas_witness):
+                try:
+                    replay(G)
+                except CapExceeded:
+                    pass
+        zeds = Counter()
+        for G, xs, M in built:
+            zed = zed_subgroup(G)
+            expected = central_preimage_oracle(G.elements(), xs,
+                                               zed.elements())
+            assert set(M.elements()) == expected
+            assert M.generators == \
+                subgroup_from_elements(G, sorted(expected)).generators
+            zeds["zed > 1" if zed.order() > 1 else "zed = 1"] += 1
+        assert zeds == {"zed = 1": 45, "zed > 1": 36}
+
+    def test_no_quotient_by_zed(self):
+        G = group("dihedral(16)")
+        assert also_witness(G).em.order() == 8
+        szivas_witness(G)
+        assert ("quotient", zed_subgroup(G)) not in G._memo
+        assert "coset_cap" not in \
+            inspect.signature(witness._tm_construction).parameters
+
+    @pytest.mark.parametrize("coset_cap", [5, 6, 11, 12])
+    def test_coset_cap_is_admitted_by_g_mod_z_only(self, coset_cap):
+        # dihedral(6) has zed = 1 and |G : Z(G)| = 6: G/Z(G) in the
+        # structure report admits 6 cosets, and M admits no coset cap, so
+        # caps 6-11 compute what a quotient by zed (12 cosets) refused
+        config = Config(coset_cap=coset_cap)
+        if coset_cap < 6:
+            for replay in (also_witness, szivas_witness):
+                with pytest.raises(CapExceeded) as exc:
+                    replay(group("dihedral(6)"), coset_cap=coset_cap)
+                assert str(exc.value) == \
+                    "coset enumeration: 6 exceeds cap 5"
+            verdict = evaluate("LA", group("dihedral(6)"), config)
+            assert (verdict.computable, verdict.notes) == \
+                (False, "cap fired: coset enumeration: 6 exceeds cap 5")
+            return
+        record = also_witness(group("dihedral(6)"), coset_cap=coset_cap)
+        assert record.to_json()["xs"] == ["(2 6)(3 5)"]
+        assert record.per_prime[3].to_json()["em_order"] == 4
+        assert [format_perm(g) for g in record.em.generators] == \
+            ["(2 6)(3 5)", "(1 4)(2 3)(5 6)"]
+        verdict = evaluate("LA", group("dihedral(6)"), config)
+        assert (verdict.computable, verdict.lhs, verdict.rhs,
+                verdict.holds, verdict.notes) == \
+            (True, 3, 3, True, "r=1; tightness=1.0000")
 
 
 class TestAlsoCentralizers:
