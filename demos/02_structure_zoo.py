@@ -7,8 +7,7 @@ D = {g | [g, G'] <= Z(G)}, and zed = G' n Z(G).
 """
 
 from centerbound import (build_group, parse_group_spec, quotient,
-                         socle_p, structure_report, sylow,
-                         fitting_decomposition, Subgroup)
+                         socle_p, structure_report, sylow)
 from centerbound.perm import parse_perm
 
 ZOO = [
@@ -51,12 +50,3 @@ print()
 from centerbound import Group
 C4xC2 = Group(6, [parse_perm("(1 2 3 4)", 6), parse_perm("(5 6)", 6)])
 print("socle of C4 x C2 has order", socle_p(C4xC2, 2).order())
-print()
-
-# Fitting decomposition for a coprime action: P = [P,Q] x C_P(Q).
-S3 = build_group(parse_group_spec("family:symmetric(3)"))
-P = structure_report(S3).derived                   # C3
-Q = Subgroup(S3, [parse_perm("(1 2)", 3)])         # C2 acting by inversion
-com, fix = fitting_decomposition(P, Q)
-print("Fitting pieces of C3 under inversion: [P,Q] order", com.order(),
-      ", C_P(Q) order", fix.order())

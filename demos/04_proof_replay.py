@@ -5,8 +5,7 @@ re-verified: socle chains, commutator factorisations, the T/M subgroup
 pairs behind the index bounds, and the commutator-map rank embeddings.
 """
 
-from centerbound import (Subgroup, also_witness, build_group,
-                         check_commutator_homomorphism, commutator,
+from centerbound import (Subgroup, also_witness, build_group, commutator,
                          factorize_commutator, parse_group_spec,
                          rank_embedding_pl, select_socle_chain,
                          shrink_generating_set, szivas_witness)
@@ -48,13 +47,7 @@ for name, builder in (("also", also_witness), ("szivas", szivas_witness)):
               f"M order {w.em.order() if w.em else '-'}")
 print()
 
-# 4. a -> [a, x] is a homomorphism on C_G(G') for any fixed x.
-S4 = group("symmetric(4)")
-print("commutator map is a homomorphism on C(G') of Sym(4):",
-      check_commutator_homomorphism(S4, S4.generators[0]))
-print()
-
-# 5. The rank embeddings for p-groups: rank(C_G(G')/Z2) <= r^2 and
+# 4. The rank embeddings for p-groups: rank(C_G(G')/Z2) <= r^2 and
 #    rank(D/C_G(G')) <= 2 r^2, confirmed against directly computed ranks.
 for which in ("pl1", "pl2"):
     rep = rank_embedding_pl(group("dihedral(32)"), which)

@@ -13,8 +13,8 @@ from .corpus import (Corpus, FamilyExpr, GroupSpec, build_family, build_group,
                      parse_group_spec)
 from .errors import (ArgOutOfRange, BadAnchors, BadFamily, CapExceeded,
                      CenterboundError, DegreeMismatch, DegreeViolation,
-                     NotAbelian, NotCoprime, NotGenerating, NotInDerived,
-                     NotNormal, NotPGroup, ParseError, UnknownFamily)
+                     NotAbelian, NotGenerating, NotInDerived, NotNormal,
+                     NotPGroup, ParseError, UnknownFamily)
 from .group import Group, Subgroup, subgroup_from_elements
 from .perm import (Perm, commutator, compose, format_perm, from_cycles,
                    identity, parse_perm)
@@ -24,12 +24,11 @@ from .rank import (RankReport, UnknownRank, abelian_rank, all_subgroups,
 from .statements import STATEMENT_TAGS, Verdict, evaluate, evaluate_all
 from .structure import (QuotientPresentation, StructureReport, center,
                         centralizer, dee_subgroup, derived_subgroup,
-                        fitting_decomposition, intersection, is_normal,
-                        mutual_commutator, normalizer, quotient, second_center,
-                        socle_p, structure_report, sylow, zed_subgroup)
+                        intersection, is_normal, mutual_commutator,
+                        normalizer, quotient, second_center, socle_p,
+                        structure_report, sylow, zed_subgroup)
 from .witness import (EmbeddingReport, PrimeWitness, SocleSelection,
-                      WitnessRecord, also_witness,
-                      check_commutator_homomorphism, factorize_commutator,
+                      WitnessRecord, also_witness, factorize_commutator,
                       rank_embedding_pl, select_socle_chain, szivas_witness)
 
 __version__ = "0.1.0"

@@ -41,10 +41,6 @@ class NotPGroup(CenterboundError):
     """A group required to be a p-group is not."""
 
 
-class NotCoprime(CenterboundError):
-    """Two group orders required to be coprime are not."""
-
-
 class NotGenerating(CenterboundError):
     """A purported generating set does not generate the group."""
 

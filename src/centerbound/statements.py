@@ -27,6 +27,15 @@ Tags:
 * AUT: p-groups: rank(G/D) <= (7r^2-r)/2 for p = 2, (5r^2-r)/2 otherwise.
 * FOC: G' n P n Z(G) = P' n Z(G) for every Sylow P of G.
 
+The twelve statements lhs <= rhs in one number r (all but T5, L9, LK, LB
+and FOC) are the rows of one table, ``_BOUNDS``, read by one evaluator.
+A row names its r source: rank(G/Z(G)), rank(G'), rank(G'/zed), rank(H')
+on the structure report of H = G/Z(G), or d(G').  Its lhs is an index
+|top : bottom| of structure-report subgroups or the rank of such a
+section, and its rhs is base^(a r + b) for an index base or
+(a r^2 - b r)/c.  Only AUT's coefficients, which depend on p, and LS's
+note on the exponent-r form are written for one tag.
+
 Inapplicable hypotheses (one table, ``_HYPOTHESES``) yield applicable=False
 (vacuously true); a cap firing anywhere yields computable=False -- never a
 guessed bound.
@@ -37,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .arith import is_prime_power, prime_factors
 from .config import Config
@@ -130,23 +140,18 @@ class _Evaluator:
     def sr(self):
         return structure_report(self.G, self.cap, self.coset_cap)
 
-    def rank_of(self, H: Group, what: str) -> int:
-        """rank(H); an Unknown refuses the statement, naming H as what."""
-        return known(group_rank(H, self.cap, self.subgroup_cap,
-                                self.tuple_cap), what)
-
-    def section_rank(self, num: Group, den: Group, what: str) -> int:
-        """rank(num/den); an Unknown refuses the statement."""
-        return known(_section_rank(num, den, self.cap, self.subgroup_cap,
-                                   self.tuple_cap, self.coset_cap), what)
-
-    @property
-    def r_derived_mod_zed(self) -> int:
-        return self.section_rank(self.sr.derived, self.sr.zed, "G'/zed")
-
-    @property
-    def central_quotient(self):
-        return quotient_by_center(self.G, self.coset_cap, self.cap)
+    def rank(self, sr, top: str, bottom: str | None, what: str) -> int:
+        """rank(top/bottom) over sr's subgroups, or rank(top) when bottom
+        is None; an Unknown refuses the statement, naming the section as
+        what."""
+        num = getattr(sr, top)
+        if bottom is None:
+            r = group_rank(num, self.cap, self.subgroup_cap, self.tuple_cap)
+        else:
+            r = _section_rank(num, getattr(sr, bottom), self.cap,
+                              self.subgroup_cap, self.tuple_cap,
+                              self.coset_cap)
+        return known(r, what)
 
     @property
     def p_group_prime(self):
@@ -158,41 +163,46 @@ class _Evaluator:
         try:
             if tag in _HYPOTHESES and not _HYPOTHESES[tag][0](self):
                 return _vacuous(tag, _HYPOTHESES[tag][1])
+            if tag in _BOUNDS:
+                return self._eval_bound(tag, _BOUNDS[tag])
             return getattr(self, "_eval_" + tag.lower())()
         except RankRefused as exc:
             return _uncomputable(tag, str(exc))
         except CapExceeded as exc:
             return _uncomputable(tag, f"cap fired: {exc}")
 
-    def _eval_t1(self) -> Verdict:
-        sr = self.sr
-        pres = self.central_quotient
-        r = self.rank_of(pres.quotient, "G/Z(G)")
-        lhs = sr.orders["derived"]
-        index = sr.orders["group"] // sr.orders["center"]
-        return _bound("T1", lhs, index ** (r + 1), extra=f"r={r}")
-
-    def _eval_t2(self) -> Verdict:
-        sr = self.sr
-        r = self.rank_of(sr.derived, "G'")
-        lhs = sr.orders["group"] // sr.orders["second_center"]
-        return _bound("T2", lhs, sr.orders["derived"] ** (2 * r),
-                      extra=f"r={r}")
-
-    def _eval_t3(self) -> Verdict:
-        sr = self.sr
-        r = self.r_derived_mod_zed
-        lhs = sr.orders["group"] // sr.orders["second_center"]
-        return _bound("T3", lhs, sr.derived_mod_zed ** (4 * r),
-                      extra=f"r={r}")
-
-    def _eval_c4(self) -> Verdict:
-        H = self.central_quotient.quotient
-        sr_h = structure_report(H, self.cap, self.coset_cap)
-        r = self.rank_of(sr_h.derived, "H'")
-        lhs = sr_h.orders["group"] // sr_h.orders["center"]
-        return _bound("C4", lhs, sr_h.orders["derived"] ** (4 * r),
-                      extra=f"H=G/Z(G), r={r}")
+    def _eval_bound(self, tag: str, row: _Bound) -> Verdict:
+        """One ``_BOUNDS`` row: r, then the lhs, then the witness."""
+        if row.r == "H'":
+            H = quotient_by_center(self.G, self.coset_cap, self.cap).quotient
+            sr = structure_report(H, self.cap, self.coset_cap)
+        else:
+            sr = self.sr
+        if row.r == "d(G')":
+            r = min_generators(sr.derived, self.cap, self.tuple_cap)
+            extra = f"d={r}"
+        else:
+            r = self.rank(sr, *_R_SECTIONS[row.r], row.r)
+            extra = f"H=G/Z(G), r={r}" if row.r == "H'" else f"r={r}"
+        lhs = (self.rank(sr, *row.lhs) if len(row.lhs) == 3
+               else _index(sr, *row.lhs))
+        witness = row.witness and row.witness(
+            self.G, self.cap, self.coset_cap, self.subgroup_cap,
+            self.tuple_cap)
+        a = row.a
+        if tag == "AUT":
+            p = self.p_group_prime
+            a = 7 if p == 2 else row.a
+            extra += f", p={p}"
+        if row.base is None:
+            rhs = (a * r * r - row.b * r) // row.c
+        else:
+            base = _index(sr, *row.base)
+            rhs = base ** (a * r + row.b)
+        if tag == "LS":
+            form = "holds" if lhs <= base ** r else "exceeds"
+            extra += f"; printed exponent-r form {form}"
+        return _bound(tag, lhs, rhs, witness, extra)
 
     def _eval_t5(self) -> Verdict:
         sr = self.sr
@@ -201,18 +211,6 @@ class _Evaluator:
             1 for c in sr.centralizer_of_derived.elements(self.cap)
             if c not in derived_set)
         return _inclusion("T5", violations, "C_G(G') <= G'")
-
-    def _eval_t6(self) -> Verdict:
-        sr = self.sr
-        d = min_generators(sr.derived, self.cap, self.tuple_cap)
-        return _bound("T6", sr.orders["group"],
-                      sr.orders["derived"] ** (d + 1), extra=f"d={d}")
-
-    def _eval_t7(self) -> Verdict:
-        sr = self.sr
-        r = self.r_derived_mod_zed
-        lhs = self.section_rank(self.G, sr.second_center, "G/Z2")
-        return _bound("T7", lhs, (13 * r * r - r) // 2, extra=f"r={r}")
 
     def _eval_l9(self) -> Verdict:
         sr = self.sr
@@ -296,22 +294,6 @@ class _Evaluator:
         except CapExceeded:
             return len(_prune(world, gens, H.order())), ", upper bound", cgh
 
-    def _eval_ck(self) -> Verdict:
-        sr = self.sr
-        d = min_generators(sr.derived, self.cap, self.tuple_cap)
-        lhs = sr.orders["group"] // sr.orders["centralizer_of_derived"]
-        return _bound("CK", lhs, sr.orders["derived"] ** d, extra=f"d={d}")
-
-    def _eval_la(self) -> Verdict:
-        sr = self.sr
-        r = self.r_derived_mod_zed
-        witness = also_witness(self.G, self.cap, self.coset_cap,
-                               self.subgroup_cap, self.tuple_cap)
-        lhs = (sr.orders["centralizer_of_derived"]
-               // sr.orders["second_center"])
-        return _bound("LA", lhs, sr.derived_mod_zed ** r, witness,
-                      extra=f"r={r}")
-
     def _eval_lb(self) -> Verdict:
         sr = self.sr
         failing = 0
@@ -325,45 +307,13 @@ class _Evaluator:
             "LB", failing,
             f"G'/C_G'(P) is a p-group for Sylow P of D, p in {checked}")
 
-    def _eval_ls(self) -> Verdict:
-        sr = self.sr
-        r = self.r_derived_mod_zed
-        witness = szivas_witness(self.G, self.cap, self.coset_cap,
-                                 self.subgroup_cap, self.tuple_cap)
-        lhs = sr.orders["dee"] // sr.orders["centralizer_of_derived"]
-        n = sr.derived_mod_zed
-        r_form = "holds" if lhs <= n ** r else "exceeds"
-        return _bound("LS", lhs, n ** (2 * r), witness,
-                      extra=f"r={r}; printed exponent-r form {r_form}")
-
-    def _eval_p1(self) -> Verdict:
-        sr = self.sr
-        r = self.r_derived_mod_zed
-        lhs = self.section_rank(sr.centralizer_of_derived, sr.second_center,
-                                "C/Z2")
-        return _bound("P1", lhs, r * r, extra=f"r={r}")
-
-    def _eval_p2(self) -> Verdict:
-        sr = self.sr
-        r = self.r_derived_mod_zed
-        lhs = self.section_rank(sr.dee, sr.centralizer_of_derived, "D/C")
-        return _bound("P2", lhs, 2 * r * r, extra=f"r={r}")
-
-    def _eval_aut(self) -> Verdict:
-        sr = self.sr
-        r = self.r_derived_mod_zed
-        lhs = self.section_rank(self.G, sr.dee, "G/D")
-        p = self.p_group_prime
-        rhs = (7 * r * r - r) // 2 if p == 2 else (5 * r * r - r) // 2
-        return _bound("AUT", lhs, rhs, extra=f"r={r}, p={p}")
-
     def _eval_foc(self) -> Verdict:
         sr = self.sr
         violations = 0
+        z_set = sr.center.element_set(self.cap)
+        derived_set = sr.derived.element_set(self.cap)
         for p in sorted(prime_factors(self.G.order())):
             P = sylow(self.G, p, self.cap)
-            z_set = sr.center.element_set(self.cap)
-            derived_set = sr.derived.element_set(self.cap)
             left = {x for x in P.elements(self.cap)
                     if x in derived_set and x in z_set}
             p_derived = mutual_commutator(P, P)
@@ -371,6 +321,52 @@ class _Evaluator:
             violations += len(left ^ right)
         return _inclusion("FOC", violations,
                           "G' n P n Z(G) = P' n Z(G) per Sylow P")
+
+
+class _Bound(NamedTuple):
+    """A statement lhs <= rhs in r.  lhs is |top : bottom| over structure
+    report keys, or rank(top/bottom) when a third entry names the section;
+    a bottom of None is the trivial subgroup.  rhs is |top : bottom|^(a r
+    + b) for a base (top, bottom), else (a r^2 - b r) / c."""
+    r: str
+    lhs: tuple
+    base: tuple | None
+    a: int
+    b: int
+    c: int = 1
+    witness: Callable | None = None
+
+
+# the section whose rank is each r source but d(G'); H' is on H's report
+_R_SECTIONS = {"G/Z(G)": ("group", "center"), "G'": ("derived", None),
+               "G'/zed": ("derived", "zed"), "H'": ("derived", None)}
+
+_BOUNDS = {
+    "T1": _Bound("G/Z(G)", ("derived", None), ("group", "center"), 1, 1),
+    "T2": _Bound("G'", ("group", "second_center"), ("derived", None), 2, 0),
+    "T3": _Bound("G'/zed", ("group", "second_center"), ("derived", "zed"),
+                 4, 0),
+    "C4": _Bound("H'", ("group", "center"), ("derived", None), 4, 0),
+    "T6": _Bound("d(G')", ("group", None), ("derived", None), 1, 1),
+    "T7": _Bound("G'/zed", ("group", "second_center", "G/Z2"), None, 13, 1,
+                 2),
+    "CK": _Bound("d(G')", ("group", "centralizer_of_derived"),
+                 ("derived", None), 1, 0),
+    "LA": _Bound("G'/zed", ("centralizer_of_derived", "second_center"),
+                 ("derived", "zed"), 1, 0, witness=also_witness),
+    "LS": _Bound("G'/zed", ("dee", "centralizer_of_derived"),
+                 ("derived", "zed"), 2, 0, witness=szivas_witness),
+    "P1": _Bound("G'/zed", ("centralizer_of_derived", "second_center",
+                            "C/Z2"), None, 1, 0),
+    "P2": _Bound("G'/zed", ("dee", "centralizer_of_derived", "D/C"), None,
+                 2, 0),
+    # a is 7 for p = 2, chosen in _eval_bound
+    "AUT": _Bound("G'/zed", ("group", "dee", "G/D"), None, 5, 1, 2),
+}
+
+
+def _index(sr, top: str, bottom: str | None) -> int:
+    return sr.orders[top] // (1 if bottom is None else sr.orders[bottom])
 
 
 # each statement's hypothesis: whether G has it, and the note when it lacks it

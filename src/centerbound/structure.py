@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import p_part, prime_factors
-from .errors import NotAbelian, NotCoprime, NotNormal, NotPGroup
+from .errors import NotAbelian, NotNormal, NotPGroup
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
                     Subgroup, _key, admit, subgroup_from_elements)
 from .perm import Perm, commutator, commute, gather
@@ -352,7 +352,7 @@ def quotient_by_center(G: Group, coset_cap: int = DEFAULT_COSET_CAP,
     return quotient(G, center(G, cap), coset_cap, cap)
 
 
-# -- socles and Fitting decompositions ---------------------------------------
+# -- socles -------------------------------------------------------------------
 
 
 def socle_p(A: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
@@ -365,33 +365,6 @@ def socle_p(A: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
         raise NotPGroup(f"socle_p requires a {p}-group, order is {order}")
     selected = [a for a in A.elements(cap) if (a ** p).is_identity()]
     return subgroup_from_elements(A, selected)
-
-
-def fitting_decomposition(P: Group, Q: Group,
-                          cap: int = DEFAULT_ENUMERATION_CAP,
-                          strict: bool = True) -> tuple[Subgroup, Subgroup]:
-    """For a coprime action of Q on abelian normal P: P = [P,Q] x C_P(Q).
-
-    With strict=False, P may be non-abelian and only the weaker product
-    decomposition P = [P,Q]·C_P(Q) (no directness) is verified.
-    """
-    if strict and not P.is_abelian():
-        raise NotAbelian("fitting decomposition requires abelian P")
-    if math.gcd(P.order(), Q.order()) != 1:
-        raise NotCoprime(
-            f"orders {P.order()} and {Q.order()} are not coprime")
-    if not is_normal(Q, P):
-        raise NotNormal("P must be normalised by Q")
-    commutator_part = mutual_commutator(P, Q)
-    fixed = centralizing(P.elements(cap), Q.generators, range(P.degree))
-    fixed_part = subgroup_from_elements(_ambient(P), fixed)
-    meet = [x for x in fixed if x in commutator_part]
-    product_order = commutator_part.order() * fixed_part.order() // len(meet)
-    if product_order != P.order():
-        raise AssertionError("Fitting product [P,Q]·C_P(Q) != P")
-    if strict and len(meet) != 1:
-        raise AssertionError("Fitting decomposition is not direct")
-    return commutator_part, fixed_part
 
 
 # -- the structure report -----------------------------------------------------

@@ -18,7 +18,6 @@ be re-verified and audited:
   written once in _tm_witness; each record is kept in the group's memo.
   When r = rank(G'/zed) is Unknown they raise rank.RankRefused, whose text
   is the note the statement catalog gives LA and LS.
-* check_commutator_homomorphism: a -> [a, x] is a homomorphism on C_G(G').
 * rank_embedding_pl: the commutator-map embeddings bounding the ranks of
   C_G(G')/Z_2(G) and D/C_G(G') in p-groups; it says if its pairs sampled,
   and reports the section rank as a value, Unknown past caps.  Each map
@@ -415,20 +414,6 @@ def _pairs(elems: Sequence, maps: int, sample_pairs: int,
     rng = random.Random(key)
     return [(rng.choice(elems), rng.choice(elems))
             for _ in range(sample_pairs)], True
-
-
-def check_commutator_homomorphism(G: Group, x: Perm,
-                                  cap: int = DEFAULT_ENUMERATION_CAP,
-                                  sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                                  seed: int = 0) -> bool:
-    """a -> [a, x] is a homomorphism from C_G(G') into G': check
-    [ab, x] = [a, x][b, x] on all pairs (or a seeded sample past the pair
-    budget) and that every [a, x] lands in the derived subgroup."""
-    sr = structure_report(G, cap)
-    pairs, _ = _pairs(sr.centralizer_of_derived.elements(cap), 1,
-                      sample_pairs, f"{seed}:homom")
-    return all(commutator(a * b, x) == commutator(a, x) * commutator(b, x)
-               and commutator(a, x) in sr.derived for a, b in pairs)
 
 
 @dataclass

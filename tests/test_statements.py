@@ -362,6 +362,41 @@ class TestLkTablePath:
                              "0dab98fc4b44046a96dc33fd04efae4f")
 
 
+class TestBoundTable:
+    TAGS = ("T1", "T2", "T3", "C4", "T6", "T7", "CK", "LA", "LS", "P1", "P2",
+            "AUT")
+
+    def test_each_tag_has_one_evaluator(self):
+        for tag in STATEMENT_TAGS:
+            method = hasattr(statements._Evaluator, "_eval_" + tag.lower())
+            assert method != (tag in statements._BOUNDS), tag
+        assert set(statements._BOUNDS) == set(self.TAGS)
+
+    def test_every_cap_answer(self):
+        # sha256 recorded with one _eval_* method per bound statement.  It
+        # pins sides, notes and witnesses, not the order in which r, the
+        # lhs and the witness are computed: computing the witness before r,
+        # a p-group's lhs rank before r, or rank(G/Z(G)) before the
+        # structure report leaves it unchanged.
+        records = []
+        for text, cap, coset_cap, subgroup_cap, tuple_cap, tag in \
+                itertools.product(
+                    ("symmetric(4)", "dicyclic(8)",
+                     "direct_product(symmetric(3),dihedral(4))",
+                     "heisenberg(3)", "symmetric(6)"),
+                    (8, 64, 1000), (4, 512), (1, 512), (1, 64), self.TAGS):
+            cfg = Config(enumeration_cap=cap, coset_cap=coset_cap,
+                         subgroup_cap=subgroup_cap, tuple_cap=tuple_cap)
+            verdict = evaluate(tag, group(text), cfg).to_json()
+            records.append(json.dumps(
+                [text, cap, coset_cap, subgroup_cap, tuple_cap, verdict],
+                sort_keys=True))
+        assert len(records) == 1440
+        assert hashlib.sha256("\n".join(sorted(records)).encode()) \
+            .hexdigest() == ("972038f45837bc183b1802b8c5d4e7c3"
+                             "396ddbfd41bfdba88ba41c63f4188d06")
+
+
 def _corpus_p_groups():
     groups = [spec for spec in default_corpus().specs
               if is_prime_power(build_group(spec).order()) is not None]

@@ -10,13 +10,11 @@ from centerbound import statements, structure, witness
 from centerbound.arith import p_part, prime_factors
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
-from centerbound.errors import (CapExceeded, NotAbelian, NotCoprime,
-                                NotNormal, NotPGroup)
+from centerbound.errors import CapExceeded, NotAbelian, NotNormal, NotPGroup
 from centerbound.group import Group, Subgroup
 from centerbound.perm import Perm, identity, parse_perm
 from centerbound.structure import (by_center_cosets, center, centralizer,
-                                   dee_subgroup,
-                                   derived_subgroup, fitting_decomposition,
+                                   dee_subgroup, derived_subgroup,
                                    intersection, is_normal,
                                    mutual_commutator, normalizer, quotient,
                                    second_center, socle_p, structure_report,
@@ -438,46 +436,6 @@ class TestSocle:
             socle_p(group("dihedral(4)"), 2)
         with pytest.raises(NotPGroup):
             socle_p(group("cyclic(6)"), 2)
-
-
-class TestFitting:
-    def test_sym3_action(self):
-        G = group("symmetric(3)")
-        P = derived_subgroup(G)
-        Q = Subgroup(G, [parse_perm("(1 2)", 3)])
-        com, fix = fitting_decomposition(P, Q)
-        assert com.order() == 3 and fix.order() == 1
-
-    def test_trivial_action(self):
-        G = group("direct_product(cyclic(3),cyclic(2))")
-        P = Subgroup(G, [parse_perm("(1 2 3)", 5)])
-        Q = Subgroup(G, [parse_perm("(4 5)", 5)])
-        com, fix = fitting_decomposition(P, Q)
-        assert com.order() == 1 and fix.order() == 3
-
-    def test_partial_inversion_in_product_of_sym3(self):
-        # C3 x C3 with an involution inverting only the first factor
-        G = make(6, "(1 2 3)", "(4 5 6)", "(1 2)")
-        P = Subgroup(G, [parse_perm("(1 2 3)", 6), parse_perm("(4 5 6)", 6)])
-        Q = Subgroup(G, [parse_perm("(1 2)", 6)])
-        com, fix = fitting_decomposition(P, Q)
-        assert com.order() == 3 and fix.order() == 3
-        assert intersection(com, fix).order() == 1
-
-    def test_rejects_non_coprime(self):
-        G = group("dihedral(4)")
-        P = derived_subgroup(G)
-        with pytest.raises(NotCoprime):
-            fitting_decomposition(P, G)
-
-    def test_rejects_non_abelian_unless_relaxed(self):
-        G = group("direct_product(symmetric(3),cyclic(5))")
-        P = Subgroup(G, [parse_perm("(1 2 3)", 8), parse_perm("(1 2)", 8)])
-        Q = Subgroup(G, [parse_perm("(4 5 6 7 8)", 8)])
-        with pytest.raises(NotAbelian):
-            fitting_decomposition(P, Q)
-        com, fix = fitting_decomposition(P, Q, strict=False)
-        assert com.order() == 1 and fix.order() == 6
 
 
 class TestStructureReport:

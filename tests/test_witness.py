@@ -26,8 +26,7 @@ from centerbound.statements import evaluate
 from centerbound.structure import (centralizer, derived_subgroup,
                                    second_center, structure_report,
                                    zed_subgroup)
-from centerbound.witness import (also_witness, check_commutator_homomorphism,
-                                 commutator_product_layers,
+from centerbound.witness import (also_witness, commutator_product_layers,
                                  factorize_commutator, rank_embedding_pl,
                                  select_socle_chain, szivas_witness)
 
@@ -294,28 +293,6 @@ class TestSzivasWitness:
                    if all(c * g == g * c for g in sr.dee.generators)]
             regen = Subgroup(G, gens + cgp)
             assert regen.order() == sr.orders["derived"]
-
-
-class TestCommutatorHomomorphism:
-    def test_abelian(self):
-        G = group("cyclic(12)")
-        assert check_commutator_homomorphism(G, G.generators[0])
-
-    def test_dih4_everywhere(self):
-        G = group("dihedral(4)")
-        for x in G.elements():
-            assert check_commutator_homomorphism(G, x)
-
-    def test_sym4_trivial_content(self):
-        G = group("symmetric(4)")
-        assert check_commutator_homomorphism(G, parse_perm("(1 2)", 4))
-
-    def test_sampled_path_is_deterministic(self):
-        G = group("direct_product(dihedral(4),heisenberg(3))")
-        x = G.generators[0]
-        a = check_commutator_homomorphism(G, x, sample_pairs=50, seed=3)
-        b = check_commutator_homomorphism(G, x, sample_pairs=50, seed=3)
-        assert a is b is True
 
 
 class TestRankEmbeddings:
