@@ -372,6 +372,38 @@ class TestBoundTable:
             assert method != (tag in statements._BOUNDS), tag
         assert set(statements._BOUNDS) == set(self.TAGS)
 
+    # Each row's sides and note, worked by hand.  On S3 x D4: Z = Z(D4)
+    # (order 2), G' = A3 x Z (6), zed = Z, Z2 = D4 (8), C_G(G') = D =
+    # A3 x D4 (24), G/Z = S3 x C2^2 (rank 3), H = G/Z has H' = A3 and
+    # Z(H) = C2^2.  On D8 (order 16): Z = <r^4>, G' = Z2 = <r^2>, zed = Z,
+    # C_G(G') = <r>, D = G, G/Z2 = C2^2.  Heisenberg(3) has G' = zed and
+    # D = G, so r = 0 and every AUT side is 0.
+    @pytest.mark.parametrize("tag, text, lhs, rhs, note", [
+        ("T1", "direct_product(symmetric(3),dihedral(4))", 6, 24 ** 4,
+         "r=3"),
+        ("T2", "direct_product(symmetric(3),dihedral(4))", 6, 6 ** 2, "r=1"),
+        ("T3", "direct_product(symmetric(3),dihedral(4))", 6, 3 ** 4, "r=1"),
+        ("C4", "direct_product(symmetric(3),dihedral(4))", 6, 3 ** 4,
+         "H=G/Z(G), r=1"),
+        ("T6", "symmetric(4)", 24, 12 ** 3, "d=2"),
+        ("CK", "direct_product(symmetric(3),dihedral(4))", 2, 6, "d=1"),
+        ("LA", "direct_product(symmetric(3),dihedral(4))", 3, 3, "r=1"),
+        ("LS", "direct_product(symmetric(3),dihedral(4))", 1, 3 ** 2,
+         "r=1; printed exponent-r form holds"),
+        ("T7", "dihedral(8)", 2, (13 - 1) // 2, "r=1"),
+        ("P1", "dihedral(8)", 1, 1, "r=1"),
+        ("P2", "dihedral(8)", 1, 2, "r=1"),
+        ("AUT", "dihedral(8)", 0, (7 - 1) // 2, "r=1, p=2"),
+        ("AUT", "heisenberg(3)", 0, 0, "r=0, p=3"),
+    ], ids=["T1", "T2", "T3", "C4", "T6", "CK", "LA", "LS", "T7", "P1", "P2",
+            "AUT-p2", "AUT-p3"])
+    def test_row_sides(self, tag, text, lhs, rhs, note):
+        v = evaluate(tag, group(text), CFG)
+        assert v.applicable and v.computable
+        assert (v.lhs, v.rhs, v.holds) == (lhs, rhs, lhs <= rhs)
+        assert v.notes.startswith(note + "; tightness=")
+        assert (v.witness is not None) == (tag in ("LA", "LS"))
+
     def test_every_cap_answer(self):
         # sha256 recorded with one _eval_* method per bound statement.  It
         # pins sides, notes and witnesses, not the order in which r, the
