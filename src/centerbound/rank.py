@@ -9,19 +9,20 @@ against the two element representations of table.py: Perm with BSGS
 membership (``_Perms``) and indices into the Cayley table (``_Table``).  The
 subgroups of a lattice run it on the table; min_generators, the one other
 caller, runs it for a subgroup H in whichever world ``_world`` gives for H's
-ambient group, and memoizes d on H, so every statement asking for d(G')
-shares one run.  The rungs:
+ambient group (its table only when an enumeration has built it, else
+Perms), and memoizes d on H, so every statement asking for d(G') shares
+one run.  No rung but the tuple search lists H.  The rungs:
 
 * trivial group: 0;
-* abelian: the number of invariant factors, _abelianization_d with H' = 1
-  (for each prime p the solutions of x^p = 1 number p^k, k the p-rank);
+* abelian: the number of invariant factors, _abelianization_d with H' = 1:
+  the largest log_p |H : H^p| over primes p dividing |H|;
 * p-group: the Burnside basis theorem, d = log_p |G : Phi(G)| with Phi the
   subgroup generated by commutators and p-th powers, normally closed;
 * general: d >= 2, so a greedily pruned generating set of size 2 is the
-  answer; else squeeze between the abelianization lower bound and the
-  pruned set, then exhaustive search over element subsets under a tuple
-  cap.  The search runs on the Cayley table, so a group above TABLE_CAP
-  elements gets d only when the squeeze closes.
+  answer; else squeeze between the abelianization lower bound, the largest
+  log_p |H : H'H^p|, and the pruned set, then search element subsets in
+  element order under a tuple cap.  The search runs on a Cayley table, so
+  a group above TABLE_CAP elements gets d only when the squeeze closes.
 
 The Cayley table is built from generator rows: n Perm products per
 generator, and every other entry is an index lookup (see ``table.py``).
@@ -113,20 +114,16 @@ def _frattini(world, gens, p: int):
 
 
 def _abelianization_d(world, H, gens) -> int:
-    """d(H/H'): for each prime p the x with x^p in H' number |H'| p^k, k the
-    p-rank of H/H'; the largest k.  For abelian H, H' = 1 and this is d(H)."""
+    """d(H/H'): for each prime p, H/H'H^p is elementary abelian of rank the
+    p-rank of H/H', and H'H^p is _frattini's closure; the largest rank.  For
+    abelian H, H' = 1 and this is d(H)."""
+    size = world.size(H)
     derived = normal_closure(
         world, [world.commutator(a, b)
                 for a, b in itertools.combinations(gens, 2)], gens)
-    index = world.size(H) // world.size(derived)
-    if index == 1:
-        return 0
-    best = 0
-    for p in prime_factors(index):
-        count = sum(1 for x in world.members(H)
-                    if world.power(x, p) in derived)
-        best = max(best, integer_log(count // world.size(derived), p))
-    return best
+    return max((integer_log(size // world.size(_frattini(world, gens, p)), p)
+                for p in prime_factors(size // world.size(derived))),
+               default=0)
 
 
 def _prune(world, gens, size: int) -> list:
@@ -167,8 +164,8 @@ def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
 def min_generators(H: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                    tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Exact d(H) by the strategy ladder (see module docstring), in the
-    world of H's ambient group: its Cayley table when the table admits it,
-    else Perms.  Memoized on H, so the subgroups of one group share it."""
+    world of H's ambient group: its Cayley table once an enumeration built
+    it, else Perms.  Memoized on H, so the subgroups of one group share it."""
     def compute():
         world = _world(_ambient(H), cap)
         return _d(world, world.subgroup(H), world.generators(H), tuple_cap)

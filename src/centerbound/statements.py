@@ -13,8 +13,8 @@ Tags:
 * L9: Z2(G) <= C_G(G') and [C_G(G'), C_G(G')] <= Z(G).
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
   H and a normal subgroup K, written once against the representation
-  ``_world`` gives for G: its Cayley table when the table admits G, else
-  Perms.  d(H) comes from min_generators, memoized on H and shared with
+  ``_world`` gives for G: its Cayley table when normal_subgroups built it,
+  else Perms.  d(H) comes from min_generators, memoized on H and shared with
   T6 and CK for H = G', C_G(H) from the centralizer filter over the cosets
   of Z(G), both once per distinct member: a later handle on the same
   subgroup is matched by order and sifting, without listing its elements.

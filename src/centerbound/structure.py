@@ -25,11 +25,11 @@ element by element.  Z2, D and the T/M witness's M are one filter,
 {g | [g, X] <= Z(G)}; M asks for [g, X] <= G' n Z(G), the same set, since
 commutators lie in G'.  The structure report checks Z2 against the
 preimage of Z(G/Z(G)): the commutator filter against the center of the
-quotient's action, over one coset map.  The Sylow ascent builds no normalizer: each step scans G for the
-one element of N_G(P) it adds, deciding P^y = P once per coset of Z(G), on
-G's Cayley table when the table admits G and on Perms above that.  Normality
-is always checked explicitly, never assumed from theory, so implementation bugs
-surface as NotNormal instead of silently wrong answers.
+quotient's action, over one coset map.  The Sylow ascent builds no normalizer:
+each step scans G for the one element of N_G(P) it adds, deciding P^y = P once
+per coset of Z(G), on G's table once an enumeration built it, else on Perms.
+Normality is always checked explicitly, never assumed from theory, so
+implementation bugs surface as NotNormal instead of silently wrong answers.
 
 Results that are expensive and reused (derived subgroup, center, second
 center, zed, D, Sylow subgroups, quotients, the structure report) live in
@@ -387,10 +387,6 @@ class StructureReport:
     zed: Subgroup
     orders: dict[str, int]
     p_parts: dict[int, int]
-
-    @property
-    def derived_mod_zed(self) -> int:
-        return self.orders["derived"] // self.orders["zed"]
 
 
 def structure_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,

@@ -10,8 +10,10 @@ written once against it.
   base, ``Group.points()``), not on whole image tuples.  Its d search runs
   on the subgroup's own table.
 
-``_world(G, cap)`` gives G's table when the table admits G and G's Perms
-when it refuses: the one place a refusal chooses the representation.
+Only the enumerations whose cost grows faster than |G| build a table:
+``rank._lattice``, ``rank.normal_subgroups`` and the tuple search.
+``_world(G, cap)`` gives G's table when one of them has built it and the
+caller's caps admit it, and G's Perms otherwise.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ class _Table:
         """The least k in [lower, upper) for which some k members generate
         hset, else upper; every k-subset tried counts against tuple_cap."""
         size = len(hset)
-        members = sorted(hset - {self.identity})
+        # in element order, so the count does not depend on the table
+        members = sorted(hset - {self.identity}, key=self.elems.__getitem__)
         tried, d = 0, upper
         for combo in itertools.chain.from_iterable(
                 itertools.combinations(members, k)
@@ -219,8 +222,11 @@ def _table(G: Group, cap: int) -> _Table:
 
 
 def _world(G: Group, cap: int):
-    """G's table when the table admits G, else G's Perms."""
-    try:
-        return _table(G, cap)
-    except CapExceeded:
-        return _Perms(G, cap)
+    """G's table when G's memo already holds it and the caller's caps admit
+    it, else G's Perms: only the enumerations that outgrow |G| build one."""
+    if "table" in G._memo:
+        try:
+            return _table(G, cap)
+        except CapExceeded:
+            pass
+    return _Perms(G, cap)

@@ -45,6 +45,31 @@ def derived_oracle(degree: int, elems) -> set[Perm]:
     return closure(degree, [c for c in commutators if not c.is_identity()])
 
 
+def abelianization_d_oracle(degree: int, gens) -> int:
+    """d(H/H') for H = <gens>: for each prime p the x in H with x^p in H'
+    number |H'| p^k, k the p-rank of H/H'; the largest k."""
+    elems = closure(degree, gens)
+    derived = derived_oracle(degree, elems)
+    index = len(elems) // len(derived)
+    best = 0
+    for p in range(2, index + 1):
+        if index % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        count = 0
+        for x in elems:
+            power = x
+            for _ in range(p - 1):
+                power = power * x
+            count += power in derived
+        count //= len(derived)
+        k = 0
+        while p ** k < count:
+            k += 1
+        assert p ** k == count
+        best = max(best, k)
+    return best
+
+
 def second_center_oracle(degree: int, elems) -> set[Perm]:
     """{g | [g, x] central for every element x}, from the center oracle."""
     z = center_oracle(elems)

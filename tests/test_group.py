@@ -324,8 +324,8 @@ def test_chain_generators_are_pinned():
 
 
 def test_large_sylow_generators_are_pinned():
-    """The Sylow ascent above TABLE_CAP scans Perms, which the corpus pin
-    above never reaches."""
+    """The Sylow ascent on groups above TABLE_CAP, larger than any the
+    corpus pin above reaches."""
     digest = hashlib.sha256()
     for text in LARGE_SPECS:
         G = build_group(parse_group_spec("family:" + text))

@@ -8,9 +8,10 @@ two blocks, so many groups are intransitive; a generator is dropped from
 the end until the group has at most ``MAX_ORDER`` elements, so the checks
 over every pair stay cheap.  Each property runs on the group itself, on a
 handle from ``subgroup_from_elements`` (the centralizer of a random element)
-and on a ``Subgroup`` child of that handle.  The commutator filter's
-property draws direct products instead (see ``groups``), which reach
-non-abelian groups of order 16 and more.  The runs are derandomized, so
+and on a ``Subgroup`` child of that handle.  The properties of the
+commutator filter and of the abelianization count draw direct products
+instead (see ``groups``), which reach non-abelian groups of order 16 and
+more.  The runs are derandomized, so
 every run draws the same groups.
 """
 
@@ -22,13 +23,14 @@ from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                                Group, Subgroup, _schreier_sims,
                                subgroup_from_elements)
 from centerbound.perm import Perm, commute
-from centerbound.rank import _lattice
+from centerbound.rank import _abelianization_d, _lattice, abelian_rank
 from centerbound.structure import (_commutes_into_center, _cosets,
                                    by_center_cosets, center, derived_subgroup,
                                    quotient, sylow, zed_subgroup)
+from centerbound.table import _Perms, _table
 
-from _oracles import (center_oracle, closure, commutes_into_oracle,
-                      lattice_oracle)
+from _oracles import (abelianization_d_oracle, center_oracle, closure,
+                      commutes_into_oracle, lattice_oracle)
 
 MAX_ORDER = 200
 DEFAULTS = settings(derandomize=True, database=None, deadline=None,
@@ -186,3 +188,20 @@ def test_the_lattice_is_every_subgroup_one_representative_per_class(G):
                for rep in (frozenset(elems[i] for i in r) for r in reps)]
     assert sum(map(len, classes)) == len(set().union(*classes)) == \
         len(subgroups)
+
+
+@DEFAULTS
+@given(groups(products=True))
+def test_the_abelianization_closures_match_the_brute_force_count(G):
+    """_abelianization_d takes log_p |G : G'G^p| from closures, in either
+    world; the oracle counts the x with x^p in G' over G's element list."""
+    expected = abelianization_d_oracle(G.degree, G.generators)
+    table = _table(G, DEFAULT_ENUMERATION_CAP)
+    assert _abelianization_d(table, table.subgroup(G),
+                             table.generators(G)) == expected
+    perms = _Perms(G, DEFAULT_ENUMERATION_CAP)
+    assert _abelianization_d(perms, G, G.generators) == expected
+    for A in (G, center(G), zed_subgroup(G)):
+        if A.is_abelian():
+            assert abelian_rank(A) == abelianization_d_oracle(
+                A.degree, A.generators)

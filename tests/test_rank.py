@@ -13,7 +13,7 @@ from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
-                               Group)
+                               DEFAULT_TUPLE_CAP, Group, Subgroup)
 from centerbound.perm import Perm, parse_perm
 from centerbound.rank import (RankReport, UnknownRank, _Table, _lattice,
                               abelian_rank, all_subgroups, frattini_p,
@@ -22,7 +22,7 @@ from centerbound.rank import (RankReport, UnknownRank, _Table, _lattice,
 from centerbound.statements import _Evaluator, evaluate_all
 from centerbound.structure import (center, derived_subgroup, is_normal,
                                    quotient_by_center)
-from centerbound.table import _world
+from centerbound.table import _table, _world
 
 from _oracles import closure, lattice_oracle, min_generators_oracle
 
@@ -668,10 +668,32 @@ class TestHistoryIndependence:
             refusal(lambda: min_generators(group(text), tuple_cap=5)) == \
             ("generator tuple search", 5, 6)
 
+    def test_tuple_count_ignores_which_table_searches(self):
+        # H = A4 x C3 as a handle in S4 x C3, on A4 x C3's own generators.
+        # Its search runs on S4 x C3's table once that is built, and on H's
+        # own table before; members are tried in element order, so both
+        # count 74 tuples, as H does as a group of its own
+        def outcome(H, k):
+            try:
+                return min_generators(H, tuple_cap=k)
+            except CapExceeded as exc:
+                return exc.what, exc.limit, exc.value
+        text = "direct_product(symmetric(4),cyclic(3))"
+        gens = group("direct_product(alternating(4),cyclic(3))").generators
+        for k in (1, 10, 11, 40, 73, 74, DEFAULT_TUPLE_CAP):
+            fresh = Subgroup(group(text), gens)
+            built = group(text)
+            _table(built, DEFAULT_ENUMERATION_CAP)
+            alone = Group(fresh.degree, fresh.generators)
+            assert outcome(fresh, k) == outcome(Subgroup(built, gens), k) \
+                == outcome(alone, k) == (
+                    2 if k >= 74 else ("generator tuple search", k, k + 1))
+
 
 class TestOneDPath:
     """d(H) has one owner, min_generators: it runs the ladder in the world
-    of H's ambient group and memoizes on H, so LK, T6 and CK share d(G')."""
+    of H's ambient group (its table when an enumeration has built it, else
+    Perms) and memoizes on H, so LK, T6 and CK share d(G')."""
 
     @pytest.mark.parametrize("spec", default_corpus().specs,
                              ids=lambda spec: spec.label)
@@ -720,7 +742,7 @@ class TestOneDPath:
         "direct_product(alternating(4),cyclic(3))"])
     def test_smaller_cap_after_a_default_call(self, text):
         # a cap in [|G'|, |G|) refuses G's table, so the ladder on G' runs on
-        # Perms where the default call ran on G's table
+        # Perms whether or not G's table is built
         G = group(text)
         D = derived_subgroup(G)
         d = min_generators(D)

@@ -12,6 +12,7 @@ from centerbound import statements, structure
 from centerbound.arith import is_prime_power, p_part, prime_factors
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
+from centerbound.errors import CapExceeded
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_TUPLE_CAP,
                                TABLE_CAP, Subgroup)
 from centerbound.rank import UnknownRank, group_rank
@@ -283,17 +284,36 @@ class TestLkSampling:
 
 class TestLkTablePath:
     """LK and the Sylow ascent run on the world ``_world`` gives for G:
-    G's Cayley table when the table admits G, and Perms otherwise (the large
-    groups above TABLE_CAP).  Giving Perms to small groups runs the Perm
-    world where it can be compared."""
+    G's Cayley table when an enumeration (the lattice, normal_subgroups or
+    the tuple search) has built it and the caller's caps admit it, and
+    Perms otherwise, as for every group above TABLE_CAP.  Giving Perms to
+    small groups runs the Perm world where it can be compared."""
 
-    @pytest.mark.parametrize("text, order, world", [
-        ("elem_abelian(2,10)", TABLE_CAP, _Table),
-        ("direct_product(cyclic(32),dicyclic(9))", 1152, _Perms)])
-    def test_world_switches_at_table_cap(self, text, order, world):
+    def test_world_switches_at_table_cap(self):
+        cap = DEFAULT_ENUMERATION_CAP
+        G = group("elem_abelian(2,10)")
+        assert G.order() == TABLE_CAP
+        assert type(_world(G, cap)) is _Perms
+        _table(G, cap)
+        assert type(_world(G, cap)) is _Table
+        assert type(_world(G, TABLE_CAP - 1)) is _Perms
+        assert type(_world(G, cap)) is _Table
+        G = group("direct_product(cyclic(32),dicyclic(9))")
+        assert G.order() == 1152
+        assert type(_world(G, cap)) is _Perms
+        with pytest.raises(CapExceeded):
+            _table(G, cap)
+        assert type(_world(G, cap)) is _Perms
+
+    @pytest.mark.parametrize("text, built", [
+        ("elem_abelian(2,10)", False), ("symmetric(6)", False),
+        ("symmetric(4)", True)])
+    def test_only_an_enumeration_builds_the_table(self, text, built):
+        # normal_subgroups builds S4's table for LK; the default subgroup
+        # cap refuses the other two before any enumeration of G
         G = group(text)
-        assert G.order() == order
-        assert type(_world(G, DEFAULT_ENUMERATION_CAP)) is world
+        evaluate_all(G, CFG)
+        assert ("table" in G._memo) is built
 
     @pytest.mark.parametrize("text", [
         "symmetric(4)", "dicyclic(8)",

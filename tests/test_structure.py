@@ -446,7 +446,7 @@ class TestStructureReport:
             "group": 48, "derived": 6, "center": 2, "second_center": 8,
             "centralizer_of_derived": 24, "dee": 24, "zed": 2}
         assert sr.p_parts == {3: 3}
-        assert sr.derived_mod_zed == 3
+        assert sr.orders["derived"] // sr.orders["zed"] == 3
 
     def test_zed_is_intersection(self):
         for text in ("dicyclic(4)", "dihedral(8)",

@@ -227,7 +227,7 @@ class TestAlsoWitness:
         assert total == (sr.orders["centralizer_of_derived"]
                          // sr.orders["second_center"])
         # r = 1 here, so the product bound is |G' : zed|^1 = 3
-        assert total <= sr.derived_mod_zed
+        assert total <= sr.orders["derived"] // sr.orders["zed"]
 
     def test_class_two_p_group_index_one(self):
         record = also_witness(group("heisenberg(3)"))
