@@ -9,8 +9,12 @@ a group may be shared freely once built.
 Every derived result (center, quotients, subgroup lattice, ranks, ...) lives
 in one memo per group, ``Group.memo``.  Caps are admission checks through
 ``admit``, never keys, so a call raises CapExceeded exactly when the same
-call on a fresh group would.  The bookkeeping is module state, so groups are
-not for concurrent threads.
+call on a fresh group would.  A refusal is remembered beside the values, so
+a question asked again under the same caps is answered without computing.
+A subgroup that is all of its group is that group (``subgroup_from_elements``
+returns the parent for the parent's own element list), so it shares the
+group's memo.  The bookkeeping is module state, so groups are not for
+concurrent threads.
 
 Element enumeration walks the transversal chain in sorted-orbit order and is
 guarded by a configurable cap: operations that need the full element list
@@ -65,12 +69,23 @@ _computing: list[dict[str, int]] = []
 
 
 def admit(kind: str, limit: int, value: int) -> None:
-    """The one cap check: raise CapExceeded when value exceeds limit, and
-    otherwise record value in the memo entry being computed."""
+    """The one cap check: raise CapExceeded, naming kind, when value exceeds
+    limit, and otherwise record value in the memo entry being computed."""
     if value > limit:
-        raise CapExceeded(_CAPS[kind][0], limit, value)
+        exc = CapExceeded(_CAPS[kind][0], limit, value)
+        exc.kind = kind
+        raise exc
     if _computing and _computing[-1].get(kind, -1) < value:
         _computing[-1][kind] = value
+
+
+def _record(demand: dict[str, int]) -> None:
+    """Raise the demand of the memo entry being computed to demand."""
+    if _computing:
+        top = _computing[-1]
+        for kind, n in demand.items():
+            if top.get(kind, -1) < n:
+                top[kind] = n
 
 
 class _Level:
@@ -235,6 +250,7 @@ class Group:
         self._elements: tuple[Perm, ...] | None = None
         self._element_set: frozenset[Perm] | None = None
         self._memo: dict = {}
+        self._refused: dict = {}
 
     # -- stabilizer chain ------------------------------------------------
 
@@ -324,19 +340,42 @@ class Group:
         included, and every call re-admits those against limits (the
         caller's cap per kind, else its default).  An entry they would refuse
         is computed again, so the refusal is the one a fresh group gives.
-        compute must let CapExceeded pass: a caught refusal leaves no trace."""
+
+        A refusal is remembered apart from the values: the demand up to it
+        and the refused admission.  A later call whose caps admit that
+        demand and put the same limit on the refused kind re-raises it
+        without computing, as a fresh group refuses there with the same
+        message; any other call computes.  (A stopped tuple search reports
+        its limit plus one, so another limit is another message.)  Either
+        way the demand joins the enclosing entry's, as on a hit.  compute
+        must let CapExceeded pass."""
+        def limit(kind: str) -> int:
+            return limits.get(kind, _CAPS[kind][1])
+
         entry = self._memo.get(key)
-        if entry is None or any(n > limits.get(kind, _CAPS[kind][1])
+        if entry is None or any(n > limit(kind)
                                 for kind, n in entry[1].items()):
-            _computing.append({})
+            refused = self._refused.get(key)  # (demand, kind, limit, value)
+            if refused and limit(refused[1]) == refused[2] and all(
+                    n <= limit(kind) for kind, n in refused[0].items()):
+                _record(refused[0])
+                admit(*refused[1:])
+            demand: dict[str, int] = {}
+            _computing.append(demand)
             try:
                 value = compute()
+            except CapExceeded as exc:
+                if exc.kind is not None:
+                    self._refused[key] = (demand, exc.kind, exc.limit,
+                                          exc.value)
+                raise
             finally:
-                demand = _computing.pop()
+                _computing.pop()
+                _record(demand)
             entry = self._memo[key] = (value, demand)
         value, demand = entry
         for kind, n in demand.items():
-            admit(kind, limits.get(kind, _CAPS[kind][1]), n)
+            admit(kind, limit(kind), n)
         return value
 
     def random_element(self, rng: random.Random) -> Perm:
@@ -395,9 +434,12 @@ def _key(G: Group) -> Callable[[Sequence[int]], tuple[int, ...]]:
     return lambda img: gather(points, img)
 
 
-def subgroup_from_elements(parent: Group, elems: Sequence[Perm]) -> Subgroup:
+def subgroup_from_elements(parent: Group, elems: Sequence[Perm]) -> Group:
     """Build a handle from a full element list (as produced by a filter),
-    selecting a small generating subset and caching the elements.
+    selecting a small generating subset and caching the elements.  The
+    parent's own element list, in its order, gives the parent itself, so a
+    filter that keeps all of a group shares that group's memo; the same
+    elements in another order get a handle that lists them in that order.
 
     The generator selection is greedy in list order: an element joins the
     generators when it lies outside the group they generate so far, until
@@ -407,6 +449,9 @@ def subgroup_from_elements(parent: Group, elems: Sequence[Perm]) -> Subgroup:
     a base of the parent.  A list that is not a subgroup raises
     AssertionError.
     """
+    held = parent._elements
+    if held is not None and len(held) == len(elems) and held == tuple(elems):
+        return parent
     key = _key(parent)
     keys = [key(e._img) for e in elems]
     if len(elems) == parent.order():

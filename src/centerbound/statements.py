@@ -14,10 +14,12 @@ Tags:
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
   H and a normal subgroup K, written once against the representation
   ``_world`` gives for G: its Cayley table when normal_subgroups built it,
-  else Perms.  d(H) comes from min_generators, memoized on H and shared with
-  T6 and CK for H = G', C_G(H) from the centralizer filter over the cosets
-  of Z(G), both once per distinct member: a later handle on the same
-  subgroup is matched by order and sifting, without listing its elements.
+  else Perms.  d(H) comes from min_generators, memoized on H (a refusal
+  too) and shared with T6 and CK for H = G'.  C_G(H) comes from the
+  centralizer filter over the cosets of Z(G), except that C_G(G') is the
+  structure report's.  Both are found once per distinct member: a later
+  handle on the same subgroup is matched by order and sifting, without
+  listing its elements.
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -283,12 +285,17 @@ class _Evaluator:
     def _lk_member(self, world, H):
         """d(H) with its note, and C_G(H) as a set, in G's world.  |C_K(H)|
         is then |K n C_G(H)|, so C_G(H) is filtered once per H, one element
-        per coset of Z(G).  d(H) is min_generators, memoized on H; when a
-        cap refuses it, the pruned generating set is an upper bound."""
+        per coset of Z(G), except for H = G', whose centralizer the
+        structure report holds.  d(H) is min_generators, memoized on H; when
+        a cap refuses it, the pruned generating set is an upper bound."""
         gens = world.generators(H)
-        cgh = frozenset(by_center_cosets(
-            self.G, world.elements(),
-            lambda g: all(world.commute(g, s) for s in gens), self.cap))
+        sr = self.sr
+        if H is sr.derived:
+            cgh = world.members(world.subgroup(sr.centralizer_of_derived))
+        else:
+            cgh = frozenset(by_center_cosets(
+                self.G, world.elements(),
+                lambda g: all(world.commute(g, s) for s in gens), self.cap))
         try:
             return min_generators(H, self.cap, self.tuple_cap), "", cgh
         except CapExceeded:

@@ -34,7 +34,11 @@ implementation bugs surface as NotNormal instead of silently wrong answers.
 Results that are expensive and reused (derived subgroup, center, second
 center, zed, D, Sylow subgroups, quotients, the structure report) live in
 the group's one memo, keyed without caps: a cap is an admission check that
-every hit reruns (see ``Group.memo``).
+every hit reruns (see ``Group.memo``).  A filter that keeps all of G gives G
+itself, and a p-group is its own Sylow p-subgroup.  So Z2, C_G(G') and D of
+a group of class at most 2, Z of an abelian group and the Sylow subgroup of
+a p-group are G and share G's memo: their coset maps and Sylow ascents are
+G's, built once.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def _cosets(G: Group, N: Group, cap: int) -> dict[tuple[int, ...], int]:
 
 
 def centralizer(G: Group, S: Sequence[Perm],
-                cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+                cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """{g in G | gs = sg for all s in S} for S a subset of G, which contains
     Z(G): filtered one element per coset of Z(G)."""
     points = G.points()
@@ -131,7 +135,7 @@ def centralizer(G: Group, S: Sequence[Perm],
         lambda g: all(commute(g, s, points) for s in S), cap))
 
 
-def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """Z(G) = the elements commuting with a generating set, by an
     element-by-element filter (it defines the cosets the other filters
     walk)."""
@@ -160,14 +164,14 @@ def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
     return test
 
 
-def second_center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+def second_center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """Z2(G) = {g | [g, G] <= Z(G)}, one test per coset of Z(G)."""
     return G.memo("second_center", lambda: subgroup_from_elements(
         G, by_center_cosets(G, G.elements(cap), _commutes_into_center(
             G, G.generators, cap), cap)), elements=cap)
 
 
-def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """D = {g | [g, G'] <= Z(G)}, the same filter on the generators of G'."""
     return G.memo("dee", lambda: subgroup_from_elements(
         G, by_center_cosets(G, G.elements(cap), _commutes_into_center(
@@ -175,7 +179,7 @@ def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 
 
 def normalizer(G: Group, H: Group,
-               cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+               cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """{g in G | H^g = H} for H <= G, which contains Z(G): filtered one
     element per coset of Z(G), by Perm conjugates looked up in H's element
     set.  The Sylow ascent needs one element of N_G(P) per step and finds it
@@ -187,7 +191,7 @@ def normalizer(G: Group, H: Group,
 
 
 def intersection(A: Group, B: Group,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+                 cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """A intersect B as a handle on the ambient group of A."""
     small, large = (A, B) if A.order() <= B.order() else (B, A)
     selected = [x for x in small.elements(cap) if x in large]
@@ -217,7 +221,7 @@ def derived_subgroup(G: Group) -> Subgroup:
     return G.memo("derived", lambda: mutual_commutator(G, G))
 
 
-def zed_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+def zed_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """The intersection of the derived subgroup with the center."""
     return G.memo("zed", lambda: intersection(center(G, cap),
                                               derived_subgroup(G), cap),
@@ -227,14 +231,15 @@ def zed_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
 # -- Sylow subgroups ---------------------------------------------------------
 
 
-def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """A Sylow p-subgroup by ascent: trivial when p doesn't divide the order,
-    G itself (on G's generators) when G is a p-group, and otherwise P grown
-    from 1 by one scan per step (_ascent_step)."""
+    G itself when G is a p-group (a p-group is its own Sylow p-subgroup, and
+    shares its memo), and otherwise P grown from 1 by one scan per step
+    (_ascent_step)."""
     def compute():
         target = p_part(G.order(), p)
         if target == G.order():
-            return Subgroup(G, G.generators, _trusted=True)
+            return G
         world = _world(G, cap)
         P = Subgroup(G, (), _trusted=True)
         while P.order() < target:
@@ -355,7 +360,7 @@ def quotient_by_center(G: Group, coset_cap: int = DEFAULT_COSET_CAP,
 # -- socles -------------------------------------------------------------------
 
 
-def socle_p(A: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Subgroup:
+def socle_p(A: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """Subgroup of an abelian p-group generated by its order-p elements,
     i.e. {a | a^p = 1}; elementary abelian of rank = rank of A."""
     if not A.is_abelian():
@@ -380,11 +385,11 @@ class StructureReport:
     """
     group: Group
     derived: Subgroup
-    center: Subgroup
-    second_center: Subgroup
-    centralizer_of_derived: Subgroup
-    dee: Subgroup
-    zed: Subgroup
+    center: Group
+    second_center: Group
+    centralizer_of_derived: Group
+    dee: Group
+    zed: Group
     orders: dict[str, int]
     p_parts: dict[int, int]
 

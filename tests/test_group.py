@@ -238,10 +238,15 @@ def test_handle_points_are_the_ambient_base():
     # from its parent and builds no chain of its own for them
     G = build("sym4")
     points = tuple(b - 1 for b in G.base)
-    whole = subgroup_from_elements(G, list(G.elements()))
+    # G's own element list in G's order is G; sorted, it is a new handle
+    # that lists the elements in the order given
+    assert subgroup_from_elements(G, list(G.elements())) is G
+    ordered = sorted(G.elements())
+    whole = subgroup_from_elements(G, ordered)
+    assert whole is not G and list(whole.elements()) == ordered
     klein = subgroup_from_elements(G, sorted(closure(
         4, [parse_perm("(1 2)(3 4)", 4), parse_perm("(1 3)(2 4)", 4)])))
-    for H in (whole, Subgroup(whole, [parse_perm("(1 2 3)", 4)]),
+    for H in (whole, Subgroup(G, [parse_perm("(1 2 3)", 4)]),
               Subgroup(klein, klein.generators)):
         assert H._levels is None
         assert H.points() == points

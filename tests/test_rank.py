@@ -13,7 +13,7 @@ from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
-                               DEFAULT_TUPLE_CAP, Group, Subgroup)
+                               DEFAULT_TUPLE_CAP, TABLE_CAP, Group, Subgroup)
 from centerbound.perm import Perm, parse_perm
 from centerbound.rank import (RankReport, UnknownRank, _Table, _lattice,
                               abelian_rank, all_subgroups, frattini_p,
@@ -21,8 +21,8 @@ from centerbound.rank import (RankReport, UnknownRank, _Table, _lattice,
                               rank_report, shrink_generating_set)
 from centerbound.statements import _Evaluator, evaluate_all
 from centerbound.structure import (center, derived_subgroup, is_normal,
-                                   quotient_by_center)
-from centerbound.table import _table, _world
+                                   quotient, quotient_by_center)
+from centerbound.table import _Perms, _table, _world
 
 from _oracles import closure, lattice_oracle, min_generators_oracle
 
@@ -688,6 +688,77 @@ class TestHistoryIndependence:
             assert outcome(fresh, k) == outcome(Subgroup(built, gens), k) \
                 == outcome(alone, k) == (
                     2 if k >= 74 else ("generator tuple search", k, k + 1))
+
+
+class TestRememberedRefusals:
+    """A refusal is remembered on the group, apart from the values: a later
+    call that admits its demand under the same limit for the refused kind
+    re-raises it without computing, and any other call computes, so each
+    call still gives what it gives on a fresh group."""
+
+    def test_same_caps_reraise_without_computing(self, monkeypatch):
+        # A7's G' handle prunes to 3 generators against a lower bound of 2,
+        # and the tuple search needs a table of all 2,520 elements
+        runs = []
+        ladder = rank._d
+        monkeypatch.setattr(rank, "_d",
+                            lambda *args: runs.append(1) or ladder(*args))
+        H = derived_subgroup(group("alternating(7)"))
+        first = refusal(lambda: min_generators(H))
+        assert first == ("multiplication table", TABLE_CAP, 2520)
+        assert refusal(lambda: min_generators(H)) == first
+        assert len(runs) == 1
+        assert "d" not in H._memo
+
+    def test_a_larger_cap_computes(self):
+        G = group("symmetric(4)")
+        assert refusal(lambda: center(G, 5)) == ("element enumeration", 5, 24)
+        assert center(G, 24).order() == 1
+        assert refusal(lambda: center(G, 5)) == ("element enumeration", 5, 24)
+
+    def test_a_smaller_cap_on_an_admitted_kind_computes(self):
+        # the quotient admits its 2 cosets, then lists A4 past the cap; a
+        # coset cap of 1 refuses before that, as on a fresh group
+        def call(G, coset_cap):
+            return refusal(lambda: quotient(G, derived_subgroup(G),
+                                            coset_cap, 5))
+        G = group("symmetric(4)")
+        assert call(G, 512) == ("element enumeration", 5, 12)
+        assert call(G, 1) == call(group("symmetric(4)"), 1) == \
+            ("coset enumeration", 1, 2)
+        assert call(G, 512) == ("element enumeration", 5, 12)
+
+    def test_a_refusal_joins_the_enclosing_demand(self):
+        G = group("symmetric(4)")
+        N = derived_subgroup(G)
+
+        def outer():
+            return quotient(G, N, 512, 5)
+        refusal(lambda: G.memo("outer", outer, cosets=512, elements=5))
+        assert G._refused["outer"] == ({"cosets": 2}, "elements", 5, 12)
+        # the hit re-raises the inner refusal and records it the same way
+        refusal(lambda: G.memo("again", outer, cosets=512, elements=5))
+        assert G._refused["again"] == G._refused["outer"]
+
+    def test_another_tuple_cap_searches_again(self):
+        # a stopped tuple search reports its cap plus one tuples, so the
+        # refusal under tuple_cap=5 is not the one under 3
+        text = "direct_product(alternating(4),cyclic(3))"
+        G = group(text)
+        assert refusal(lambda: min_generators(G, tuple_cap=5)) == \
+            ("generator tuple search", 5, 6)
+        assert refusal(lambda: min_generators(G, tuple_cap=3)) == \
+            refusal(lambda: min_generators(group(text), tuple_cap=3)) == \
+            ("generator tuple search", 3, 4)
+        assert min_generators(G) == 2
+
+    def test_a_refused_table_is_not_a_built_one(self):
+        G = group("direct_product(cyclic(32),dicyclic(9))")
+        for _ in range(2):
+            with pytest.raises(CapExceeded):
+                _table(G, DEFAULT_ENUMERATION_CAP)
+            assert "table" not in G._memo and "table" in G._refused
+            assert type(_world(G, DEFAULT_ENUMERATION_CAP)) is _Perms
 
 
 class TestOneDPath:

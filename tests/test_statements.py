@@ -18,9 +18,10 @@ from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_TUPLE_CAP,
 from centerbound.rank import UnknownRank, group_rank
 from centerbound.statements import (STATEMENT_TAGS, Verdict, evaluate,
                                     evaluate_all)
-from centerbound.structure import (derived_subgroup, normalizer, quotient,
-                                   quotient_by_center, structure_report,
-                                   sylow)
+from centerbound.structure import (center, dee_subgroup, derived_subgroup,
+                                   is_subgroup_of, normalizer, quotient,
+                                   quotient_by_center, second_center,
+                                   structure_report, sylow)
 from centerbound.table import _Perms, _Table, _table, _world
 
 
@@ -447,6 +448,71 @@ class TestBoundTable:
         assert hashlib.sha256("\n".join(sorted(records)).encode()) \
             .hexdigest() == ("972038f45837bc183b1802b8c5d4e7c3"
                              "396ddbfd41bfdba88ba41c63f4188d06")
+
+    @pytest.mark.parametrize("order", ["sweep", "reversed"])
+    def test_every_cap_answer_on_shared_groups(self, order):
+        # the sweep above on one group per spec: remembered refusals and
+        # handles shared with G give each call its fresh-group answer
+        calls = list(itertools.product(
+            ("symmetric(4)", "dicyclic(8)",
+             "direct_product(symmetric(3),dihedral(4))", "heisenberg(3)",
+             "symmetric(6)"),
+            (8, 64, 1000), (4, 512), (1, 512), (1, 64), self.TAGS))
+        if order == "reversed":
+            calls.reverse()
+        groups = {}
+        records = []
+        for text, cap, coset_cap, subgroup_cap, tuple_cap, tag in calls:
+            cfg = Config(enumeration_cap=cap, coset_cap=coset_cap,
+                         subgroup_cap=subgroup_cap, tuple_cap=tuple_cap)
+            G = groups.setdefault(text, group(text))
+            records.append(json.dumps(
+                [text, cap, coset_cap, subgroup_cap, tuple_cap,
+                 evaluate(tag, G, cfg).to_json()], sort_keys=True))
+        assert hashlib.sha256("\n".join(sorted(records)).encode()) \
+            .hexdigest() == ("972038f45837bc183b1802b8c5d4e7c3"
+                             "396ddbfd41bfdba88ba41c63f4188d06")
+
+
+class TestSharedHandles:
+    """A filter that keeps all of G returns G, and a p-group is its own
+    Sylow subgroup, so the report's subgroups that equal G share G's memo;
+    LK reads C_G(G') from the report."""
+
+    def test_the_sylow_ascent_runs_once_per_step(self, monkeypatch):
+        # |P| = 27 and 125, three steps each; LK, LB and FOC ask for them
+        # on G and on D = C_G(G') = G
+        steps = []
+        step = structure._ascent_step
+        monkeypatch.setattr(structure, "_ascent_step",
+                            lambda *args: steps.append(1) or step(*args))
+        evaluate_all(group("direct_product(heisenberg(3),heisenberg(5))"),
+                     CFG)
+        assert len(steps) == 6
+
+    def test_an_abelian_group_is_its_own_report(self):
+        G = group("elem_abelian(2,10)")
+        evaluate_all(G, CFG)
+        for H in (center(G), second_center(G), dee_subgroup(G),
+                  structure_report(G).centralizer_of_derived, sylow(G, 2)):
+            assert H is G
+
+    @pytest.mark.parametrize("text", [
+        "symmetric(4)", "direct_product(symmetric(3),dihedral(4))",
+        "alternating(5)", "direct_product(heisenberg(3),heisenberg(5))"])
+    def test_lk_filters_no_centralizer_for_derived(self, monkeypatch, text):
+        G = group(text)
+        members = []
+        for _, H in statements._Evaluator(G, CFG)._lk_library():
+            if not any(K.order() == H.order() and is_subgroup_of(H, K)
+                       for K in members):
+                members.append(H)
+        filters = []
+        by_cosets = statements.by_center_cosets
+        monkeypatch.setattr(statements, "by_center_cosets", lambda *args:
+                            filters.append(1) or by_cosets(*args))
+        assert evaluate("LK", G, CFG).computable
+        assert len(filters) == len(members) - 1
 
 
 def _corpus_p_groups():
