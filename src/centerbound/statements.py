@@ -284,18 +284,25 @@ class _Evaluator:
 
     def _lk_member(self, world, H):
         """d(H) with its note, and C_G(H) as a set, in G's world.  |C_K(H)|
-        is then |K n C_G(H)|, so C_G(H) is filtered once per H, one element
-        per coset of Z(G), except for H = G', whose centralizer the
-        structure report holds.  d(H) is min_generators, memoized on H; when
-        a cap refuses it, the pruned generating set is an upper bound."""
+        is then |K n C_G(H)|.  C_G(H) is read from the report for H = G'
+        (C_G(G')) and |H| = |G| (Z(G)), is G for H = 1, and is otherwise
+        filtered over one element per coset of Z(G), one generator of H at
+        a time.  d(H) is min_generators, memoized on H; when a cap refuses
+        it, the pruned generating set is an upper bound."""
+        G, sr = self.G, self.sr
         gens = world.generators(H)
-        sr = self.sr
-        if H is sr.derived:
-            cgh = world.members(world.subgroup(sr.centralizer_of_derived))
+        known = (sr.centralizer_of_derived if H is sr.derived
+                 else sr.center if H.order() == G.order()
+                 else G if H.order() == 1 else None)
+        if known is not None:
+            cgh = world.members(world.subgroup(known))
         else:
-            cgh = frozenset(by_center_cosets(
-                self.G, world.elements(),
-                lambda g: all(world.commute(g, s) for s in gens), self.cap))
+            def select(reps):
+                for s in gens:
+                    reps = [g for g in reps if world.commute(g, s)]
+                return reps
+            cgh = frozenset(by_center_cosets(G, world.elements(), select,
+                                             self.cap))
         try:
             return min_generators(H, self.cap, self.tuple_cap), "", cgh
         except CapExceeded:

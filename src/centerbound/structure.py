@@ -1,7 +1,6 @@
 """The subgroup algebra: centralizers, centers, derived and mutual commutator
 subgroups, the second center, Sylow subgroups, normalizers, quotients by
-normal subgroups, socles of abelian p-groups, and coprime Fitting
-decompositions.
+normal subgroups and socles of abelian p-groups.
 
 Cosets of a normal subgroup N have one owner, ``_cosets``: a memoized map
 from G's elements, keyed by their images of G's base points
@@ -19,17 +18,19 @@ method wins, and the cap fails loudly.  The normal closure and the coset
 filter are written once against the element representations of table.py;
 the other filters run on Perms.  C_G(S) for S in G, Z2, D, normalizers and
 LK's C_G(H) contain Z(G), so they are unions of its cosets:
-``by_center_cosets`` tests the first element of each coset and keeps or
-drops the coset whole.  Only Z(G), which defines the cosets, is filtered
-element by element.  Z2, D and the T/M witness's M are one filter,
-{g | [g, X] <= Z(G)}; M asks for [g, X] <= G' n Z(G), the same set, since
-commutators lie in G'.  The structure report checks Z2 against the
-preimage of Z(G/Z(G)): the commutator filter against the center of the
-quotient's action, over one coset map.  The Sylow ascent builds no normalizer:
-each step scans G for the one element of N_G(P) it adds, deciding P^y = P once
-per coset of Z(G), on G's table once an enumeration built it, else on Perms.
-Normality is always checked explicitly, never assumed from theory, so
-implementation bugs surface as NotNormal instead of silently wrong answers.
+``by_center_cosets`` hands the first element of each coset to a select,
+which filters that list one generator at a time (each pass reads only the
+survivors of the one before), and keeps or drops each coset whole.  Only
+Z(G), which defines the cosets, is filtered element by element.  Z2, D and
+the T/M witness's M are one filter, {g | [g, X] <= Z(G)}; M asks for
+[g, X] <= G' n Z(G), the same set, since commutators lie in G'.  The
+structure report checks Z2 against the preimage of Z(G/Z(G)): the
+commutator filter against the center of the quotient's action, over one
+coset map.  The Sylow ascent builds no normalizer: each step scans G for
+the one element of N_G(P) it adds, deciding P^y = P once per coset of
+Z(G), on G's table once an enumeration built it, else on Perms.  Normality
+is always checked explicitly, never assumed from theory, so implementation
+bugs surface as NotNormal instead of silently wrong answers.
 
 Results that are expensive and reused (derived subgroup, center, second
 center, zed, D, Sylow subgroups, quotients, the structure report) live in
@@ -38,7 +39,8 @@ every hit reruns (see ``Group.memo``).  A filter that keeps all of G gives G
 itself, and a p-group is its own Sylow p-subgroup.  So Z2, C_G(G') and D of
 a group of class at most 2, Z of an abelian group and the Sylow subgroup of
 a p-group are G and share G's memo: their coset maps and Sylow ascents are
-G's, built once.
+G's, built once.  When |G'| = |G|, G' is G, so C_G(G') is Z(G) and D is Z2
+by definition: the report hands out those handles and filters neither.
 """
 
 from __future__ import annotations
@@ -86,25 +88,31 @@ def normal_closure(world, seed, conjugators):
 
 def centralizing(elems, S, points) -> list[Perm]:
     """The members of elems commuting with every s in S, in order: the one
-    element-by-element centralizer filter.  Commuting is decided on points,
-    a base of a group holding elems and S (see ``perm.commute``)."""
-    return [g for g in elems if all(commute(g, s, points) for s in S)]
+    element-by-element centralizer filter, one pass per s over the members
+    that commute with the ones before it.  Commuting is decided on points, a
+    base of a group holding elems and S (see ``perm.commute``)."""
+    kept = list(elems)
+    for s in S:
+        kept = [g for g in kept if commute(g, s, points)]
+    return kept
 
 
-def by_center_cosets(G: Group, elems, test, cap: int) -> list:
+def by_center_cosets(G: Group, elems, select, cap: int) -> list:
     """The members of elems, which lists G in G's element order in either
-    representation, whose coset of Z(G) passes test.  test runs once per
-    coset, on its first element in that order, and the coset is kept or
-    dropped whole: exact whenever the answer is a union of Z(G)-cosets, as
-    for any subgroup of G containing Z(G)."""
-    passed: list[bool] = []
-    out = []
-    for x, c in zip(elems, _cosets(G, center(G, cap), cap).values()):
-        if c == len(passed):
-            passed.append(test(x))
-        if passed[c]:
-            out.append(x)
-    return out
+    representation, whose coset of Z(G) select keeps.  select gets the
+    representatives once, in a tuple: the first element of each coset in
+    elems, in that order, which is coset-number order in ``_cosets``.  It
+    returns the representatives it keeps, and each kept coset is taken
+    whole: exact whenever the answer is a union of Z(G)-cosets, as for any
+    subgroup of G containing Z(G)."""
+    numbers = _cosets(G, center(G, cap), cap).values()
+    # cosets are numbered by first appearance, so the first positions of
+    # the numbers, in increasing order, come in coset-number order
+    firsts = dict(zip(reversed(numbers), reversed(range(len(numbers)))))
+    reps = gather(sorted(firsts.values()), elems)
+    kept = set(select(reps))
+    passed = [x in kept for x in reps]
+    return list(itertools.compress(elems, gather(numbers, passed)))
 
 
 def _cosets(G: Group, N: Group, cap: int) -> dict[tuple[int, ...], int]:
@@ -128,11 +136,10 @@ def _cosets(G: Group, N: Group, cap: int) -> dict[tuple[int, ...], int]:
 def centralizer(G: Group, S: Sequence[Perm],
                 cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """{g in G | gs = sg for all s in S} for S a subset of G, which contains
-    Z(G): filtered one element per coset of Z(G)."""
+    Z(G): the centralizing filter over one element per coset of Z(G)."""
     points = G.points()
     return subgroup_from_elements(G, by_center_cosets(
-        G, G.elements(cap),
-        lambda g: all(commute(g, s, points) for s in S), cap))
+        G, G.elements(cap), lambda reps: centralizing(reps, S, points), cap))
 
 
 def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
@@ -145,49 +152,62 @@ def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
 
 
 def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
-    """The test g -> [g, x] in Z(G) for every x in X, which holds exactly
-    when [g, <X>] <= Z(G), as [g, xy] = [g, y][g, x]^y.  For X in G it is
-    also the test [g, <X>] <= zed = G' n Z(G), since [g, x] lies in G'.
-    [g, x] = g^-1 g^x is central exactly when g^x = x^-1 g x lies in g's
-    coset of Z(G), so no g^-1 is built.  The coset map's key of g^x is the
-    key of x^-1 (a few images, computed once per x) gathered through g, then
-    through x."""
+    """The select of ``by_center_cosets`` keeping the g with [g, x] in Z(G)
+    for every x in X, which holds exactly when [g, <X>] <= Z(G), as
+    [g, xy] = [g, y][g, x]^y.  For X in G it is also the test
+    [g, <X>] <= zed = G' n Z(G), since [g, x] lies in G'.  [g, x] = g^-1 g^x
+    is central exactly when g^x = x^-1 g x lies in g's coset of Z(G), so no
+    g^-1 is built.  Each g of any list carries its coset number, looked up
+    once, and each x in turn drops the g it fails.  The coset map's key of
+    g^x is the key of x^-1 (a few images, computed once per x) gathered
+    through g, then through x."""
     coset = _cosets(G, center(G, cap), cap)
     key = _key(G)
     pairs = [(key(x.inverse()._img), x._img) for x in X]
 
-    def test(g: Perm) -> bool:
-        img = g._img
-        mine = coset[key(img)]
-        return all(coset[gather(gather(xinv, img), ximg)] == mine
-                   for xinv, ximg in pairs)
-    return test
+    def select(elems):
+        alive = [(g, g._img, coset[key(g._img)]) for g in elems]
+        for xinv, ximg in pairs:
+            alive = [(g, img, c) for g, img, c in alive
+                     if coset[gather(gather(xinv, img), ximg)] == c]
+        return [g for g, _, _ in alive]
+    return select
 
 
 def second_center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
-    """Z2(G) = {g | [g, G] <= Z(G)}, one test per coset of Z(G)."""
+    """Z2(G) = {g | [g, G] <= Z(G)}, over one element per coset of Z(G)."""
     return G.memo("second_center", lambda: subgroup_from_elements(
         G, by_center_cosets(G, G.elements(cap), _commutes_into_center(
             G, G.generators, cap), cap)), elements=cap)
 
 
 def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
-    """D = {g | [g, G'] <= Z(G)}, the same filter on the generators of G'."""
-    return G.memo("dee", lambda: subgroup_from_elements(
-        G, by_center_cosets(G, G.elements(cap), _commutes_into_center(
-            G, derived_subgroup(G).generators, cap), cap)), elements=cap)
+    """D = {g | [g, G'] <= Z(G)}, the same filter on the generators of G';
+    the handle of Z2 itself when |G'| = |G|."""
+    def compute():
+        derived = derived_subgroup(G)
+        if derived.order() == G.order():
+            return second_center(G, cap)
+        return subgroup_from_elements(G, by_center_cosets(
+            G, G.elements(cap),
+            _commutes_into_center(G, derived.generators, cap), cap))
+    return G.memo("dee", compute, elements=cap)
 
 
 def normalizer(G: Group, H: Group,
                cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
-    """{g in G | H^g = H} for H <= G, which contains Z(G): filtered one
-    element per coset of Z(G), by Perm conjugates looked up in H's element
-    set.  The Sylow ascent needs one element of N_G(P) per step and finds it
-    without this filter (_ascent_step)."""
+    """{g in G | H^g = H} for H <= G, which contains Z(G): filtered over one
+    element per coset of Z(G), one generator h at a time, by looking h^g up
+    in H's element set.  The Sylow ascent needs one element of N_G(P) per
+    step and finds it without this filter (_ascent_step)."""
     hset = H.element_set(cap)
+
+    def select(reps):
+        for h in H.generators:
+            reps = [g for g in reps if h.conjugate(g) in hset]
+        return reps
     return subgroup_from_elements(G, by_center_cosets(
-        G, G.elements(cap),
-        lambda g: all(h.conjugate(g) in hset for h in H.generators), cap))
+        G, G.elements(cap), select, cap))
 
 
 def intersection(A: Group, B: Group,
@@ -404,7 +424,8 @@ def structure_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
         zent = center(G, cap)
         zed = zed_subgroup(G, cap)
         second = second_center(G, cap)
-        cent_derived = centralizer(G, derived.generators, cap)
+        cent_derived = (zent if derived.order() == G.order()
+                        else centralizer(G, derived.generators, cap))
         dee = dee_subgroup(G, cap)
 
         # cross-check the commutator filter's second center against the

@@ -269,8 +269,9 @@ def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
     pig_elems = p_meet_derived.elements(cap)
     pig_gens = p_meet_derived.generators
     actions: dict[tuple[Perm, ...], Perm] = {}
-    by_center_cosets(G, G.elements(cap), lambda x: actions.setdefault(
-        tuple(a.conjugate(x) for a in pig_gens), x) is x, cap)
+    by_center_cosets(G, G.elements(cap), lambda reps: [
+        x for x in reps if actions.setdefault(
+            tuple(a.conjugate(x) for a in pig_gens), x) is x], cap)
     points = G.points()
     first_x: dict[frozenset, Perm] = {}
     for x in actions.values():

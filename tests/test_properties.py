@@ -18,6 +18,7 @@ every run draws the same groups.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from centerbound import structure
 from centerbound.corpus import direct_product
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                                Group, Subgroup, _schreier_sims,
@@ -25,12 +26,14 @@ from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
 from centerbound.perm import Perm, commute
 from centerbound.rank import _abelianization_d, _lattice, abelian_rank
 from centerbound.structure import (_commutes_into_center, _cosets,
-                                   by_center_cosets, center, derived_subgroup,
-                                   quotient, sylow, zed_subgroup)
+                                   by_center_cosets, center, centralizer,
+                                   derived_subgroup, quotient, sylow,
+                                   zed_subgroup)
 from centerbound.table import _Perms, _table
 
-from _oracles import (abelianization_d_oracle, center_oracle, closure,
-                      commutes_into_oracle, lattice_oracle)
+from _oracles import (abelianization_d_oracle, center_oracle,
+                      centralizer_oracle, closure, commutes_into_oracle,
+                      lattice_oracle)
 
 MAX_ORDER = 200
 DEFAULTS = settings(derandomize=True, database=None, deadline=None,
@@ -139,11 +142,41 @@ def test_the_commutator_filter_is_the_brute_force_set(G, data):
     N = Z(G) and for N = G' n Z(G), the set the T/M construction's M is."""
     elems = G.elements()
     X = data.draw(st.lists(st.sampled_from(elems), max_size=3))
-    test = _commutes_into_center(G, X, 10 ** 6)
-    passed = {g for g in elems if test(g)}
-    assert set(by_center_cosets(G, elems, test, 10 ** 6)) == passed
+    select = _commutes_into_center(G, X, 10 ** 6)
+    passed = set(select(elems))
+    assert set(by_center_cosets(G, elems, select, 10 ** 6)) == passed
     for N in (center(G), zed_subgroup(G)):
         assert passed == commutes_into_oracle(elems, X, N.elements())
+
+
+@DEFAULTS
+@given(groups(products=True), st.data())
+def test_centralizer_filters_one_generator_at_a_time(G, data):
+    """C_G(S) is the brute-force set for any S in G of 0-3 elements, in G's
+    element order whatever S's order.  It asks commute once per Z(G)-coset
+    representative still alive before each s of S in turn."""
+    elems = G.elements()
+    S = data.draw(st.lists(st.sampled_from(elems), max_size=3))
+    shuffled = data.draw(st.permutations(S))
+    zent = center(G).element_set()
+    reps, seen = [], set()
+    for g in elems:
+        if g not in seen:
+            reps.append(g)
+            seen.update(g * z for z in zent)
+    expected = 0
+    for s in S:
+        expected += len(reps)
+        reps = [g for g in reps if g * s == s * g]
+    calls = []
+    real = structure.commute
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structure, "commute",
+                      lambda *args: calls.append(1) or real(*args))
+        C = centralizer(G, S)
+    assert len(calls) == expected
+    assert set(C.elements()) == centralizer_oracle(elems, S)
+    assert C.elements() == centralizer(G, shuffled).elements()
 
 
 def _chain_data(levels) -> list:

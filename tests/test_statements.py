@@ -320,7 +320,7 @@ class TestLkTablePath:
         "symmetric(4)", "dicyclic(8)",
         "direct_product(dihedral(4),dihedral(4))",
         "direct_product(symmetric(3),dihedral(4))", "alternating(5)",
-        "heisenberg(3)"])
+        "direct_product(heisenberg(3),cyclic(3))"])
     def test_table_and_perm_paths_agree(self, monkeypatch, text):
         def run():
             verdicts = [evaluate(tag, group(text), CFG).to_json()
@@ -477,7 +477,7 @@ class TestBoundTable:
 class TestSharedHandles:
     """A filter that keeps all of G returns G, and a p-group is its own
     Sylow subgroup, so the report's subgroups that equal G share G's memo;
-    LK reads C_G(G') from the report."""
+    LK reads C_G(G') and Z(G) from the report."""
 
     def test_the_sylow_ascent_runs_once_per_step(self, monkeypatch):
         # |P| = 27 and 125, three steps each; LK, LB and FOC ask for them
@@ -499,8 +499,11 @@ class TestSharedHandles:
 
     @pytest.mark.parametrize("text", [
         "symmetric(4)", "direct_product(symmetric(3),dihedral(4))",
-        "alternating(5)", "direct_product(heisenberg(3),heisenberg(5))"])
+        "alternating(5)", "direct_product(heisenberg(3),heisenberg(5))",
+        "direct_product(alternating(5),alternating(5))", "alternating(7)"])
     def test_lk_filters_no_centralizer_for_derived(self, monkeypatch, text):
+        # C_G(H) is read, not filtered, for H = G' (C_G(G') in the report),
+        # for |H| = |G| (Z(G)) and for H = 1 (G)
         G = group(text)
         members = []
         for _, H in statements._Evaluator(G, CFG)._lk_library():
@@ -512,7 +515,9 @@ class TestSharedHandles:
         monkeypatch.setattr(statements, "by_center_cosets", lambda *args:
                             filters.append(1) or by_cosets(*args))
         assert evaluate("LK", G, CFG).computable
-        assert len(filters) == len(members) - 1
+        assert len(filters) == len([
+            H for H in members if H is not derived_subgroup(G)
+            and H.order() not in (G.order(), 1)])
 
 
 def _corpus_p_groups():

@@ -227,9 +227,10 @@ COSET_GROUPS = ["dicyclic(4)", "direct_product(symmetric(3),dihedral(4))",
                 "cyclic(6)", "elem_abelian(2,3)"]
 
 
-def _plain(G, elems, test, cap):
-    """by_center_cosets as an element-by-element filter."""
-    return [x for x in elems if test(x)]
+def _plain(G, elems, select, cap):
+    """by_center_cosets as an element-by-element filter: select over all of
+    elems."""
+    return list(select(list(elems)))
 
 
 class TestCenterCosets:
@@ -287,10 +288,19 @@ class TestCenterCosets:
     @pytest.mark.parametrize("text", COSET_GROUPS)
     def test_test_runs_once_per_coset(self, monkeypatch, text):
         G = group(text)
-        index = G.order() // center(G).order()
+        zent = center(G).elements()
+        index = G.order() // len(zent)
         calls = []
-        kept = by_center_cosets(G, G.elements(), calls.append, 10 ** 6)
-        assert len(calls) == index and kept == []
+        kept = by_center_cosets(G, G.elements(),
+                                lambda reps: calls.append(reps) or [], 10 ** 6)
+        assert len(calls) == 1 and kept == []
+        # select gets one element per coset of Z(G): the first in G's order
+        seen, firsts = set(), []
+        for g in G.elements():
+            if g not in seen:
+                firsts.append(g)
+                seen.update(g * z for z in zent)
+        assert list(calls[0]) == firsts and len(firsts) == index
         # the centralizer filter asks commute about |G : Z(G)| elements
         tested = set()
 
@@ -304,25 +314,26 @@ class TestCenterCosets:
     @pytest.mark.parametrize("text", COSET_GROUPS)
     def test_second_center_tests_every_element(self, monkeypatch, text):
         # Z2 and D decide every element of G, each by one test per coset of
-        # Z(G): the tested elements times Z(G) are all of G
+        # Z(G): the tested elements times Z(G) are all of G.  When |G'| = |G|
+        # D is Z2, and only Z2 is filtered
         G = group(text)
         zent = center(G).elements()
         tested = []
-        make_test = structure._commutes_into_center
+        make_select = structure._commutes_into_center
 
         def recording(*args):
-            test = make_test(*args)
-            tested.append([])
+            select = make_select(*args)
 
-            def recorded(g):
-                tested[-1].append(g)
-                return test(g)
+            def recorded(reps):
+                tested.append(list(reps))
+                return select(reps)
             return recorded
         monkeypatch.setattr(structure, "_commutes_into_center", recording)
         second_center(G)
         dee_subgroup(G)
         index = G.order() // len(zent)
-        assert [len(t) for t in tested] == [index, index]
+        filters = 1 if derived_subgroup(G).order() == G.order() else 2
+        assert [len(t) for t in tested] == [index] * filters
         for t in tested:
             assert {g * z for g in t for z in zent} == set(G.elements())
 
@@ -344,6 +355,42 @@ class TestCenterCosets:
         dee_subgroup(G)
         assert len(built) <= len(G.generators) + len(
             derived_subgroup(G).generators)
+
+
+class TestWholeDerived:
+    """When |G'| = |G|, G' is G: C_G(G') is C_G(G) = Z(G), and D, the Z2
+    filter on generators of G' = G, is Z2.  The report hands out those
+    handles and filters only Z2."""
+
+    @staticmethod
+    def _report(monkeypatch, G):
+        filters = []
+        real = structure.by_center_cosets
+        monkeypatch.setattr(structure, "by_center_cosets",
+                            lambda *args: filters.append(1) or real(*args))
+        return structure_report(G), len(filters)
+
+    @pytest.mark.parametrize("text", [
+        "alternating(5)", "alternating(6)",
+        "direct_product(alternating(5),alternating(5))"])
+    def test_perfect_groups_share_the_handles(self, monkeypatch, text):
+        G = group(text)
+        sr, filters = self._report(monkeypatch, G)
+        assert sr.orders["derived"] == G.order()
+        assert sr.centralizer_of_derived is sr.center
+        assert sr.dee is sr.second_center is dee_subgroup(G)
+        assert filters == 1
+
+    def test_symmetric4_filters_each(self, monkeypatch):
+        # C_G(G') = D = Z2 = Z = 1 as sets, but G' = A4 is not G: each of
+        # Z2, C_G(G') and D is its own filter and its own handle
+        G = group("symmetric(4)")
+        sr, filters = self._report(monkeypatch, G)
+        assert filters == 3
+        handles = [sr.center, sr.second_center, sr.centralizer_of_derived,
+                   sr.dee]
+        assert len({id(H) for H in handles}) == 4
+        assert all(H.order() == 1 for H in handles)
 
 
 @pytest.mark.parametrize("spec", default_corpus().specs,
@@ -622,7 +669,7 @@ class TestOneCosetMap:
             maps.append(cosets(G, N, cap))
             return maps[-1]
         monkeypatch.setattr(structure, "_cosets", spy)
-        by_center_cosets(G, G.elements(), lambda g: True, 10 ** 6)
+        by_center_cosets(G, G.elements(), lambda reps: reps, 10 ** 6)
         pres = structure.quotient_by_center(G)
         assert len(maps) == 2 and maps[0] is maps[1] is pres._cosets
         mine = {id(g) for g in G.elements()}
