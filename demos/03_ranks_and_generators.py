@@ -9,8 +9,7 @@ in 56 classes.  Exact rank still requires the subgroup lattice, so past the
 
 from centerbound import (UnknownRank, abelian_rank, all_subgroups,
                          build_group, frattini_p, group_rank, min_generators,
-                         parse_group_spec, rank_report,
-                         shrink_generating_set)
+                         parse_group_spec, shrink_generating_set)
 
 def group(text):
     return build_group(parse_group_spec("family:" + text))
@@ -18,8 +17,7 @@ def group(text):
 for text in ("cyclic(12)", "elem_abelian(2,3)", "dihedral(4)",
              "dicyclic(2)", "symmetric(4)", "heisenberg(3)"):
     G = group(text)
-    print(f"{text}: d = {min_generators(G)}, rk = {group_rank(G)}, "
-          f"method = {rank_report(G).method}")
+    print(f"{text}: d = {min_generators(G)}, rk = {group_rank(G)}")
 print()
 
 # The subgroup lattice of Sym(3): the trivial group, three reflections,

@@ -18,9 +18,8 @@ from .errors import (ArgOutOfRange, BadAnchors, BadFamily, CapExceeded,
 from .group import Group, Subgroup, subgroup_from_elements
 from .perm import (Perm, commutator, compose, format_perm, from_cycles,
                    identity, parse_perm)
-from .rank import (RankReport, UnknownRank, abelian_rank, all_subgroups,
-                   frattini_p, group_rank, min_generators, rank_report,
-                   shrink_generating_set)
+from .rank import (UnknownRank, abelian_rank, all_subgroups, frattini_p,
+                   group_rank, min_generators, shrink_generating_set)
 from .statements import STATEMENT_TAGS, Verdict, evaluate, evaluate_all
 from .structure import (QuotientPresentation, StructureReport, center,
                         centralizer, dee_subgroup, derived_subgroup,

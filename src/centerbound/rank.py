@@ -76,13 +76,6 @@ class RankRefused(CapExceeded):
         self.what, self.limit, self.value = rank.what, rank.limit, rank.value
 
 
-@dataclass
-class RankReport:
-    dee_gens: int
-    rank: "int | UnknownRank"
-    method: str
-
-
 # -- the d ladder -------------------------------------------------------------
 
 
@@ -359,16 +352,6 @@ def known(r: "int | UnknownRank", what: str) -> int:
     if isinstance(r, UnknownRank):
         raise RankRefused(what, r)
     return r
-
-
-def rank_report(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
-                subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-                tuple_cap: int = DEFAULT_TUPLE_CAP) -> RankReport:
-    rank = group_rank(G, cap, subgroup_cap, tuple_cap)
-    d = min_generators(G, cap, tuple_cap)
-    method = ("abelian-socle" if G.order() == 1 or G.is_abelian()
-              else "subgroup-enumeration")
-    return RankReport(d, rank, method)
 
 
 def shrink_generating_set(G: Group, gens: list[Perm],

@@ -6,7 +6,8 @@ Tags:
 * T1: |G'| <= |G : Z(G)|^(r+1), r = rank(G/Z(G)).
 * T2: |G : Z2(G)| <= |G'|^(2r), r = rank(G').
 * T3: |G : Z2(G)| <= |G' : G' n Z(G)|^(4r), r = rank of that section.
-* C4: |H : Z(H)| <= |H'|^(4 rank(H')) for the capable group H = G/Z(G).
+* C4: |H : Z(H)| <= |H'|^(4 rank(H')) for the capable group H = G/Z(G):
+  Z(H) = Z2(G)/Z(G) and H' ~ G'/zed, so its sides and r are T3's.
 * T5: with trivial center, C_G(G') <= G' (violating-element count).
 * T6: with trivial center, |G| <= |G'|^(d+1), d = d(G').
 * T7: p-groups: rank(G/Z2) <= (13 r^2 - r)/2, r = rank(G' mod zed).
@@ -15,11 +16,13 @@ Tags:
   H and a normal subgroup K, written once against the representation
   ``_world`` gives for G: its Cayley table when normal_subgroups built it,
   else Perms.  d(H) comes from min_generators, memoized on H (a refusal
-  too) and shared with T6 and CK for H = G'.  C_G(H) comes from the
-  centralizer filter over the cosets of Z(G), except that C_G(G') is the
-  structure report's.  Both are found once per distinct member: a later
-  handle on the same subgroup is matched by order and sifting, without
-  listing its elements.
+  too) and shared with T6 and CK for H = G'.  When a cap refuses it, a
+  pair holds under the ladder's lower bound on d(H), is violated over its
+  upper bound, and between them leaves LK uncomputable.  C_G(H) comes from
+  the centralizer filter over the cosets of Z(G), except that C_G(G') is
+  the structure report's.  Both are found once per distinct member: a
+  later handle on the same subgroup is matched by order and sifting,
+  without listing its elements.
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -32,7 +35,7 @@ Tags:
 The twelve statements lhs <= rhs in one number r (all but T5, L9, LK, LB
 and FOC) are the rows of one table, ``_BOUNDS``, read by one evaluator.
 A row names its r source: rank(G/Z(G)), rank(G'), rank(G'/zed), rank(H')
-on the structure report of H = G/Z(G), or d(G').  Its lhs is an index
+(T3's rank(G'/zed) under C4's name), or d(G').  Its lhs is an index
 |top : bottom| of structure-report subgroups or the rank of such a
 section, and its rhs is base^(a r + b) for an index base or
 (a r^2 - b r)/c.  Only AUT's coefficients, which depend on p, and LS's
@@ -54,10 +57,10 @@ from .arith import is_prime_power, prime_factors
 from .config import Config
 from .errors import CapExceeded
 from .group import Group, Subgroup
-from .rank import (RankRefused, _prune, _section_rank, group_rank, known,
-                   min_generators, normal_subgroups)
+from .rank import (RankRefused, _abelianization_d, _prune, _section_rank,
+                   group_rank, known, min_generators, normal_subgroups)
 from .structure import (by_center_cosets, is_subgroup_of, mutual_commutator,
-                        quotient_by_center, structure_report, sylow)
+                        structure_report, sylow)
 from .table import _world
 from .witness import (WitnessRecord, _lb_section, also_witness,
                       szivas_witness)
@@ -175,11 +178,7 @@ class _Evaluator:
 
     def _eval_bound(self, tag: str, row: _Bound) -> Verdict:
         """One ``_BOUNDS`` row: r, then the lhs, then the witness."""
-        if row.r == "H'":
-            H = quotient_by_center(self.G, self.coset_cap, self.cap).quotient
-            sr = structure_report(H, self.cap, self.coset_cap)
-        else:
-            sr = self.sr
+        sr = self.sr
         if row.r == "d(G')":
             r = min_generators(sr.derived, self.cap, self.tuple_cap)
             extra = f"d={r}"
@@ -247,7 +246,7 @@ class _Evaluator:
         ks = [(K.order(), world.members(world.subgroup(K))) for K in normals]
         meets = [len(kset & derived) for _, kset in ks]
         library = self._lk_library()
-        members = []  # (K, d, note, C_G(K)) once per distinct subgroup K
+        members = []  # (H, d's bracket, C_G(H)) once per distinct subgroup H
         worst = None
         for h_name, H in library:
             found = next((m for m in members if m[0].order() == H.order()
@@ -255,12 +254,20 @@ class _Evaluator:
             if found is None:
                 found = (H, *self._lk_member(world, H))
                 members.append(found)
-            _, d, d_note, cgh = found
+            _, lo, hi, cgh = found
             for (order, kset), meet in zip(ks, meets):
                 lhs = order // len(kset & cgh)
+                d = lo if lhs <= meet ** lo else hi
+                if meet ** lo < lhs <= meet ** hi:
+                    return _uncomputable(
+                        "LK", f"d(H) in [{lo}, {hi}] decides no bound on "
+                              f"H={h_name}, |K|={order}: "
+                              f"{meet}^{lo} < {lhs} <= {meet}^{hi}")
                 rhs = meet ** d
                 if worst is None or _worse(lhs, rhs, worst[0], worst[1]):
-                    worst = (lhs, rhs, f"H={h_name} (d={d}{d_note}), "
+                    end = ("" if lo == hi else ", lower bound" if d == lo
+                           else ", upper bound")
+                    worst = (lhs, rhs, f"H={h_name} (d={d}{end}), "
                                        f"|K|={order}")
         lhs, rhs, descriptor = worst
         pairs = len(library) * len(normals)
@@ -283,12 +290,12 @@ class _Evaluator:
         return library
 
     def _lk_member(self, world, H):
-        """d(H) with its note, and C_G(H) as a set, in G's world.  |C_K(H)|
-        is then |K n C_G(H)|.  C_G(H) is read from the report for H = G'
+        """lo <= d(H) <= hi and C_G(H) as a set, in G's world.  |C_K(H)| is
+        then |K n C_G(H)|.  C_G(H) is read from the report for H = G'
         (C_G(G')) and |H| = |G| (Z(G)), is G for H = 1, and is otherwise
         filtered over one element per coset of Z(G), one generator of H at
-        a time.  d(H) is min_generators, memoized on H; when a cap refuses
-        it, the pruned generating set is an upper bound."""
+        a time.  lo = hi = min_generators, memoized on H; when a cap refuses
+        it, they are the ladder's max(2, d(H/H')) and pruned set's size."""
         G, sr = self.G, self.sr
         gens = world.generators(H)
         known = (sr.centralizer_of_derived if H is sr.derived
@@ -304,9 +311,11 @@ class _Evaluator:
             cgh = frozenset(by_center_cosets(G, world.elements(), select,
                                              self.cap))
         try:
-            return min_generators(H, self.cap, self.tuple_cap), "", cgh
+            d = min_generators(H, self.cap, self.tuple_cap)
+            return d, d, cgh
         except CapExceeded:
-            return len(_prune(world, gens, H.order())), ", upper bound", cgh
+            lower = max(2, _abelianization_d(world, world.subgroup(H), gens))
+            return lower, len(_prune(world, gens, H.order())), cgh
 
     def _eval_lb(self) -> Verdict:
         sr = self.sr
@@ -351,16 +360,18 @@ class _Bound(NamedTuple):
     witness: Callable | None = None
 
 
-# the section whose rank is each r source but d(G'); H' is on H's report
+# the section whose rank is each r source but d(G'); for H = G/Z(G),
+# H' = G'Z(G)/Z(G) is isomorphic to G'/zed, so C4 ranks T3's section
 _R_SECTIONS = {"G/Z(G)": ("group", "center"), "G'": ("derived", None),
-               "G'/zed": ("derived", "zed"), "H'": ("derived", None)}
+               "G'/zed": ("derived", "zed"), "H'": ("derived", "zed")}
 
 _BOUNDS = {
     "T1": _Bound("G/Z(G)", ("derived", None), ("group", "center"), 1, 1),
     "T2": _Bound("G'", ("group", "second_center"), ("derived", None), 2, 0),
     "T3": _Bound("G'/zed", ("group", "second_center"), ("derived", "zed"),
                  4, 0),
-    "C4": _Bound("H'", ("group", "center"), ("derived", None), 4, 0),
+    "C4": _Bound("H'", ("group", "second_center"), ("derived", "zed"),
+                 4, 0),
     "T6": _Bound("d(G')", ("group", None), ("derived", None), 1, 1),
     "T7": _Bound("G'/zed", ("group", "second_center", "G/Z2"), None, 13, 1,
                  2),

@@ -1,7 +1,7 @@
 """Every demo script runs to completion against this checkout's sources.
 
 The demos call the public names that route through the memo and the shared
-ladder (frattini_p, abelian_rank, rank_report, mutual_commutator, socle_p,
+ladder (frattini_p, abelian_rank, min_generators, mutual_commutator, socle_p,
 ...), so a demo that stops exiting 0 flags a broken public surface.
 """
 

@@ -7,14 +7,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given
 
 from centerbound import statements, structure
 from centerbound.arith import is_prime_power, p_part, prime_factors
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded
-from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_TUPLE_CAP,
-                               TABLE_CAP, Subgroup)
+from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
+                               DEFAULT_TUPLE_CAP, TABLE_CAP, Subgroup)
 from centerbound.rank import UnknownRank, group_rank
 from centerbound.statements import (STATEMENT_TAGS, Verdict, evaluate,
                                     evaluate_all)
@@ -23,6 +24,8 @@ from centerbound.structure import (center, dee_subgroup, derived_subgroup,
                                    quotient_by_center, second_center,
                                    structure_report, sylow)
 from centerbound.table import _Perms, _Table, _table, _world
+
+from test_properties import DEFAULTS, groups
 
 
 def group(text):
@@ -193,22 +196,59 @@ class TestDecompositionIdentities:
             assert p_part(sr.orders["derived"], p) <= \
                 p_part(index, p) ** (r + 1)
 
-    @pytest.mark.parametrize("text", SAMPLE)
-    def test_t3_reduces_to_c4_on_central_quotient(self, text):
-        # T3's bound evaluated directly on H = G/Z(G), where zed(H) covers
-        # the capable statement
-        G = group(text)
-        v3 = evaluate("T3", G, CFG)
-        v4 = evaluate("C4", G, CFG)
-        assert v3.holds and v4.holds
+
+def _c4_on_the_central_quotient(G, cfg):
+    """C4 by the path it no longer takes, from the structure report of
+    H = G/Z(G) and rank(H'): (computable, lhs, rhs, r), with r the Unknown
+    where that rank is refused."""
+    H = quotient_by_center(G, cfg.coset_cap, cfg.enumeration_cap).quotient
+    sr = structure_report(H, cfg.enumeration_cap, cfg.coset_cap)
+    r = group_rank(sr.derived, cfg.enumeration_cap, cfg.subgroup_cap,
+                   cfg.tuple_cap)
+    if isinstance(r, UnknownRank):
+        return False, 0, 0, r
+    return (True, sr.orders["group"] // sr.orders["center"],
+            sr.orders["derived"] ** (4 * r), r)
+
+
+def _c4_matches_the_quotient_path(G, cfg) -> bool:
+    """C4's verdict on G against its oracle; True where rank(H') was
+    refused, and C4 with it."""
+    v = evaluate("C4", G, cfg)
+    computable, lhs, rhs, r = _c4_on_the_central_quotient(G, cfg)
+    assert (v.computable, v.lhs, v.rhs) == (computable, lhs, rhs)
+    if computable:
+        assert v.notes.startswith(f"H=G/Z(G), r={r}; ")
+    else:
+        assert v.notes == f"rank of H' is {r}"
+    return not computable
+
+
+class TestC4OnTheCentralQuotient:
+    """C4 is evaluated on H = G/Z(G), where Z(H) = Z2(G)/Z(G) and H' =
+    G'Z(G)/Z(G) is isomorphic to G'/zed, so it reads T3's section of G's
+    own report.  H's report and the rank of H', which C4 no longer builds,
+    are its oracle."""
+
+    @pytest.mark.parametrize("subgroup_cap, refused", [
+        (DEFAULT_SUBGROUP_CAP, 0), (8, 12)])
+    def test_every_corpus_group(self, subgroup_cap, refused):
+        cfg = Config(subgroup_cap=subgroup_cap)
+        assert sum(_c4_matches_the_quotient_path(build_group(spec), cfg)
+                   for spec in default_corpus().specs) == refused
+
+    @DEFAULTS
+    @given(groups(products=True))
+    def test_random_groups(self, G):
+        # |H'| <= |G : Z(G)| <= 200, under the default subgroup cap
+        assert not _c4_matches_the_quotient_path(G, CFG)
+
+    def test_no_report_of_the_central_quotient(self):
+        G = group("direct_product(symmetric(3),dihedral(4))")
+        evaluate("C4", G, CFG)
         H = quotient_by_center(G).quotient
-        sr_h = structure_report(H)
-        if sr_h.orders["center"] == 1:
-            # with trivial center above, C4's sides match a direct T3-style
-            # bound on H with zed(H) = 1
-            assert v4.lhs == sr_h.orders["group"]
-            assert v4.rhs == sr_h.orders["derived"] ** (
-                4 * group_rank(sr_h.derived))
+        assert center(H).order() == 4
+        assert "structure_report" not in H._memo
 
 
 class TestNotesAndWitnesses:
@@ -358,12 +398,14 @@ class TestLkTablePath:
         table = _table(G, CFG.enumeration_cap)
         perms = _Perms(G, CFG.enumeration_cap)
         for _, H in ev._lk_library():
-            d, note, cgh = ev._lk_member(table, H)
-            assert (d, note, {table.elems[x] for x in cgh}) == \
+            lo, hi, cgh = ev._lk_member(table, H)
+            assert (lo, hi, {table.elems[x] for x in cgh}) == \
                 ev._lk_member(perms, H)
 
     def test_path_choice_keeps_every_cap_answer(self):
-        # sha256 recorded with LK and the normalizer on Perm products only
+        # sha256 recorded with LK and the normalizer on Perm products only,
+        # and a refused d(H) read at its bracket's lower end ("d=2, lower
+        # bound" on S6 at tuple caps 1 and 2)
         records = []
         for text, cap, subgroup_cap, tuple_cap, tag in itertools.product(
                 ("symmetric(4)", "dicyclic(8)",
@@ -379,8 +421,45 @@ class TestLkTablePath:
                 sort_keys=True))
         assert len(records) == 750
         assert hashlib.sha256("\n".join(sorted(records)).encode()) \
-            .hexdigest() == ("a151028e0c9349edf4b22d5e117a3c9e"
-                             "0dab98fc4b44046a96dc33fd04efae4f")
+            .hexdigest() == ("3228cf27034fbe1e4a1a29823afe49de"
+                             "863c221a514bc5ae6c64af6e4f6d4f57")
+
+
+class TestLkBracket:
+    """d(H) is on LK's right side.  When a cap refuses it, each pair is
+    decided from the ladder's bracket: its lower end max(2, d(H/H'))
+    proves that a pair holds, its upper end (the pruned generating set)
+    that it is violated, and a pair between them leaves LK uncomputable."""
+
+    @pytest.mark.parametrize("tuple_cap", [1, 2])
+    def test_a_refused_d_is_read_at_its_lower_end(self, tuple_cap):
+        # the tuple search that finds d(A6) = 2 stops at these caps, and
+        # A6 = S6' has a pruned generating set of 3
+        v = evaluate("LK", group("symmetric(6)"), Config(tuple_cap=tuple_cap))
+        assert (v.computable, v.holds, v.lhs, v.rhs) == (True, True, 1, 1)
+        assert "; worst: H=G' (d=2, lower bound), |K|=1;" in v.notes
+
+    def test_a_straddling_pair_is_uncomputable(self, monkeypatch):
+        # on S4, H = G' = A4 and K = V4 give |K : C_K(H)| = 4 = |G' n K|,
+        # between 4^0 and 4^1
+        member = statements._Evaluator._lk_member
+        monkeypatch.setattr(statements._Evaluator, "_lk_member",
+                            lambda ev, world, H: (0, 1,
+                                                  member(ev, world, H)[2]))
+        v = evaluate("LK", group("symmetric(4)"), CFG)
+        assert (v.applicable, v.computable, v.holds) == (True, False, True)
+        assert v.notes == ("d(H) in [0, 1] decides no bound on H=G', "
+                           "|K|=4: 4^0 < 4 <= 4^1")
+
+    def test_a_pair_over_the_upper_end_is_violated(self, monkeypatch):
+        # on C2 with C_G(H) made trivial, K = G gives |K : C_K(H)| = 2 over
+        # |G' n K|^1 = 1
+        monkeypatch.setattr(
+            statements._Evaluator, "_lk_member", lambda ev, world, H: (
+                0, 1, world.members(world.subgroup(Subgroup(ev.G, ())))))
+        v = evaluate("LK", group("cyclic(2)"), CFG)
+        assert (v.computable, v.violated, v.lhs, v.rhs) == (True, True, 2, 1)
+        assert "; worst: H=G' (d=1, upper bound), |K|=2;" in v.notes
 
 
 class TestBoundTable:
