@@ -35,7 +35,7 @@ from .rank import (UnknownRank, all_subgroups, group_rank, min_generators,
                    shrink_generating_set)
 from .statements import STATEMENT_TAGS, Verdict, evaluate_all, evaluate
 from .structure import (center, derived_subgroup, is_subgroup_of,
-                        mutual_commutator, structure_report)
+                        structure_report)
 from .witness import (also_witness, factorize_commutator, select_socle_chain,
                       szivas_witness)
 
@@ -172,7 +172,7 @@ def cmd_info(args, config: Config) -> int:
     rank = group_rank(sr.derived, config.enumeration_cap,
                       config.subgroup_cap, config.tuple_cap)
     cent = sr.centralizer_of_derived
-    class_two = is_subgroup_of(mutual_commutator(cent, cent),
+    class_two = is_subgroup_of(derived_subgroup(cent),
                                center(cent, config.enumeration_cap))
     rows = [
         ("order", sr.orders["group"]),

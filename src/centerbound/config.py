@@ -49,6 +49,14 @@ _INT_FIELDS = ("enumeration_cap", "subgroup_cap", "coset_cap",
                "sample_pairs", "tuple_cap", "seed")
 
 
+def _integer(raw: str, what: str) -> int:
+    """raw as an int, else ValueError naming what."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {raw!r}") from None
+
+
 def parse_config_file(path: str) -> dict:
     """Parse a key=value file ('#' starts a comment, blank lines ignored)."""
     values: dict = {}
@@ -63,7 +71,7 @@ def parse_config_file(path: str) -> dict:
             key = key.strip()
             value = value.strip()
             if key in _INT_FIELDS:
-                values[key] = int(value)
+                values[key] = _integer(value, f"{path}:{lineno}: {key}")
             elif key == "output_format":
                 values[key] = value
             else:
@@ -75,10 +83,12 @@ def env_overrides(environ=None) -> dict:
     environ = os.environ if environ is None else environ
     values: dict = {}
     for field in dataclasses.fields(Config):
-        raw = environ.get(ENV_PREFIX + field.name.upper())
+        name = ENV_PREFIX + field.name.upper()
+        raw = environ.get(name)
         if raw is None:
             continue
-        values[field.name] = int(raw) if field.name in _INT_FIELDS else raw
+        values[field.name] = (_integer(raw, name) if field.name in _INT_FIELDS
+                              else raw)
     return values
 
 

@@ -8,10 +8,9 @@ and its tuple search.  One strategy ladder computes d, written once
 against the two element representations of table.py: Perm with BSGS
 membership (``_Perms``) and indices into the Cayley table (``_Table``).  The
 subgroups of a lattice run it on the table; min_generators, the one other
-caller, runs it for a subgroup H in whichever world ``_world`` gives for H's
-ambient group (its table only when an enumeration has built it, else
-Perms), and memoizes d on H, so every statement asking for d(G') shares
-one run.  No rung but the tuple search lists H.  The rungs:
+caller, runs it for a subgroup H on the Perms of H's ambient group and
+memoizes d on H, so every statement asking for d(G') shares one run.  No
+rung but the tuple search lists H.  The rungs:
 
 * trivial group: 0;
 * abelian: the number of invariant factors, _abelianization_d with H' = 1:
@@ -52,7 +51,7 @@ from .group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                     DEFAULT_TUPLE_CAP, Group, Subgroup, admit)
 from .perm import Perm, gather
 from .structure import _ambient, normal_closure, quotient
-from .table import _Perms, _Table, _table, _world
+from .table import _Perms, _Table, _table
 
 
 @dataclass(frozen=True)
@@ -156,13 +155,11 @@ def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
 
 def min_generators(H: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                    tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
-    """Exact d(H) by the strategy ladder (see module docstring), in the
-    world of H's ambient group: its Cayley table once an enumeration built
-    it, else Perms.  Memoized on H, so the subgroups of one group share it."""
-    def compute():
-        world = _world(_ambient(H), cap)
-        return _d(world, world.subgroup(H), world.generators(H), tuple_cap)
-    return H.memo("d", compute, elements=cap, tuples=tuple_cap)
+    """Exact d(H) by the strategy ladder (see module docstring), on the
+    Perms of H's ambient group.  Memoized on H, so the subgroups of one
+    group share it."""
+    return H.memo("d", lambda: _d(_Perms(_ambient(H), cap), H, H.generators,
+                                  tuple_cap), elements=cap, tuples=tuple_cap)
 
 
 def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[

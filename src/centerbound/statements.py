@@ -13,16 +13,14 @@ Tags:
 * T7: p-groups: rank(G/Z2) <= (13 r^2 - r)/2, r = rank(G' mod zed).
 * L9: Z2(G) <= C_G(G') and [C_G(G'), C_G(G')] <= Z(G).
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
-  H and a normal subgroup K, written once against the representation
-  ``_world`` gives for G: its Cayley table when normal_subgroups built it,
-  else Perms.  d(H) comes from min_generators, memoized on H (a refusal
-  too) and shared with T6 and CK for H = G'.  When a cap refuses it, a
-  pair holds under the ladder's lower bound on d(H), is violated over its
-  upper bound, and between them leaves LK uncomputable.  C_G(H) comes from
-  the centralizer filter over the cosets of Z(G), except that C_G(G') is
-  the structure report's.  Both are found once per distinct member: a
-  later handle on the same subgroup is matched by order and sifting,
-  without listing its elements.
+  H and a normal subgroup K, on element sets of Perms.  d(H) comes from
+  min_generators, memoized on H (a refusal too) and shared with T6 and CK
+  for H = G'.  When a cap refuses it, a pair holds under the ladder's
+  lower bound on d(H), is violated over its upper bound, and between them
+  leaves LK uncomputable.  C_G(H) comes from the centralizer filter over
+  the cosets of Z(G), except that C_G(G') is the structure report's.  Both
+  are found once per distinct member: a later handle on the same subgroup
+  is matched by order and sifting, without listing its elements.
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -59,9 +57,9 @@ from .errors import CapExceeded
 from .group import Group, Subgroup
 from .rank import (RankRefused, _abelianization_d, _prune, _section_rank,
                    group_rank, known, min_generators, normal_subgroups)
-from .structure import (by_center_cosets, is_subgroup_of, mutual_commutator,
-                        structure_report, sylow)
-from .table import _world
+from .structure import (by_center_cosets, centralizing, derived_subgroup,
+                        is_subgroup_of, structure_report, sylow)
+from .table import _Perms
 from .witness import (WitnessRecord, _lb_section, also_witness,
                       szivas_witness)
 
@@ -219,8 +217,7 @@ class _Evaluator:
         z_set = sr.center.element_set(self.cap)
         violations = sum(1 for z in sr.second_center.elements(self.cap)
                          if z not in cent_set)
-        cc = mutual_commutator(sr.centralizer_of_derived,
-                               sr.centralizer_of_derived)
+        cc = derived_subgroup(sr.centralizer_of_derived)
         violations += sum(1 for c in cc.elements(self.cap)
                           if c not in z_set)
         return _inclusion("L9", violations,
@@ -241,9 +238,8 @@ class _Evaluator:
                     seen.add(kset)
                     normals.append(K)
             source = "canonical normal subgroups (subgroup cap fired)"
-        world = _world(G, self.cap)
-        derived = world.members(world.subgroup(sr.derived))
-        ks = [(K.order(), world.members(world.subgroup(K))) for K in normals]
+        derived = sr.derived.element_set(self.cap)
+        ks = [(K.order(), K.element_set(self.cap)) for K in normals]
         meets = [len(kset & derived) for _, kset in ks]
         library = self._lk_library()
         members = []  # (H, d's bracket, C_G(H)) once per distinct subgroup H
@@ -252,7 +248,7 @@ class _Evaluator:
             found = next((m for m in members if m[0].order() == H.order()
                           and is_subgroup_of(H, m[0])), None)
             if found is None:
-                found = (H, *self._lk_member(world, H))
+                found = (H, *self._lk_member(H))
                 members.append(found)
             _, lo, hi, cgh = found
             for (order, kset), meet in zip(ks, meets):
@@ -289,32 +285,29 @@ class _Evaluator:
             library.append((f"random_2gen_{i}", Subgroup(G, [x, y])))
         return library
 
-    def _lk_member(self, world, H):
-        """lo <= d(H) <= hi and C_G(H) as a set, in G's world.  |C_K(H)| is
-        then |K n C_G(H)|.  C_G(H) is read from the report for H = G'
-        (C_G(G')) and |H| = |G| (Z(G)), is G for H = 1, and is otherwise
-        filtered over one element per coset of Z(G), one generator of H at
-        a time.  lo = hi = min_generators, memoized on H; when a cap refuses
-        it, they are the ladder's max(2, d(H/H')) and pruned set's size."""
-        G, sr = self.G, self.sr
-        gens = world.generators(H)
+    def _lk_member(self, H):
+        """lo <= d(H) <= hi and C_G(H) as a set of Perms.  |C_K(H)| is then
+        |K n C_G(H)|.  C_G(H) is read from the report for H = G' (C_G(G'))
+        and |H| = |G| (Z(G)), is G for H = 1, and is otherwise filtered over
+        one element per coset of Z(G), one generator of H at a time.
+        lo = hi = min_generators, memoized on H; when a cap refuses it, they
+        are the ladder's max(2, d(H/H')) and pruned set's size."""
+        G, sr, cap = self.G, self.sr, self.cap
         known = (sr.centralizer_of_derived if H is sr.derived
                  else sr.center if H.order() == G.order()
                  else G if H.order() == 1 else None)
         if known is not None:
-            cgh = world.members(world.subgroup(known))
+            cgh = known.element_set(cap)
         else:
-            def select(reps):
-                for s in gens:
-                    reps = [g for g in reps if world.commute(g, s)]
-                return reps
-            cgh = frozenset(by_center_cosets(G, world.elements(), select,
-                                             self.cap))
+            points = G.points()
+            cgh = frozenset(by_center_cosets(
+                G, lambda reps: centralizing(reps, H.generators, points), cap))
         try:
-            d = min_generators(H, self.cap, self.tuple_cap)
+            d = min_generators(H, cap, self.tuple_cap)
             return d, d, cgh
         except CapExceeded:
-            lower = max(2, _abelianization_d(world, world.subgroup(H), gens))
+            world, gens = _Perms(G, cap), H.generators
+            lower = max(2, _abelianization_d(world, H, gens))
             return lower, len(_prune(world, gens, H.order())), cgh
 
     def _eval_lb(self) -> Verdict:
@@ -339,7 +332,7 @@ class _Evaluator:
             P = sylow(self.G, p, self.cap)
             left = {x for x in P.elements(self.cap)
                     if x in derived_set and x in z_set}
-            p_derived = mutual_commutator(P, P)
+            p_derived = derived_subgroup(P)
             right = {x for x in p_derived.elements(self.cap) if x in z_set}
             violations += len(left ^ right)
         return _inclusion("FOC", violations,

@@ -14,11 +14,11 @@ N = Z(G).
 
 Centralizer-style subgroups are computed by exhaustive element filtering
 under the enumeration cap: at desk scale the simple, obviously-correct
-method wins, and the cap fails loudly.  The normal closure and the coset
-filter are written once against the element representations of table.py;
-the other filters run on Perms.  C_G(S) for S in G, Z2, D, normalizers and
-LK's C_G(H) contain Z(G), so they are unions of its cosets:
-``by_center_cosets`` hands the first element of each coset to a select,
+method wins, and the cap fails loudly.  The normal closure is written once
+against the element representations of table.py; the filters run on
+Perms.  C_G(S) for S in G, Z2, D, normalizers and LK's C_G(H) contain
+Z(G), so they are unions of its cosets: ``by_center_cosets`` hands the
+first element of each coset to a select,
 which filters that list one generator at a time (each pass reads only the
 survivors of the one before), and keeps or drops each coset whole.  Only
 Z(G), which defines the cosets, is filtered element by element.  Z2, D and
@@ -28,9 +28,9 @@ structure report checks Z2 against the preimage of Z(G/Z(G)): the
 commutator filter against the center of the quotient's action, over one
 coset map.  The Sylow ascent builds no normalizer: each step scans G for
 the one element of N_G(P) it adds, deciding P^y = P once per coset of
-Z(G), on G's table once an enumeration built it, else on Perms.  Normality
-is always checked explicitly, never assumed from theory, so implementation
-bugs surface as NotNormal instead of silently wrong answers.
+Z(G).  Normality is always checked explicitly, never assumed from theory,
+so implementation bugs surface as NotNormal instead of silently wrong
+answers.
 
 Results that are expensive and reused (derived subgroup, center, second
 center, zed, D, Sylow subgroups, quotients, the structure report) live in
@@ -55,7 +55,7 @@ from .errors import NotAbelian, NotNormal, NotPGroup
 from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP, Group,
                     Subgroup, _key, admit, subgroup_from_elements)
 from .perm import Perm, commutator, commute, gather
-from .table import _Perms, _world
+from .table import _Perms
 
 
 def _ambient(A: Group) -> Group:
@@ -97,14 +97,14 @@ def centralizing(elems, S, points) -> list[Perm]:
     return kept
 
 
-def by_center_cosets(G: Group, elems, select, cap: int) -> list:
-    """The members of elems, which lists G in G's element order in either
-    representation, whose coset of Z(G) select keeps.  select gets the
-    representatives once, in a tuple: the first element of each coset in
-    elems, in that order, which is coset-number order in ``_cosets``.  It
-    returns the representatives it keeps, and each kept coset is taken
-    whole: exact whenever the answer is a union of Z(G)-cosets, as for any
-    subgroup of G containing Z(G)."""
+def by_center_cosets(G: Group, select, cap: int) -> list:
+    """The elements of G, in G's element order, whose coset of Z(G) select
+    keeps.  select gets the representatives once, in a tuple: the first
+    element of each coset in G's order, which is coset-number order in
+    ``_cosets``.  It returns the representatives it keeps, and each kept
+    coset is taken whole: exact whenever the answer is a union of
+    Z(G)-cosets, as for any subgroup of G containing Z(G)."""
+    elems = G.elements(cap)
     numbers = _cosets(G, center(G, cap), cap).values()
     # cosets are numbered by first appearance, so the first positions of
     # the numbers, in increasing order, come in coset-number order
@@ -139,7 +139,7 @@ def centralizer(G: Group, S: Sequence[Perm],
     Z(G): the centralizing filter over one element per coset of Z(G)."""
     points = G.points()
     return subgroup_from_elements(G, by_center_cosets(
-        G, G.elements(cap), lambda reps: centralizing(reps, S, points), cap))
+        G, lambda reps: centralizing(reps, S, points), cap))
 
 
 def center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
@@ -177,8 +177,8 @@ def _commutes_into_center(G: Group, X: Sequence[Perm], cap: int):
 def second_center(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     """Z2(G) = {g | [g, G] <= Z(G)}, over one element per coset of Z(G)."""
     return G.memo("second_center", lambda: subgroup_from_elements(
-        G, by_center_cosets(G, G.elements(cap), _commutes_into_center(
-            G, G.generators, cap), cap)), elements=cap)
+        G, by_center_cosets(G, _commutes_into_center(G, G.generators, cap),
+                            cap)), elements=cap)
 
 
 def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
@@ -189,8 +189,7 @@ def dee_subgroup(G: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
         if derived.order() == G.order():
             return second_center(G, cap)
         return subgroup_from_elements(G, by_center_cosets(
-            G, G.elements(cap),
-            _commutes_into_center(G, derived.generators, cap), cap))
+            G, _commutes_into_center(G, derived.generators, cap), cap))
     return G.memo("dee", compute, elements=cap)
 
 
@@ -206,8 +205,7 @@ def normalizer(G: Group, H: Group,
         for h in H.generators:
             reps = [g for g in reps if h.conjugate(g) in hset]
         return reps
-    return subgroup_from_elements(G, by_center_cosets(
-        G, G.elements(cap), select, cap))
+    return subgroup_from_elements(G, by_center_cosets(G, select, cap))
 
 
 def intersection(A: Group, B: Group,
@@ -260,10 +258,9 @@ def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
         target = p_part(G.order(), p)
         if target == G.order():
             return G
-        world = _world(G, cap)
         P = Subgroup(G, (), _trusted=True)
         while P.order() < target:
-            y = _ascent_step(G, world, P, p, cap)
+            y = _ascent_step(G, P, p, cap)
             # y normalizes P and y^p lies in P, so |<P, y>| = |P| p
             P = Subgroup(G, tuple(P.generators) + (y,), _trusted=True,
                          order=P.order() * p)
@@ -271,22 +268,22 @@ def sylow(G: Group, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Group:
     return G.memo(("sylow", p), compute, elements=cap)
 
 
-def _ascent_step(G: Group, world, P: Group, p: int, cap: int) -> Perm:
+def _ascent_step(G: Group, P: Group, p: int, cap: int) -> Perm:
     """The first y in G's element order with y not in P, P^y = P and y^p in
     P: the first such element of N_G(P), without building N_G(P).  Z(G)
     normalizes P, so normalizing is decided once per coset of Z(G); while P
     is trivial every y normalizes it and no coset is needed."""
-    pset, pgens = world.members(world.subgroup(P)), world.generators(P)
+    pset, pgens = P.element_set(cap), P.generators
     cosets = (_cosets(G, center(G, cap), cap).values() if pgens
               else itertools.repeat(0))
     passed: dict[int, bool] = {}
-    for x, y, c in zip(world.elements(), G.elements(cap), cosets):
-        if x in pset:
+    for y, c in zip(G.elements(cap), cosets):
+        if y in pset:
             continue
         ok = passed.get(c)
         if ok is None:
-            ok = passed[c] = all(world.conjugate(h, x) in pset for h in pgens)
-        if ok and world.power(x, p) in pset:
+            ok = passed[c] = all(h.conjugate(y) in pset for h in pgens)
+        if ok and y ** p in pset:
             return y
     raise AssertionError(f"sylow ascent stalled at order {P.order()}")
 

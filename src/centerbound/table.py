@@ -1,6 +1,5 @@
 """The two representations of a group's elements, one protocol for both:
-the normal closure, the d ladder, the Sylow ascent and lemma LK are each
-written once against it.
+the normal closure and the d ladder are each written once against it.
 
 * ``_Table``, G's Cayley table: elements as indices into G's element list,
   subgroups as frozensets of indices.  Only groups of at most TABLE_CAP
@@ -10,10 +9,11 @@ written once against it.
   base, ``Group.points()``), not on whole image tuples.  Its d search runs
   on the subgroup's own table.
 
-Only the enumerations whose cost grows faster than |G| build a table:
-``rank._lattice``, ``rank.normal_subgroups`` and the tuple search.
-``_world(G, cap)`` gives G's table when one of them has built it and the
-caller's caps admit it, and G's Perms otherwise.
+A table is built and read only by the enumerations whose cost grows faster
+than |G|: ``rank._lattice`` (with the d ladder on its class
+representatives), ``rank.normal_subgroups`` and the tuple search.
+Everything else runs on Perms, so no result depends on which tables an
+earlier call happened to build.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .errors import CapExceeded
 from .group import DEFAULT_ENUMERATION_CAP, TABLE_CAP, Group, Subgroup, admit
 from .perm import Perm, commutator, commute, gather
 
@@ -37,12 +36,9 @@ class _Table:
     since (g c) b = g (c b), the row of a = g c is left composed with the
     row of c.  A breadth-first walk from the identity reaches every a that
     way, so the table costs n |gens| products and the rest is index lookups
-    that run in C.  inv[a] is where row a meets the identity.
-
-    index maps each element of G to its index, so a Perm handle on G
-    becomes indices by dict lookups.  The table keeps no element orders:
-    the subgroup lattice reads them off its one walk per cyclic subgroup
-    (rank._lattice)."""
+    that run in C.  inv[a] is where row a meets the identity.  The table
+    keeps no element orders: the subgroup lattice reads them off its one
+    walk per cyclic subgroup (rank._lattice)."""
 
     def __init__(self, G: Group, cap: int):
         admit("table", TABLE_CAP, G.order())  # before listing G
@@ -62,28 +58,11 @@ class _Table:
                     rows[a] = gather(rows[c], left)
                     reached.append(a)
         self.elems = elems
-        self.index = index
         self.table = rows
         self.inv = tuple(row.index(self.identity) for row in rows)
         self.n = n
 
-    def generators(self, K: Group) -> tuple[int, ...]:
-        """The generators of K, a handle on G, as indices."""
-        return gather(K.generators, self.index)
-
-    def subgroup(self, K: Group) -> frozenset[int]:
-        """K, a handle on G, as its set of indices."""
-        return self.closure(self.generators(K))
-
-    def elements(self) -> range:
-        """G's elements in G's element order."""
-        return range(self.n)
-
     size = staticmethod(len)
-
-    @staticmethod
-    def members(hset: frozenset[int]) -> frozenset[int]:
-        return hset
 
     def commute(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
@@ -193,40 +172,17 @@ class _Perms:
     def commute(self, a: Perm, b: Perm) -> bool:
         return commute(a, b, self.points)
 
-    @staticmethod
-    def generators(K: Group):
-        return K.generators
-
-    @staticmethod
-    def subgroup(K: Group) -> Group:
-        return K
-
-    def elements(self):
-        return self.G.elements(self.cap)
-
-    def members(self, K: Group) -> frozenset[Perm]:
-        return K.element_set(self.cap)
-
     def closure(self, gens) -> Subgroup:
         return Subgroup(self.G, gens, _trusted=True)
 
     def search(self, K: Group, lower: int, upper: int, tuple_cap: int) -> int:
         """The tuple search on K's table (at most TABLE_CAP elements)."""
         table = _table(K, self.cap)
-        return table.search(table.subgroup(K), lower, upper, tuple_cap)
+        return table.search(frozenset(range(table.n)), lower, upper,
+                            tuple_cap)
 
 
 def _table(G: Group, cap: int) -> _Table:
     """G's table, memoized; refuses groups above TABLE_CAP elements."""
     return G.memo("table", lambda: _Table(G, cap), elements=cap)
 
-
-def _world(G: Group, cap: int):
-    """G's table when G's memo already holds it and the caller's caps admit
-    it, else G's Perms: only the enumerations that outgrow |G| build one."""
-    if "table" in G._memo:
-        try:
-            return _table(G, cap)
-        except CapExceeded:
-            pass
-    return _Perms(G, cap)

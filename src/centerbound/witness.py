@@ -237,7 +237,7 @@ def _tm_construction(G: Group, xs: list[Perm],
     test per coset of Z(G), as [gz, x] = [g, x] for central z."""
     T = Subgroup(G, xs)
     M = subgroup_from_elements(G, sorted(by_center_cosets(
-        G, G.elements(cap), _commutes_into_center(G, xs, cap), cap)))
+        G, _commutes_into_center(G, xs, cap), cap)))
     return T, M
 
 
@@ -269,7 +269,7 @@ def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
     pig_elems = p_meet_derived.elements(cap)
     pig_gens = p_meet_derived.generators
     actions: dict[tuple[Perm, ...], Perm] = {}
-    by_center_cosets(G, G.elements(cap), lambda reps: [
+    by_center_cosets(G, lambda reps: [
         x for x in reps if actions.setdefault(
             tuple(a.conjugate(x) for a in pig_gens), x) is x], cap)
     points = G.points()

@@ -303,10 +303,22 @@ class TestConfigSources:
         assert main(["check", "family:symmetric(4)", "--statements", "T2",
                      "--config", str(cfg)]) == 3
 
-    def test_bad_config_exits_4(self, tmp_path, capsys):
+    def test_bad_config_exits_4(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["check", "family:cyclic(2)", "--config", str(cfg)]) == 4
+        # a value that is not an integer is named with its source
+        cfg.write_text("# caps\nsubgroup_cap = abc\n")
+        capsys.readouterr()
+        assert main(["check", "family:cyclic(2)", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            f"bad configuration: {cfg}:2: subgroup_cap must be an integer, "
+            "got 'abc'\n")
+        monkeypatch.setenv("CENTERBOUND_TUPLE_CAP", "x")
+        assert main(["check", "family:cyclic(2)"]) == 4
+        assert capsys.readouterr().err == (
+            "bad configuration: CENTERBOUND_TUPLE_CAP must be an integer, "
+            "got 'x'\n")
 
     def test_entry_point_runs(self):
         proc = run_cli("info", "family:cyclic(4)")

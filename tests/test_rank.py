@@ -22,7 +22,7 @@ from centerbound.rank import (UnknownRank, _Table, _lattice, abelian_rank,
 from centerbound.statements import _Evaluator, evaluate_all
 from centerbound.structure import (center, derived_subgroup, is_normal,
                                    quotient, quotient_by_center)
-from centerbound.table import _Perms, _table, _world
+from centerbound.table import _Perms, _table
 
 from _oracles import closure, lattice_oracle, min_generators_oracle
 
@@ -751,13 +751,11 @@ class TestRememberedRefusals:
             with pytest.raises(CapExceeded):
                 _table(G, DEFAULT_ENUMERATION_CAP)
             assert "table" not in G._memo and "table" in G._refused
-            assert type(_world(G, DEFAULT_ENUMERATION_CAP)) is _Perms
 
 
 class TestOneDPath:
-    """d(H) has one owner, min_generators: it runs the ladder in the world
-    of H's ambient group (its table when an enumeration has built it, else
-    Perms) and memoizes on H, so LK, T6 and CK share d(G')."""
+    """d(H) has one owner, min_generators: it runs the ladder on the Perms
+    of H's ambient group and memoizes on H, so LK, T6 and CK share d(G')."""
 
     @pytest.mark.parametrize("spec", default_corpus().specs,
                              ids=lambda spec: spec.label)
@@ -783,7 +781,7 @@ class TestOneDPath:
 
         def counting(world, H, gens, tuple_cap):
             elems = ({world.elems[i] for i in H} if isinstance(world, _Table)
-                     else world.members(H))
+                     else H.element_set())
             if elems == derived and not inside_rank:
                 calls.append(world)
             return ladder(world, H, gens, tuple_cap)
@@ -805,8 +803,8 @@ class TestOneDPath:
         "symmetric(4)", "symmetric(5)", "heisenberg(3)",
         "direct_product(alternating(4),cyclic(3))"])
     def test_smaller_cap_after_a_default_call(self, text):
-        # a cap in [|G'|, |G|) refuses G's table, so the ladder on G' runs on
-        # Perms whether or not G's table is built
+        # a cap in [|G'|, |G|) admits G' but not G's element list; d(G') is
+        # the default call's answer, on this group and on a fresh one
         G = group(text)
         D = derived_subgroup(G)
         d = min_generators(D)
@@ -845,9 +843,8 @@ class TestAbelianCountAgainstSympy:
                              ids=lambda spec: spec.label)
     def test_corpus_group(self, spec):
         G = build_group(spec)
-        world = _world(G, DEFAULT_ENUMERATION_CAP)
         assert rank._abelianization_d(
-            world, world.subgroup(G), world.generators(G)) == \
+            _Perms(G, DEFAULT_ENUMERATION_CAP), G, G.generators) == \
             self._sympy_d(G)
         derived = derived_subgroup(G)
         for A in (G, center(G), derived):

@@ -9,22 +9,24 @@ import math
 import pytest
 from hypothesis import given
 
-from centerbound import statements, structure
+from centerbound import rank, statements, structure
 from centerbound.arith import is_prime_power, p_part, prime_factors
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
-                               DEFAULT_TUPLE_CAP, TABLE_CAP, Subgroup)
-from centerbound.rank import UnknownRank, group_rank
+                               DEFAULT_TUPLE_CAP, TABLE_CAP, Group, Subgroup)
+from centerbound.rank import (UnknownRank, all_subgroups, group_rank,
+                              min_generators, normal_subgroups)
 from centerbound.statements import (STATEMENT_TAGS, Verdict, evaluate,
                                     evaluate_all)
 from centerbound.structure import (center, dee_subgroup, derived_subgroup,
-                                   is_subgroup_of, normalizer, quotient,
+                                   is_subgroup_of, quotient,
                                    quotient_by_center, second_center,
                                    structure_report, sylow)
-from centerbound.table import _Perms, _Table, _table, _world
+from centerbound.table import _Perms, _table
 
+from _oracles import centralizer_oracle, closure
 from test_properties import DEFAULTS, groups
 
 
@@ -324,27 +326,21 @@ class TestLkSampling:
 
 
 class TestLkTablePath:
-    """LK and the Sylow ascent run on the world ``_world`` gives for G:
-    G's Cayley table when an enumeration (the lattice, normal_subgroups or
-    the tuple search) has built it and the caller's caps admit it, and
-    Perms otherwise, as for every group above TABLE_CAP.  Giving Perms to
-    small groups runs the Perm world where it can be compared."""
+    """LK, the Sylow ascent and d(G') run on Perms whatever G's memo holds:
+    only the enumerations (the lattice, normal_subgroups and the tuple
+    search) build or read a Cayley table, so no verdict depends on which
+    of them ran before."""
 
-    def test_world_switches_at_table_cap(self):
-        cap = DEFAULT_ENUMERATION_CAP
+    def test_table_cap_bounds_the_table(self):
         G = group("elem_abelian(2,10)")
         assert G.order() == TABLE_CAP
-        assert type(_world(G, cap)) is _Perms
-        _table(G, cap)
-        assert type(_world(G, cap)) is _Table
-        assert type(_world(G, TABLE_CAP - 1)) is _Perms
-        assert type(_world(G, cap)) is _Table
+        _table(G, DEFAULT_ENUMERATION_CAP)
+        assert "table" in G._memo
         G = group("direct_product(cyclic(32),dicyclic(9))")
         assert G.order() == 1152
-        assert type(_world(G, cap)) is _Perms
         with pytest.raises(CapExceeded):
-            _table(G, cap)
-        assert type(_world(G, cap)) is _Perms
+            _table(G, DEFAULT_ENUMERATION_CAP)
+        assert "table" not in G._memo
 
     @pytest.mark.parametrize("text, built", [
         ("elem_abelian(2,10)", False), ("symmetric(6)", False),
@@ -357,34 +353,41 @@ class TestLkTablePath:
         assert ("table" in G._memo) is built
 
     @pytest.mark.parametrize("text", [
-        "symmetric(4)", "dicyclic(8)",
+        "symmetric(4)", "dicyclic(8)", "alternating(5)",
         "direct_product(dihedral(4),dihedral(4))",
-        "direct_product(symmetric(3),dihedral(4))", "alternating(5)",
-        "direct_product(heisenberg(3),cyclic(3))"])
-    def test_table_and_perm_paths_agree(self, monkeypatch, text):
-        def run():
-            verdicts = [evaluate(tag, group(text), CFG).to_json()
-                        for tag in ("LK", "FOC", "LB")]
-            G = group(text)
-            sylows = [sylow(G, p) for p in sorted(prime_factors(G.order()))]
-            elems = G.elements()
-            normalizers = [normalizer(G, H) for H in sylows + [
-                derived_subgroup(G), Subgroup(G, elems[1:3])] + [
-                Subgroup(G, [x]) for x in elems[1:9]]]
-            return (verdicts, [P.generators for P in sylows],
-                    [(N.elements(), N.generators) for N in normalizers])
-        on_table = run()
-        filtered = []
+        "direct_product(heisenberg(3),cyclic(3))",
+        "direct_product(symmetric(3),dihedral(4))",
+        "direct_product(dihedral(4),heisenberg(3))"])
+    def test_call_history_does_not_pick_the_path(self, monkeypatch, text):
+        # the lattice runs the ladder on G's table; every run that
+        # min_generators asks for is recorded, and must be on Perms
+        worlds, inside = [], []
+        ladder, owner = rank._d, rank.min_generators
 
-        class Perms(_Perms):
-            # the world above TABLE_CAP, recording each filter over G
-            def elements(self):
-                filtered.append(self.G.order())
-                return super().elements()
-        monkeypatch.setattr(statements, "_world", Perms)
-        monkeypatch.setattr(structure, "_world", Perms)
-        assert run() == on_table
-        assert filtered
+        def counting(world, H, gens, tuple_cap):
+            if inside:
+                worlds.append(type(world))
+            return ladder(world, H, gens, tuple_cap)
+
+        def asking(*args):
+            inside.append(True)
+            try:
+                return owner(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(rank, "_d", counting)
+        monkeypatch.setattr(statements, "min_generators", asking)
+
+        def run(G):
+            return [evaluate(tag, G, CFG).to_json()
+                    for tag in ("LK", "FOC", "LB", "T6", "CK")]
+        fresh = run(group(text))
+        G = group(text)
+        all_subgroups(G)
+        normal_subgroups(G)
+        assert "table" in G._memo
+        assert run(G) == fresh
+        assert worlds and set(worlds) == {_Perms}
 
     @pytest.mark.parametrize("text", [
         "symmetric(4)", "dicyclic(8)",
@@ -392,15 +395,15 @@ class TestLkTablePath:
         "direct_product(dihedral(4),heisenberg(3))"])
     def test_members_agree_across_paths(self, text):
         # LK's worst pair has |K| = 1 on every corpus group, so its verdict
-        # cannot see C_G(H); compare d, its note and C_G(H) per member
+        # cannot see C_G(H); compare each member's d with a fresh group's
+        # and its C_G(H) with the brute-force centralizer
         G = group(text)
         ev = statements._Evaluator(G, CFG)
-        table = _table(G, CFG.enumeration_cap)
-        perms = _Perms(G, CFG.enumeration_cap)
+        elems = closure(G.degree, G.generators)
         for _, H in ev._lk_library():
-            lo, hi, cgh = ev._lk_member(table, H)
-            assert (lo, hi, {table.elems[x] for x in cgh}) == \
-                ev._lk_member(perms, H)
+            d = min_generators(Group(H.degree, H.generators))
+            assert ev._lk_member(H) == (
+                d, d, centralizer_oracle(elems, H.generators))
 
     def test_path_choice_keeps_every_cap_answer(self):
         # sha256 recorded with LK and the normalizer on Perm products only,
@@ -444,8 +447,7 @@ class TestLkBracket:
         # between 4^0 and 4^1
         member = statements._Evaluator._lk_member
         monkeypatch.setattr(statements._Evaluator, "_lk_member",
-                            lambda ev, world, H: (0, 1,
-                                                  member(ev, world, H)[2]))
+                            lambda ev, H: (0, 1, member(ev, H)[2]))
         v = evaluate("LK", group("symmetric(4)"), CFG)
         assert (v.applicable, v.computable, v.holds) == (True, False, True)
         assert v.notes == ("d(H) in [0, 1] decides no bound on H=G', "
@@ -455,8 +457,8 @@ class TestLkBracket:
         # on C2 with C_G(H) made trivial, K = G gives |K : C_K(H)| = 2 over
         # |G' n K|^1 = 1
         monkeypatch.setattr(
-            statements._Evaluator, "_lk_member", lambda ev, world, H: (
-                0, 1, world.members(world.subgroup(Subgroup(ev.G, ())))))
+            statements._Evaluator, "_lk_member", lambda ev, H: (
+                0, 1, Subgroup(ev.G, ()).element_set()))
         v = evaluate("LK", group("cyclic(2)"), CFG)
         assert (v.computable, v.violated, v.lhs, v.rhs) == (True, True, 2, 1)
         assert "; worst: H=G' (d=1, upper bound), |K|=2;" in v.notes

@@ -19,8 +19,7 @@ from centerbound.structure import (by_center_cosets, center, centralizer,
                                    mutual_commutator, normalizer, quotient,
                                    second_center, socle_p, structure_report,
                                    sylow, zed_subgroup)
-
-from centerbound.table import _Perms, _table
+from centerbound.table import _table
 
 from _oracles import (center_oracle, centralizer_oracle, closure,
                       derived_oracle, second_center_oracle,
@@ -36,6 +35,15 @@ def make(degree, *gens):
 
 
 Q8 = lambda: group("dicyclic(2)")
+
+
+def with_history(G, history):
+    """G fresh, or G after an enumeration has put its Cayley table in the
+    memo; no answer outside the enumerations may tell the two apart."""
+    if history == "tabled":
+        _table(G, Config().enumeration_cap)
+        assert "table" in G._memo
+    return G
 
 
 class TestCentralizerAndCenter:
@@ -174,12 +182,12 @@ class TestSylow:
             assert P.element_set() == G.element_set()
 
 
-    @pytest.mark.parametrize("world", [_table, _Perms])
+    @pytest.mark.parametrize("history", ["fresh", "tabled"])
     @pytest.mark.parametrize("text", [
         "dicyclic(4)", "direct_product(symmetric(3),dihedral(4))",
         "symmetric(4)", "symmetric(5)", "alternating(5)", "dicyclic(6)",
         "direct_product(heisenberg(3),cyclic(2))", "cyclic(30)"])
-    def test_scan_is_the_normalizer_ascent(self, monkeypatch, text, world):
+    def test_scan_is_the_normalizer_ascent(self, monkeypatch, text, history):
         """Each step adds the first y of N_G(P), in G's element order, with
         y not in P and y^p in P; sylow builds no N_G(P) to find it."""
         G = group(text)
@@ -197,8 +205,7 @@ class TestSylow:
         def refuse(*args):
             raise AssertionError("sylow built a normalizer")
         monkeypatch.setattr(structure, "normalizer", refuse)
-        monkeypatch.setattr(structure, "_world", world)
-        G = group(text)
+        G = with_history(group(text), history)
         assert {p: sylow(G, p).generators for p in expected} == expected
 
 
@@ -227,10 +234,10 @@ COSET_GROUPS = ["dicyclic(4)", "direct_product(symmetric(3),dihedral(4))",
                 "cyclic(6)", "elem_abelian(2,3)"]
 
 
-def _plain(G, elems, select, cap):
+def _plain(G, select, cap):
     """by_center_cosets as an element-by-element filter: select over all of
-    elems."""
-    return list(select(list(elems)))
+    G."""
+    return list(select(list(G.elements(cap))))
 
 
 class TestCenterCosets:
@@ -238,9 +245,8 @@ class TestCenterCosets:
     Z(G) and keep or drop the coset whole."""
 
     @staticmethod
-    def _users(G, world):
-        """Every user of the coset filter, in the given world."""
-        cap = Config().enumeration_cap
+    def _users(G):
+        """Every user of the coset filter."""
         elems = G.elements()
         derived = derived_subgroup(G)
         subs = [derived, Subgroup(G, elems[1:3])] + [
@@ -254,19 +260,18 @@ class TestCenterCosets:
             "normalizers": [(N.elements(), N.generators)
                             for N in (normalizer(G, H) for H in subs)],
             "sylows": [sylow(G, p).generators for p in (2, 3, 5)],
-            "lk": [ev._lk_member(world(G, cap), H)
-                   for _, H in ev._lk_library()],
+            "lk": [ev._lk_member(H) for _, H in ev._lk_library()],
             "also": witness.also_witness(G).to_json(),
         }
 
-    @pytest.mark.parametrize("world", [_table, _Perms])
+    @pytest.mark.parametrize("history", ["fresh", "tabled"])
     @pytest.mark.parametrize("text", COSET_GROUPS)
-    def test_users_equal_the_element_filter(self, monkeypatch, text, world):
-        monkeypatch.setattr(structure, "_world", world)
-        by_cosets = self._users(group(text), world)
+    def test_users_equal_the_element_filter(self, monkeypatch, text,
+                                            history):
+        by_cosets = self._users(with_history(group(text), history))
         for module in (structure, statements, witness):
             monkeypatch.setattr(module, "by_center_cosets", _plain)
-        assert self._users(group(text), world) == by_cosets
+        assert self._users(group(text)) == by_cosets
 
     @pytest.mark.parametrize("text", COSET_GROUPS)
     def test_users_against_oracles(self, text):
@@ -291,8 +296,8 @@ class TestCenterCosets:
         zent = center(G).elements()
         index = G.order() // len(zent)
         calls = []
-        kept = by_center_cosets(G, G.elements(),
-                                lambda reps: calls.append(reps) or [], 10 ** 6)
+        kept = by_center_cosets(G, lambda reps: calls.append(reps) or [],
+                                10 ** 6)
         assert len(calls) == 1 and kept == []
         # select gets one element per coset of Z(G): the first in G's order
         seen, firsts = set(), []
@@ -669,7 +674,7 @@ class TestOneCosetMap:
             maps.append(cosets(G, N, cap))
             return maps[-1]
         monkeypatch.setattr(structure, "_cosets", spy)
-        by_center_cosets(G, G.elements(), lambda reps: reps, 10 ** 6)
+        by_center_cosets(G, lambda reps: reps, 10 ** 6)
         pres = structure.quotient_by_center(G)
         assert len(maps) == 2 and maps[0] is maps[1] is pres._cosets
         mine = {id(g) for g in G.elements()}
