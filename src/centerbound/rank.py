@@ -6,22 +6,22 @@ rank is the maximum over one representative per conjugacy class of
 subgroups (see _lattice), and only representatives go through the ladder
 and its tuple search.  One strategy ladder computes d, written once
 against the two element representations of table.py: Perm with BSGS
-membership (``_Perms``) and indices into the Cayley table (``_Table``).  The
-subgroups of a lattice run it on the table; min_generators, the one other
-caller, runs it for a subgroup H on the Perms of H's ambient group and
-memoizes d on H, so every statement asking for d(G') shares one run.  No
-rung but the tuple search lists H.  The rungs:
+membership (``_Perms``) and indices into the Cayley table (``_Table``).
+_bracket gives lo <= d(H) <= hi from closures; the tuple search runs only
+while lo < hi.  A lattice runs the ladder on its table.  For any other H,
+d_bracket and min_generators memoize the bracket and d on H, over the
+Perms of H's ambient group, so the statements asking for d(G') share one
+bracket, even when a cap refuses d.  No rung but the tuple search lists H:
 
-* trivial group: 0;
-* abelian: the number of invariant factors, _abelianization_d with H' = 1:
-  the largest log_p |H : H^p| over primes p dividing |H|;
-* p-group: the Burnside basis theorem, d = log_p |G : Phi(G)| with Phi the
-  subgroup generated by commutators and p-th powers, normally closed;
-* general: d >= 2, so a greedily pruned generating set of size 2 is the
-  answer; else squeeze between the abelianization lower bound, the largest
-  log_p |H : H'H^p|, and the pruned set, then search element subsets in
-  element order under a tuple cap.  The search runs on a Cayley table, so
-  a group above TABLE_CAP elements gets d only when the squeeze closes.
+* at most one prime divides |H|, or H is abelian: lo = hi = d(H/H'), the
+  largest log_p |H : H'H^p| over primes p dividing |H| (_frattini), which
+  counts the invariant factors of an abelian H and is the Burnside basis
+  theorem for a p-group;
+* otherwise d >= 2: lo = hi = 2 when a pruned generating set has size 2,
+  else lo = max(2, d(H/H')), hi is the pruned set's size, and the tuple
+  search tries element subsets in element order under a tuple cap, on a
+  Cayley table, so a group above TABLE_CAP elements gets d only when the
+  bracket closes.
 
 The Cayley table is built from generator rows: n Perm products per
 generator, and every other entry is an index lookup (see ``table.py``).
@@ -78,44 +78,34 @@ class RankRefused(CapExceeded):
 # -- the d ladder -------------------------------------------------------------
 
 
-def _d(world, H, gens, tuple_cap: int) -> int:
-    """d(H) for H generated by gens, in either representation."""
+def _bracket(world, H, gens) -> tuple[int, int]:
+    """lo <= d(H) <= hi for H = <gens>, from closures, in either world."""
     size = world.size(H)
-    if size == 1:
-        return 0
-    if all(world.commute(a, b) for a, b in itertools.combinations(gens, 2)):
-        return _abelianization_d(world, H, gens)
-    p = is_prime_power(size)
-    if p is not None:
-        return integer_log(size // world.size(_frattini(world, gens, p)), p)
+    if len(prime_factors(size)) < 2 or all(
+            world.commute(a, b) for a, b in itertools.combinations(gens, 2)):
+        d = _abelianization_d(world, H, gens)
+        return d, d
     upper = len(_prune(world, gens, size))
     if upper == 2:  # H is not abelian, so d(H) >= 2
-        return 2
-    lower = max(2, _abelianization_d(world, H, gens))
-    if upper == lower:
-        return lower
-    return world.search(H, lower, upper, tuple_cap)
+        return 2, 2
+    return max(2, _abelianization_d(world, H, gens)), upper
 
 
 def _frattini(world, gens, p: int):
-    """For a p-group: the normal closure of generator commutators and
-    generator p-th powers."""
+    """H'H^p for H = <gens>: the normal closure of generator commutators and
+    generator p-th powers (the Frattini subgroup when H is a p-group)."""
     seed = [world.commutator(a, b) for a, b in itertools.combinations(gens, 2)]
     seed += [world.power(g, p) for g in gens]
     return normal_closure(world, seed, gens)
 
 
 def _abelianization_d(world, H, gens) -> int:
-    """d(H/H'): for each prime p, H/H'H^p is elementary abelian of rank the
-    p-rank of H/H', and H'H^p is _frattini's closure; the largest rank.  For
-    abelian H, H' = 1 and this is d(H)."""
+    """d(H/H'): the largest log_p |H : H'H^p| over primes p dividing |H|
+    (a prime not dividing |H/H'| gives 0).  This is d(H) for abelian H and
+    for a p-group (the Burnside basis theorem)."""
     size = world.size(H)
-    derived = normal_closure(
-        world, [world.commutator(a, b)
-                for a, b in itertools.combinations(gens, 2)], gens)
     return max((integer_log(size // world.size(_frattini(world, gens, p)), p)
-                for p in prime_factors(size // world.size(derived))),
-               default=0)
+                for p in prime_factors(size)), default=0)
 
 
 def _prune(world, gens, size: int) -> list:
@@ -145,21 +135,27 @@ def frattini_p(G: Group, p: int,
         _Perms(G, cap), G.generators, p))
 
 
+def d_bracket(H: Group, cap: int = DEFAULT_ENUMERATION_CAP):
+    """_bracket on the Perms of H's ambient group, memoized on H: shared by
+    min_generators and a statement whose d a cap refused."""
+    return H.memo("d_bracket", lambda: _bracket(
+        _Perms(_ambient(H), cap), H, H.generators), elements=cap)
+
+
 def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Invariant-factor count of a finite abelian group: the largest p-socle
-    rank over primes p dividing the order (_abelianization_d with A' = 1)."""
+    rank over primes p dividing the order (d_bracket's exact rung)."""
     if not A.is_abelian():
         raise NotAbelian("abelian_rank requires an abelian group")
-    return _abelianization_d(_Perms(A, cap), A, A.generators)
+    return d_bracket(A, cap)[0]
 
 
 def min_generators(H: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                    tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
-    """Exact d(H) by the strategy ladder (see module docstring), on the
-    Perms of H's ambient group.  Memoized on H, so the subgroups of one
-    group share it."""
-    return H.memo("d", lambda: _d(_Perms(_ambient(H), cap), H, H.generators,
-                                  tuple_cap), elements=cap, tuples=tuple_cap)
+    """Exact d(H): d_bracket, then the tuple search on H's table while the
+    bracket is open.  Memoized on H."""
+    return H.memo("d", lambda: _Perms(_ambient(H), cap).search(
+        H, *d_bracket(H, cap), tuple_cap), elements=cap, tuples=tuple_cap)
 
 
 def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[
@@ -320,13 +316,14 @@ def group_rank(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                tuple_cap: int = DEFAULT_TUPLE_CAP) -> "int | UnknownRank":
     """max d(H) over one H per conjugacy class of subgroups, so the tuple
     search runs only on class representatives; abelian groups shortcut
-    through abelian_rank.  Past any cap the result is Unknown, never a
+    through d_bracket.  Past any cap the result is Unknown, never a
     guess."""
     def compute():
         if G.is_abelian():
-            return abelian_rank(G, cap)
+            return d_bracket(G, cap)[0]
         table, found, reps = _lattice(G, subgroup_cap, cap)
-        return max(_d(table, hset, found[hset], tuple_cap) for hset in reps)
+        return max(table.search(hset, *_bracket(table, hset, found[hset]),
+                                tuple_cap) for hset in reps)
     try:
         return G.memo("rank", compute, elements=cap, subgroups=subgroup_cap,
                       tuples=tuple_cap)

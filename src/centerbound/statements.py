@@ -15,12 +15,13 @@ Tags:
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
   H and a normal subgroup K, on element sets of Perms.  d(H) comes from
   min_generators, memoized on H (a refusal too) and shared with T6 and CK
-  for H = G'.  When a cap refuses it, a pair holds under the ladder's
-  lower bound on d(H), is violated over its upper bound, and between them
-  leaves LK uncomputable.  C_G(H) comes from the centralizer filter over
-  the cosets of Z(G), except that C_G(G') is the structure report's.  Both
-  are found once per distinct member: a later handle on the same subgroup
-  is matched by order and sifting, without listing its elements.
+  for H = G'.  When a cap refuses it, LK reads the bracket lo <= d(H) <= hi
+  that min_generators left in H's memo (d_bracket): a pair holds under lo,
+  is violated over hi, and between them leaves LK uncomputable.  C_G(H)
+  comes from the centralizer filter over the cosets of Z(G), except that
+  C_G(G') is the structure report's.  Both are found once per distinct
+  member: a later handle on the same subgroup is matched by order and
+  sifting, without listing its elements.
 * CK: |G : C_G(G')| <= |G'|^d(G').
 * LA: |C_G(G') : Z2(G)| <= |G' : zed|^r.
 * LB: G'/C_{G'}(P) is a p-group for each Sylow P of D.
@@ -55,11 +56,10 @@ from .arith import is_prime_power, prime_factors
 from .config import Config
 from .errors import CapExceeded
 from .group import Group, Subgroup
-from .rank import (RankRefused, _abelianization_d, _prune, _section_rank,
-                   group_rank, known, min_generators, normal_subgroups)
+from .rank import (RankRefused, _section_rank, d_bracket, group_rank, known,
+                   min_generators, normal_subgroups)
 from .structure import (by_center_cosets, centralizing, derived_subgroup,
                         is_subgroup_of, structure_report, sylow)
-from .table import _Perms
 from .witness import (WitnessRecord, _lb_section, also_witness,
                       szivas_witness)
 
@@ -291,7 +291,7 @@ class _Evaluator:
         and |H| = |G| (Z(G)), is G for H = 1, and is otherwise filtered over
         one element per coset of Z(G), one generator of H at a time.
         lo = hi = min_generators, memoized on H; when a cap refuses it, they
-        are the ladder's max(2, d(H/H')) and pruned set's size."""
+        are the bracket min_generators left in H's memo (d_bracket)."""
         G, sr, cap = self.G, self.sr, self.cap
         known = (sr.centralizer_of_derived if H is sr.derived
                  else sr.center if H.order() == G.order()
@@ -306,9 +306,7 @@ class _Evaluator:
             d = min_generators(H, cap, self.tuple_cap)
             return d, d, cgh
         except CapExceeded:
-            world, gens = _Perms(G, cap), H.generators
-            lower = max(2, _abelianization_d(world, H, gens))
-            return lower, len(_prune(world, gens, H.order())), cgh
+            return (*d_bracket(H, cap), cgh)
 
     def _eval_lb(self) -> Verdict:
         sr = self.sr

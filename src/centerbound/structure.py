@@ -97,22 +97,25 @@ def centralizing(elems, S, points) -> list[Perm]:
     return kept
 
 
-def by_center_cosets(G: Group, select, cap: int) -> list:
-    """The elements of G, in G's element order, whose coset of Z(G) select
-    keeps.  select gets the representatives once, in a tuple: the first
-    element of each coset in G's order, which is coset-number order in
-    ``_cosets``.  It returns the representatives it keeps, and each kept
-    coset is taken whole: exact whenever the answer is a union of
-    Z(G)-cosets, as for any subgroup of G containing Z(G)."""
-    elems = G.elements(cap)
+def _center_cosets(G: Group, cap: int):
+    """The Z(G)-coset numbers of G's elements, in G's element order, and
+    the first element of each coset, in coset-number order (``_cosets``)."""
     numbers = _cosets(G, center(G, cap), cap).values()
     # cosets are numbered by first appearance, so the first positions of
     # the numbers, in increasing order, come in coset-number order
     firsts = dict(zip(reversed(numbers), reversed(range(len(numbers)))))
-    reps = gather(sorted(firsts.values()), elems)
+    return numbers, gather(sorted(firsts.values()), G.elements(cap))
+
+
+def by_center_cosets(G: Group, select, cap: int) -> list:
+    """The elements of G, in G's element order, whose coset of Z(G) select
+    keeps.  select gets the first elements (_center_cosets) once, in a
+    tuple, and returns the ones it keeps; each kept coset is taken whole:
+    exact for any subgroup of G containing Z(G)."""
+    numbers, reps = _center_cosets(G, cap)
     kept = set(select(reps))
     passed = [x in kept for x in reps]
-    return list(itertools.compress(elems, gather(numbers, passed)))
+    return list(itertools.compress(G.elements(cap), gather(numbers, passed)))
 
 
 def _cosets(G: Group, N: Group, cap: int) -> dict[tuple[int, ...], int]:

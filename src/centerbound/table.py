@@ -177,6 +177,8 @@ class _Perms:
 
     def search(self, K: Group, lower: int, upper: int, tuple_cap: int) -> int:
         """The tuple search on K's table (at most TABLE_CAP elements)."""
+        if lower == upper:  # a closed bracket needs no table
+            return upper
         table = _table(K, self.cap)
         return table.search(frozenset(range(table.n)), lower, upper,
                             tuple_cap)

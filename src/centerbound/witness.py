@@ -41,10 +41,10 @@ from .group import (DEFAULT_COSET_CAP, DEFAULT_ENUMERATION_CAP,
 from .perm import Perm, commutator, format_perm, gather
 from .rank import (UnknownRank, _section_rank, abelian_rank, known,
                    shrink_generating_set)
-from .structure import (_commutes_into_center, _cosets, by_center_cosets,
-                        center, centralizing, derived_subgroup, intersection,
-                        is_normal, quotient, socle_p, StructureReport,
-                        structure_report, sylow)
+from .structure import (_center_cosets, _commutes_into_center, _cosets,
+                        by_center_cosets, center, centralizing,
+                        derived_subgroup, intersection, is_normal, quotient,
+                        socle_p, StructureReport, structure_report, sylow)
 
 
 @dataclass
@@ -269,9 +269,8 @@ def _also_xs(G: Group, sr: StructureReport, p: int, P: Group, r: int,
     pig_elems = p_meet_derived.elements(cap)
     pig_gens = p_meet_derived.generators
     actions: dict[tuple[Perm, ...], Perm] = {}
-    by_center_cosets(G, lambda reps: [
-        x for x in reps if actions.setdefault(
-            tuple(a.conjugate(x) for a in pig_gens), x) is x], cap)
+    for x in _center_cosets(G, cap)[1]:
+        actions.setdefault(tuple(a.conjugate(x) for a in pig_gens), x)
     points = G.points()
     first_x: dict[frozenset, Perm] = {}
     for x in actions.values():

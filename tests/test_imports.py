@@ -6,7 +6,10 @@
   ``perm.py`` composes by ``map(<x>.__getitem__, ...)`` or by
   ``operator.itemgetter``.
 * d(H) and Unknown ranks have one owner, ``rank.py``: no other module
-  references the ladder ``_d`` or constructs ``UnknownRank(...)``.
+  names a rung of the d ladder (``_bracket``, ``_abelianization_d``,
+  ``_prune``, ``_frattini``) or constructs ``UnknownRank(...)``, and
+  ``statements.py`` does not import ``table.py``, so it reaches d and its
+  bracket only through rank's public functions.
 * One memo entry per result: each ``.memo(`` key literal (``"center"``,
   ``("sylow", p)``, ...) appears at exactly one call site in the package.
 * No stranded code: every module-level private function or class, and
@@ -107,19 +110,39 @@ def test_gate_sees_a_second_composition():
     assert _compositions((SRC / "perm.py").read_text()) != []
 
 
+LADDER = ("_bracket", "_abelianization_d", "_prune", "_frattini")
+
+
 def _rank_owned(source: str) -> list[str]:
-    """Lines that reference the d ladder _d or construct an UnknownRank."""
+    """Lines that name a rung of the d ladder or construct an UnknownRank."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if ((isinstance(node, ast.Name) and node.id == "_d")
-                or (isinstance(node, ast.Attribute) and node.attr == "_d")
-                or (isinstance(node, ast.alias) and node.name == "_d")):
-            found.append(f"_d (line {node.lineno})")
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in LADDER:
+            found.append(f"{name} (line {node.lineno})")
         elif isinstance(node, ast.Call) and "UnknownRank" in (
                 getattr(node.func, "id", None),
                 getattr(node.func, "attr", None)):
             found.append(f"UnknownRank(...) (line {node.lineno})")
     return sorted(found)
+
+
+def _table_imports(source: str) -> list[str]:
+    """Lines that import the module table.py or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = ([node.module] if node.module
+                     else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "table" for name in names):
+            found.append(f"table (line {node.lineno})")
+    return found
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rank.py"],
@@ -128,17 +151,31 @@ def test_rank_owns_d_and_unknown(path):
     assert _rank_owned(path.read_text()) == []
 
 
+def test_statements_reach_d_through_rank():
+    assert _table_imports((SRC / "statements.py").read_text()) == []
+
+
 def test_gate_sees_a_second_owner():
     assert _rank_owned(
-        "from .rank import UnknownRank, _d\n"
+        "from .rank import UnknownRank, _bracket, _prune as p\n"
         "from . import rank\n"
         "def f(w, h, gs):\n"
         "    if isinstance(h, UnknownRank):\n"
         "        return rank.UnknownRank('x', 1, 2)\n"
-        "    return _d(w, h, gs, 5), rank._d\n") == [
-        "UnknownRank(...) (line 5)", "_d (line 1)", "_d (line 6)",
-        "_d (line 6)"]
+        "    return _bracket(w, h, gs), rank._frattini(w, gs, 2)\n"
+        "def g(w, h):\n"
+        "    return rank._abelianization_d(w, h, h.generators)\n") == [
+        "UnknownRank(...) (line 5)", "_abelianization_d (line 8)",
+        "_bracket (line 1)", "_bracket (line 6)", "_frattini (line 6)",
+        "_prune (line 1)"]
     assert _rank_owned((SRC / "rank.py").read_text()) != []
+    assert _table_imports(
+        "from .table import _Perms\n"
+        "from . import rank, table\n"
+        "import centerbound.table as t\n"
+        "from .rank import d_bracket\n") == [
+        "table (line 1)", "table (line 2)", "table (line 3)"]
+    assert _table_imports((SRC / "rank.py").read_text()) != []
 
 
 def _memo_keys(source: str, where: str) -> list[tuple[str, str]]:

@@ -9,22 +9,24 @@ the end until the group has at most ``MAX_ORDER`` elements, so the checks
 over every pair stay cheap.  Each property runs on the group itself, on a
 handle from ``subgroup_from_elements`` (the centralizer of a random element)
 and on a ``Subgroup`` child of that handle.  The properties of the
-commutator filter and of the abelianization count draw direct products
-instead (see ``groups``), which reach non-abelian groups of order 16 and
-more.  The runs are derandomized, so
-every run draws the same groups.
+commutator filter, of the abelianization count and of the d bracket draw
+direct products instead (see ``groups``), which reach non-abelian groups
+of order 16 and more.  The runs are derandomized, so every run draws the
+same groups.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from centerbound import structure
+from centerbound.arith import is_prime_power
 from centerbound.corpus import direct_product
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                                Group, Subgroup, _schreier_sims,
                                subgroup_from_elements)
 from centerbound.perm import Perm, commute
-from centerbound.rank import _abelianization_d, _lattice, abelian_rank
+from centerbound.rank import (_abelianization_d, _lattice, abelian_rank,
+                             d_bracket)
 from centerbound.structure import (_commutes_into_center, _cosets,
                                    by_center_cosets, center, centralizer,
                                    derived_subgroup, quotient, sylow,
@@ -33,7 +35,7 @@ from centerbound.table import _Perms, _table
 
 from _oracles import (abelianization_d_oracle, center_oracle,
                       centralizer_oracle, closure, commutes_into_oracle,
-                      lattice_oracle)
+                      lattice_oracle, min_generators_oracle)
 
 MAX_ORDER = 200
 DEFAULTS = settings(derandomize=True, database=None, deadline=None,
@@ -238,3 +240,15 @@ def test_the_abelianization_closures_match_the_brute_force_count(G):
         if A.is_abelian():
             assert abelian_rank(A) == abelianization_d_oracle(
                 A.degree, A.generators)
+
+
+@DEFAULTS
+@given(groups(products=True))
+def test_the_d_bracket_holds_d(G):
+    """d_bracket's lo <= d(G) <= hi against exhaustive search, and closed
+    at the abelianization count on abelian groups and p-groups."""
+    lo, hi = d_bracket(G)
+    elems = closure(G.degree, G.generators)
+    assert lo <= min_generators_oracle(G.degree, elems) <= hi
+    if G.is_abelian() or is_prime_power(G.order()) is not None:
+        assert lo == hi == abelianization_d_oracle(G.degree, G.generators)

@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from centerbound import rank, statements
+from centerbound import rank
+from centerbound.arith import is_prime_power
 from centerbound.config import Config
 from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
@@ -16,15 +17,16 @@ from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                                DEFAULT_TUPLE_CAP, TABLE_CAP, Group, Subgroup)
 from centerbound.perm import Perm, parse_perm
 from centerbound.rank import (UnknownRank, _Table, _lattice, abelian_rank,
-                              all_subgroups, frattini_p, group_rank,
-                              min_generators, normal_subgroups,
+                              all_subgroups, d_bracket, frattini_p,
+                              group_rank, min_generators, normal_subgroups,
                               shrink_generating_set)
 from centerbound.statements import _Evaluator, evaluate_all
 from centerbound.structure import (center, derived_subgroup, is_normal,
                                    quotient, quotient_by_center)
 from centerbound.table import _Perms, _table
 
-from _oracles import closure, lattice_oracle, min_generators_oracle
+from _oracles import (abelianization_d_oracle, closure, lattice_oracle,
+                      min_generators_oracle)
 
 
 def group(text):
@@ -693,8 +695,8 @@ class TestRememberedRefusals:
         # A7's G' handle prunes to 3 generators against a lower bound of 2,
         # and the tuple search needs a table of all 2,520 elements
         runs = []
-        ladder = rank._d
-        monkeypatch.setattr(rank, "_d",
+        ladder = rank._bracket
+        monkeypatch.setattr(rank, "_bracket",
                             lambda *args: runs.append(1) or ladder(*args))
         H = derived_subgroup(group("alternating(7)"))
         first = refusal(lambda: min_generators(H))
@@ -754,8 +756,9 @@ class TestRememberedRefusals:
 
 
 class TestOneDPath:
-    """d(H) has one owner, min_generators: it runs the ladder on the Perms
-    of H's ambient group and memoizes on H, so LK, T6 and CK share d(G')."""
+    """d(H) has one owner, rank.py: d_bracket and min_generators run the
+    ladder on the Perms of H's ambient group and memoize on H, so LK, T6
+    and CK share d(G') and its bracket."""
 
     @pytest.mark.parametrize("spec", default_corpus().specs,
                              ids=lambda spec: spec.label)
@@ -770,31 +773,21 @@ class TestOneDPath:
         "direct_product(symmetric(3),dihedral(4))"])
     def test_evaluate_all_runs_the_ladder_on_derived_once(self, text,
                                                           monkeypatch):
-        # group_rank's lattice runs the ladder on each class representative
-        # of G' as a group of its own; every other run on G' is counted.  LK
-        # works out each distinct member once, so a second handle on G' (S4's
+        # group_rank's lattice brackets each class representative of G' on
+        # G''s table; every bracket of G' on Perms is counted.  T2 (for an
+        # abelian G'), T6, CK and LK share d_bracket's memo, and LK works out
+        # each distinct member once, so a second handle on G' (S4's
         # random_2gen_0, say) adds no run
         G = group(text)
         derived = derived_subgroup(G).element_set()
-        calls, inside_rank = [], []
-        ladder, ranked = rank._d, rank.group_rank
+        calls = []
+        ladder = rank._bracket
 
-        def counting(world, H, gens, tuple_cap):
-            elems = ({world.elems[i] for i in H} if isinstance(world, _Table)
-                     else H.element_set())
-            if elems == derived and not inside_rank:
+        def counting(world, H, gens):
+            if isinstance(world, _Perms) and H.element_set() == derived:
                 calls.append(world)
-            return ladder(world, H, gens, tuple_cap)
-
-        def ranking(*args):
-            inside_rank.append(True)
-            try:
-                return ranked(*args)
-            finally:
-                inside_rank.pop()
-        monkeypatch.setattr(rank, "_d", counting)
-        monkeypatch.setattr(rank, "group_rank", ranking)
-        monkeypatch.setattr(statements, "group_rank", ranking)
+            return ladder(world, H, gens)
+        monkeypatch.setattr(rank, "_bracket", counting)
         verdicts = {v.statement: v for v in evaluate_all(G)}
         assert len(calls) == 1
         assert verdicts["CK"].computable and verdicts["LK"].computable
@@ -819,6 +812,23 @@ class TestOneDPath:
                   "direct_product(heisenberg(3),heisenberg(3)))")
         assert min_generators(G) == 6
         assert G._elements is None
+
+
+class TestDBracket:
+    """d_bracket's lo <= d(G') <= hi on every default-corpus G', against
+    exhaustive search; abelian groups and p-groups close it at the
+    abelianization count."""
+
+    @pytest.mark.parametrize("spec", default_corpus().specs,
+                             ids=lambda spec: spec.label)
+    def test_corpus_derived(self, spec):
+        D = derived_subgroup(build_group(spec))
+        lo, hi = d_bracket(D)
+        assert lo <= min_generators_oracle(
+            D.degree, closure(D.degree, D.generators)) <= hi
+        if D.is_abelian() or is_prime_power(D.order()) is not None:
+            assert lo == hi == abelianization_d_oracle(D.degree,
+                                                       D.generators)
 
 
 class TestAbelianCountAgainstSympy:

@@ -359,15 +359,15 @@ class TestLkTablePath:
         "direct_product(symmetric(3),dihedral(4))",
         "direct_product(dihedral(4),heisenberg(3))"])
     def test_call_history_does_not_pick_the_path(self, monkeypatch, text):
-        # the lattice runs the ladder on G's table; every run that
+        # the lattice runs the ladder on G's table; every bracket that
         # min_generators asks for is recorded, and must be on Perms
         worlds, inside = [], []
-        ladder, owner = rank._d, rank.min_generators
+        ladder, owner = rank._bracket, rank.min_generators
 
-        def counting(world, H, gens, tuple_cap):
+        def counting(world, H, gens):
             if inside:
                 worlds.append(type(world))
-            return ladder(world, H, gens, tuple_cap)
+            return ladder(world, H, gens)
 
         def asking(*args):
             inside.append(True)
@@ -375,7 +375,7 @@ class TestLkTablePath:
                 return owner(*args)
             finally:
                 inside.pop()
-        monkeypatch.setattr(rank, "_d", counting)
+        monkeypatch.setattr(rank, "_bracket", counting)
         monkeypatch.setattr(statements, "min_generators", asking)
 
         def run(G):
@@ -462,6 +462,34 @@ class TestLkBracket:
         v = evaluate("LK", group("cyclic(2)"), CFG)
         assert (v.computable, v.violated, v.lhs, v.rhs) == (True, True, 2, 1)
         assert "; worst: H=G' (d=1, upper bound), |K|=2;" in v.notes
+
+    @pytest.mark.parametrize("text", [
+        "alternating(7)", "direct_product(alternating(5),alternating(5))"])
+    def test_lk_reads_the_bracket_t6_left(self, text, monkeypatch):
+        # G' = G is above TABLE_CAP with an open bracket, so T6 and CK are
+        # refused at the tuple search.  T6 prunes G''s generators once, and
+        # LK's refused d reads that bracket from G''s memo
+        G = group(text)
+        pruned, reads = [], []
+        prune, bracket = rank._prune, statements.d_bracket
+
+        def pruning(world, gens, size):
+            if size == G.order():
+                pruned.append(len(gens))
+            return prune(world, gens, size)
+
+        def reading(H, cap):
+            reads.append("d_bracket" in H._memo)
+            return bracket(H, cap)
+        monkeypatch.setattr(rank, "_prune", pruning)
+        monkeypatch.setattr(statements, "d_bracket", reading)
+        verdicts = {v.statement: v for v in evaluate_all(G)}
+        assert derived_subgroup(G).order() == G.order()
+        assert len(pruned) == 1
+        assert reads and all(reads)
+        assert "multiplication table" in verdicts["T6"].notes
+        assert "; worst: H=G' (d=2, lower bound), |K|=1;" in \
+            verdicts["LK"].notes
 
 
 class TestBoundTable:
@@ -654,3 +682,18 @@ class TestHistoryIndependence:
                 evaluate("T1", group(text), cfg).to_json()
         assert evaluate("T1", G, Config(subgroup_cap=1600)).notes \
             .startswith("r=2;")
+
+
+class TestIsoclinicPairs:
+    """dihedral(2n) and dicyclic(n) are isoclinic 2-groups (P. Hall, 1940),
+    and every side of every tag is an order or rank that isoclinism keeps.
+    So the two give the same record, notes included; only the witness
+    payloads, which list elements, differ."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_records_agree_but_for_the_witness(self, n):
+        def records(text):
+            return [{k: v for k, v in verdict.to_json().items()
+                     if k != "witness"}
+                    for verdict in evaluate_all(group(text))]
+        assert records(f"dihedral({2 * n})") == records(f"dicyclic({n})")
