@@ -316,11 +316,11 @@ def group_rank(G: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                tuple_cap: int = DEFAULT_TUPLE_CAP) -> "int | UnknownRank":
     """max d(H) over one H per conjugacy class of subgroups, so the tuple
     search runs only on class representatives; abelian groups shortcut
-    through d_bracket.  Past any cap the result is Unknown, never a
+    through abelian_rank.  Past any cap the result is Unknown, never a
     guess."""
     def compute():
         if G.is_abelian():
-            return d_bracket(G, cap)[0]
+            return abelian_rank(G, cap)
         table, found, reps = _lattice(G, subgroup_cap, cap)
         return max(table.search(hset, *_bracket(table, hset, found[hset]),
                                 tuple_cap) for hset in reps)

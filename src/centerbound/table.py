@@ -135,7 +135,8 @@ class _Table:
                tuple_cap: int) -> int:
         """The least k in [lower, upper) for which some k members generate
         hset, else upper; every k-subset tried counts against tuple_cap."""
-        size = len(hset)
+        if lower == upper:  # a closed bracket needs no search
+            return upper
         # in element order, so the count does not depend on the table
         members = sorted(hset - {self.identity}, key=self.elems.__getitem__)
         tried, d = 0, upper
@@ -143,7 +144,7 @@ class _Table:
                 itertools.combinations(members, k)
                 for k in range(lower, upper)):
             tried += 1
-            if tried > tuple_cap or len(self.closure(combo)) == size:
+            if tried > tuple_cap or len(self.closure(combo)) == len(hset):
                 d = len(combo)
                 break
         admit("tuples", tuple_cap, tried)  # refuses a search the cap stopped
@@ -180,8 +181,7 @@ class _Perms:
         if lower == upper:  # a closed bracket needs no table
             return upper
         table = _table(K, self.cap)
-        return table.search(frozenset(range(table.n)), lower, upper,
-                            tuple_cap)
+        return table.search(frozenset(range(table.n)), lower, upper, tuple_cap)
 
 
 def _table(G: Group, cap: int) -> _Table:

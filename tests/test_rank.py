@@ -693,10 +693,11 @@ class TestRememberedRefusals:
 
     def test_same_caps_reraise_without_computing(self, monkeypatch):
         # A7's G' handle prunes to 3 generators against a lower bound of 2,
-        # and the tuple search needs a table of all 2,520 elements
+        # and the tuple search needs a table of all 2,520 elements.  Each
+        # computation of d asks d_bracket once, memo hit or not
         runs = []
-        ladder = rank._bracket
-        monkeypatch.setattr(rank, "_bracket",
+        ladder = rank.d_bracket
+        monkeypatch.setattr(rank, "d_bracket",
                             lambda *args: runs.append(1) or ladder(*args))
         H = derived_subgroup(group("alternating(7)"))
         first = refusal(lambda: min_generators(H))
@@ -777,19 +778,26 @@ class TestOneDPath:
         # G''s table; every bracket of G' on Perms is counted.  T2 (for an
         # abelian G'), T6, CK and LK share d_bracket's memo, and LK works out
         # each distinct member once, so a second handle on G' (S4's
-        # random_2gen_0, say) adds no run
+        # random_2gen_0, say) adds no run.  min_generators calls the search
+        # on Perms closed bracket or not, so each d of G' is one search
         G = group(text)
         derived = derived_subgroup(G).element_set()
-        calls = []
-        ladder = rank._bracket
+        calls, searches = [], []
+        ladder, search = rank._bracket, _Perms.search
 
         def counting(world, H, gens):
             if isinstance(world, _Perms) and H.element_set() == derived:
                 calls.append(world)
             return ladder(world, H, gens)
+
+        def searching(world, K, *args):
+            if K.element_set() == derived:
+                searches.append(K)
+            return search(world, K, *args)
         monkeypatch.setattr(rank, "_bracket", counting)
+        monkeypatch.setattr(_Perms, "search", searching)
         verdicts = {v.statement: v for v in evaluate_all(G)}
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(searches) == 1
         assert verdicts["CK"].computable and verdicts["LK"].computable
 
     @pytest.mark.parametrize("text", [
