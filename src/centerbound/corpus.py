@@ -16,6 +16,10 @@ Families (permutation realisations):
 * direct_product(s, t): factors act on the disjoint union of their
   domains; generators are padded with fixed points.
 
+No group acts on more than MAX_DEGREE points, because the stabilizer chain
+keeps one image tuple per orbit point: builders, direct products and group
+files check the degree before anything is built.
+
 The grammar for naming groups on the command line is
 ``family:NAME(ARGS)`` with nested family expressions allowed inside
 direct_product, or ``file:PATH`` for a generator file of the form::
@@ -68,7 +72,19 @@ class Corpus:
 # -- family builders -----------------------------------------------------
 
 
+MAX_DEGREE = 4096
+
+
+def _within(what: str, degree: int, error=ArgOutOfRange):
+    """Raise error, naming degree and the limit, when degree exceeds
+    MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise error(f"degree {degree} of {what} exceeds the limit of "
+                    f"{MAX_DEGREE} points")
+
+
 def _cyclic(n: int) -> Group:
+    _within(f"cyclic({n})", n)
     if n < 1:
         raise ArgOutOfRange("cyclic(n) needs n >= 1")
     if n == 1:
@@ -77,6 +93,7 @@ def _cyclic(n: int) -> Group:
 
 
 def _dihedral(n: int) -> Group:
+    _within(f"dihedral({n})", n)
     if n < 1:
         raise ArgOutOfRange("dihedral(n) needs n >= 1")
     if n == 1:
@@ -92,6 +109,7 @@ def _dihedral(n: int) -> Group:
 def _dicyclic(n: int) -> Group:
     # <a, b | a^(2n) = 1, b^2 = a^n, b^-1 a b = a^-1>, regular action on
     # the 4n element labels a^i b^j (i < 2n, j < 2)
+    _within(f"dicyclic({n})", 4 * n)
     if n < 1:
         raise ArgOutOfRange("dicyclic(n) needs n >= 1")
     two_n = 2 * n
@@ -136,10 +154,11 @@ def _alternating(n: int) -> Group:
 
 
 def _elem_abelian(p: int, k: int) -> Group:
+    _within(f"elem_abelian({p},{k})", p * k)
+    if k < 1:  # before is_prime, so that p is at most the degree
+        raise ArgOutOfRange("elem_abelian(p, k) needs k >= 1")
     if not is_prime(p):
         raise ArgOutOfRange(f"elem_abelian needs a prime, got {p}")
-    if k < 1:
-        raise ArgOutOfRange("elem_abelian(p, k) needs k >= 1")
     degree = p * k
     gens = [from_cycles(degree, [range(i * p + 1, (i + 1) * p + 1)])
             for i in range(k)]
@@ -147,6 +166,7 @@ def _elem_abelian(p: int, k: int) -> Group:
 
 
 def _heisenberg(p: int) -> Group:
+    _within(f"heisenberg({p})", p * p)
     if not is_prime(p):
         raise ArgOutOfRange(f"heisenberg needs a prime, got {p}")
     degree = p * p
@@ -193,8 +213,10 @@ def build_family(name: str, args) -> Group:
         if len(args) != 2 or not all(isinstance(a, FamilyExpr) for a in args):
             raise ArgOutOfRange(
                 "direct_product takes exactly two family expressions")
-        return direct_product(build_family(args[0].name, args[0].args),
-                              build_family(args[1].name, args[1].args))
+        left, right = (build_family(a.name, a.args) for a in args)
+        _within(f"direct_product({args[0]},{args[1]})",
+                left.degree + right.degree)
+        return direct_product(left, right)
     if not all(isinstance(a, int) for a in args):
         raise ArgOutOfRange(f"{name} takes integer arguments")
     if name not in _FAMILIES:
@@ -292,6 +314,8 @@ def parse_group_file(path: str) -> Group:
                 raise ParseError("expected 'degree N' as the first entry",
                                  line=lineno)
             degree = int(m.group(1))
+            _within(path, degree,
+                    lambda message: ParseError(message, line=lineno))
             continue
         try:
             gens.append(parse_perm(line, degree))

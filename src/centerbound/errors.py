@@ -19,12 +19,8 @@ class CapExceeded(CenterboundError):
     """A computation would exceed a configured cap.
 
     Attributes carry what was capped, the cap, and the offending value so
-    reports can show exactly which limit fired.  kind is the cap's key when
-    the refusal comes from ``group.admit``, the one cap check, and None
-    otherwise; the memo remembers only the former.
+    reports can show exactly which limit fired.
     """
-
-    kind: str | None = None
 
     def __init__(self, what: str, limit: int, value):
         self.what = what

@@ -9,8 +9,8 @@ a group may be shared freely once built.
 Every derived result (center, quotients, subgroup lattice, ranks, ...) lives
 in one memo per group, ``Group.memo``.  Caps are admission checks through
 ``admit``, never keys, so a call raises CapExceeded exactly when the same
-call on a fresh group would.  A refusal is remembered beside the values, so
-a question asked again under the same caps is answered without computing.
+call on a fresh group would.  The memo keeps values only: a refusal leaves
+no entry, so a question asked again computes again and is refused again.
 A subgroup that is all of its group is that group (``subgroup_from_elements``
 returns the parent for the parent's own element list), so it shares the
 group's memo.  The bookkeeping is module state, so groups are not for
@@ -72,9 +72,7 @@ def admit(kind: str, limit: int, value: int) -> None:
     """The one cap check: raise CapExceeded, naming kind, when value exceeds
     limit, and otherwise record value in the memo entry being computed."""
     if value > limit:
-        exc = CapExceeded(_CAPS[kind][0], limit, value)
-        exc.kind = kind
-        raise exc
+        raise CapExceeded(_CAPS[kind][0], limit, value)
     if _computing and _computing[-1].get(kind, -1) < value:
         _computing[-1][kind] = value
 
@@ -250,7 +248,6 @@ class Group:
         self._elements: tuple[Perm, ...] | None = None
         self._element_set: frozenset[Perm] | None = None
         self._memo: dict = {}
-        self._refused: dict = {}
 
     # -- stabilizer chain ------------------------------------------------
 
@@ -340,35 +337,19 @@ class Group:
         included, and every call re-admits those against limits (the
         caller's cap per kind, else its default).  An entry they would refuse
         is computed again, so the refusal is the one a fresh group gives.
-
-        A refusal is remembered apart from the values: the demand up to it
-        and the refused admission.  A later call whose caps admit that
-        demand and put the same limit on the refused kind re-raises it
-        without computing, as a fresh group refuses there with the same
-        message; any other call computes.  (A stopped tuple search reports
-        its limit plus one, so another limit is another message.)  Either
-        way the demand joins the enclosing entry's, as on a hit.  compute
-        must let CapExceeded pass."""
+        A refusal leaves no entry, so the next call computes again; the
+        demand recorded up to it joins the enclosing entry's, as on a hit.
+        compute must let CapExceeded pass."""
         def limit(kind: str) -> int:
             return limits.get(kind, _CAPS[kind][1])
 
         entry = self._memo.get(key)
         if entry is None or any(n > limit(kind)
                                 for kind, n in entry[1].items()):
-            refused = self._refused.get(key)  # (demand, kind, limit, value)
-            if refused and limit(refused[1]) == refused[2] and all(
-                    n <= limit(kind) for kind, n in refused[0].items()):
-                _record(refused[0])
-                admit(*refused[1:])
             demand: dict[str, int] = {}
             _computing.append(demand)
             try:
                 value = compute()
-            except CapExceeded as exc:
-                if exc.kind is not None:
-                    self._refused[key] = (demand, exc.kind, exc.limit,
-                                          exc.value)
-                raise
             finally:
                 _computing.pop()
                 _record(demand)

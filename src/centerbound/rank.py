@@ -132,14 +132,14 @@ def frattini_p(G: Group, p: int,
     if order > 1 and is_prime_power(order) != p:
         raise NotPGroup(f"order {order} is not a power of {p}")
     return G.memo(("frattini", p), lambda: _frattini(
-        _Perms(G, cap), G.generators, p))
+        _Perms(G), G.generators, p), elements=cap)
 
 
 def d_bracket(H: Group, cap: int = DEFAULT_ENUMERATION_CAP):
     """_bracket on the Perms of H's ambient group, memoized on H: shared by
     min_generators and a statement whose d a cap refused."""
     return H.memo("d_bracket", lambda: _bracket(
-        _Perms(_ambient(H), cap), H, H.generators), elements=cap)
+        _Perms(_ambient(H)), H, H.generators), elements=cap)
 
 
 def abelian_rank(A: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -154,8 +154,13 @@ def min_generators(H: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                    tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Exact d(H): d_bracket, then the tuple search on H's table while the
     bracket is open.  Memoized on H."""
-    return H.memo("d", lambda: _Perms(_ambient(H), cap).search(
-        H, *d_bracket(H, cap), tuple_cap), elements=cap, tuples=tuple_cap)
+    def compute():
+        lo, hi = d_bracket(H, cap)
+        if lo == hi:  # a closed bracket needs no table
+            return hi
+        table = _table(H, cap)
+        return table.search(frozenset(range(table.n)), lo, hi, tuple_cap)
+    return H.memo("d", compute, elements=cap, tuples=tuple_cap)
 
 
 def _lattice(G: Group, subgroup_cap: int, cap: int) -> tuple[

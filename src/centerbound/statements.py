@@ -14,9 +14,9 @@ Tags:
 * L9: Z2(G) <= C_G(G') and [C_G(G'), C_G(G')] <= Z(G).
 * LK: |K : C_K(H)| <= |G' n K|^d(H) over every pair of a library member
   H and a normal subgroup K, on element sets of Perms.  d(H) comes from
-  min_generators, memoized on H (a refusal too) and shared with T6 and CK
-  for H = G'.  When a cap refuses it, LK reads the bracket lo <= d(H) <= hi
-  that min_generators left in H's memo (d_bracket): a pair holds under lo,
+  min_generators, memoized on H and shared with T6 and CK for H = G'.
+  When a cap refuses it, LK reads the bracket lo <= d(H) <= hi that
+  min_generators left in H's memo (d_bracket): a pair holds under lo,
   is violated over hi, and between them leaves LK uncomputable.  C_G(H)
   comes from the centralizer filter over the cosets of Z(G), except that
   C_G(G') is the structure report's.  Both are found once per distinct

@@ -6,8 +6,8 @@ the normal closure and the d ladder are each written once against it.
   elements get one, and it lives in the group's memo.
 * ``_Perms``: elements as Perm, subgroups as handles on G with membership
   by sifting; any size.  It decides commuting on G's points (the ambient
-  base, ``Group.points()``), not on whole image tuples.  Its d search runs
-  on the subgroup's own table.
+  base, ``Group.points()``), not on whole image tuples.  It is a closure
+  protocol only: it lists no elements and builds no table.
 
 A table is built and read only by the enumerations whose cost grows faster
 than |G|: ``rank._lattice`` (with the d ladder on its class
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .group import DEFAULT_ENUMERATION_CAP, TABLE_CAP, Group, Subgroup, admit
+from .group import TABLE_CAP, Group, Subgroup, admit
 from .perm import Perm, commutator, commute, gather
 
 
@@ -160,9 +160,8 @@ class _Perms:
     conjugate = staticmethod(Perm.conjugate)
     size = staticmethod(Group.order)
 
-    def __init__(self, G: Group, cap: int = DEFAULT_ENUMERATION_CAP):
+    def __init__(self, G: Group):
         self.G = G
-        self.cap = cap
         self.identity = G.identity_element()
 
     @cached_property
@@ -175,13 +174,6 @@ class _Perms:
 
     def closure(self, gens) -> Subgroup:
         return Subgroup(self.G, gens, _trusted=True)
-
-    def search(self, K: Group, lower: int, upper: int, tuple_cap: int) -> int:
-        """The tuple search on K's table (at most TABLE_CAP elements)."""
-        if lower == upper:  # a closed bracket needs no table
-            return upper
-        table = _table(K, self.cap)
-        return table.search(frozenset(range(table.n)), lower, upper, tuple_cap)
 
 
 def _table(G: Group, cap: int) -> _Table:

@@ -281,6 +281,31 @@ class TestErrorExits:
         assert "Traceback" not in err
 
 
+class TestDegreeLimit:
+    """A group past corpus.MAX_DEGREE points is refused before it is built:
+    exit 4 and a one-line message naming the degree and the limit, never a
+    MemoryError."""
+
+    @pytest.mark.parametrize("spec, degree", [
+        ("family:cyclic(99999999999)", 99999999999),
+        ("family:heisenberg(1000000007)", 1000000007 ** 2),
+        ("family:dicyclic(1025)", 4100),
+        ("family:direct_product(cyclic(4096),cyclic(2))", 4098)])
+    def test_family_exits_4(self, capsys, spec, degree):
+        assert main(["info", spec]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"degree {degree} of " in err and "limit of 4096 points" in err
+
+    def test_group_file_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("degree 100000000000\n(1 2)\n")
+        assert main(["info", f"file:{path}"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 1: degree 100000000000 of " \
+            in err and "limit of 4096 points" in err
+
+
 class TestConfigSources:
     def test_env_override(self, tmp_path):
         import os

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from centerbound.corpus import (Corpus, FamilyExpr, build_family, build_group,
-                                default_corpus, direct_product,
+from centerbound import corpus
+from centerbound.corpus import (MAX_DEGREE, Corpus, FamilyExpr, build_family,
+                                build_group, default_corpus, direct_product,
                                 parse_family_expr, parse_group_file,
                                 parse_group_spec)
 from centerbound.errors import (ArgOutOfRange, DegreeViolation, ParseError,
@@ -129,6 +130,24 @@ class TestSpecGrammar:
                 parse_group_spec(f"family:{bad}")
         with pytest.raises(ParseError):
             parse_group_spec("group:dihedral(4)")
+
+    def test_the_degree_limit_admits_its_bound(self, tmp_path):
+        # the chain is built lazily, so building cyclic(4096) is cheap
+        assert family(f"cyclic({MAX_DEGREE})").degree == MAX_DEGREE
+        assert family(f"dicyclic({MAX_DEGREE // 4})").degree == MAX_DEGREE
+        path = tmp_path / "limit.txt"
+        path.write_text(f"degree {MAX_DEGREE}\n(1 2)\n")
+        assert parse_group_file(str(path)).degree == MAX_DEGREE
+        with pytest.raises(ArgOutOfRange):
+            family(f"cyclic({MAX_DEGREE + 1})")
+
+    def test_no_primality_test_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(corpus, "is_prime",
+                            lambda p: pytest.fail(f"is_prime({p})"))
+        for text in ("heisenberg(1000000007)", "elem_abelian(4099,1)",
+                     "elem_abelian(1000000000000000003,0)"):
+            with pytest.raises(ArgOutOfRange):
+                family(text)
 
     @pytest.mark.parametrize("text,error,message", [
         ("cyclic(2,3)", ArgOutOfRange, "cyclic takes 1 argument(s), got 2"),

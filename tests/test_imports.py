@@ -263,7 +263,7 @@ def test_no_stranded_code():
     assert _stranded(sources) == []
     definitions = [d for where, source in sources.items()
                    for d in _definitions(source, where)]
-    assert sum("." in name for name, _ in definitions) >= 17
+    assert sum("." in name for name, _ in definitions) >= 16
 
 
 def test_gate_sees_stranded_code():

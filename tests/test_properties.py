@@ -234,7 +234,7 @@ def test_the_abelianization_closures_match_the_brute_force_count(G):
     table = _table(G, DEFAULT_ENUMERATION_CAP)
     assert _abelianization_d(table, frozenset(range(table.n)),
                              table.gens) == expected
-    perms = _Perms(G, DEFAULT_ENUMERATION_CAP)
+    perms = _Perms(G)
     assert _abelianization_d(perms, G, G.generators) == expected
     for A in (G, center(G), zed_subgroup(G)):
         if A.is_abelian():

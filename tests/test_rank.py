@@ -685,26 +685,25 @@ class TestHistoryIndependence:
                     2 if k >= 74 else ("generator tuple search", k, k + 1))
 
 
-class TestRememberedRefusals:
-    """A refusal is remembered on the group, apart from the values: a later
-    call that admits its demand under the same limit for the refused kind
-    re-raises it without computing, and any other call computes, so each
-    call still gives what it gives on a fresh group."""
+class TestRefusalsComputeAgain:
+    """The memo keeps values only: a refusal leaves no entry, so a later
+    call computes again and gives what it gives on a fresh group, and the
+    demand recorded up to the refusal joins the enclosing entry's."""
 
-    def test_same_caps_reraise_without_computing(self, monkeypatch):
+    def test_same_caps_refuse_again_from_one_bracket(self, monkeypatch):
         # A7's G' handle prunes to 3 generators against a lower bound of 2,
-        # and the tuple search needs a table of all 2,520 elements.  Each
-        # computation of d asks d_bracket once, memo hit or not
+        # and the tuple search needs a table of all 2,520 elements.  The
+        # second call computes d again, from d_bracket's memo
         runs = []
-        ladder = rank.d_bracket
-        monkeypatch.setattr(rank, "d_bracket",
+        ladder = rank._bracket
+        monkeypatch.setattr(rank, "_bracket",
                             lambda *args: runs.append(1) or ladder(*args))
         H = derived_subgroup(group("alternating(7)"))
         first = refusal(lambda: min_generators(H))
         assert first == ("multiplication table", TABLE_CAP, 2520)
         assert refusal(lambda: min_generators(H)) == first
         assert len(runs) == 1
-        assert "d" not in H._memo
+        assert "d" not in H._memo and "table" not in H._memo
 
     def test_a_larger_cap_computes(self):
         G = group("symmetric(4)")
@@ -729,12 +728,17 @@ class TestRememberedRefusals:
         N = derived_subgroup(G)
 
         def outer():
-            return quotient(G, N, 512, 5)
-        refusal(lambda: G.memo("outer", outer, cosets=512, elements=5))
-        assert G._refused["outer"] == ({"cosets": 2}, "elements", 5, 12)
-        # the hit re-raises the inner refusal and records it the same way
-        refusal(lambda: G.memo("again", outer, cosets=512, elements=5))
-        assert G._refused["again"] == G._refused["outer"]
+            # the quotient admits its 2 cosets, then lists A4 past the cap
+            try:
+                return quotient(G, N, 512, 5)
+            except CapExceeded:
+                return None
+        assert G.memo("outer", outer, cosets=512, elements=5) is None
+        assert G._memo["outer"] == (None, {"cosets": 2})
+        # the refused quotient left no entry: it is computed again and
+        # records the same demand
+        assert G.memo("again", outer, cosets=512, elements=5) is None
+        assert G._memo["again"] == G._memo["outer"]
 
     def test_another_tuple_cap_searches_again(self):
         # a stopped tuple search reports its cap plus one tuples, so the
@@ -753,7 +757,7 @@ class TestRememberedRefusals:
         for _ in range(2):
             with pytest.raises(CapExceeded):
                 _table(G, DEFAULT_ENUMERATION_CAP)
-            assert "table" not in G._memo and "table" in G._refused
+            assert "table" not in G._memo
 
 
 class TestOneDPath:
@@ -776,28 +780,31 @@ class TestOneDPath:
                                                           monkeypatch):
         # group_rank's lattice brackets each class representative of G' on
         # G''s table; every bracket of G' on Perms is counted.  T2 (for an
-        # abelian G'), T6, CK and LK share d_bracket's memo, and LK works out
-        # each distinct member once, so a second handle on G' (S4's
-        # random_2gen_0, say) adds no run.  min_generators calls the search
-        # on Perms closed bracket or not, so each d of G' is one search
+        # abelian G'), T6, CK and LK share d_bracket's memo, T6, CK and LK
+        # share min_generators' "d" entry, and LK works out each distinct
+        # member once, so a second handle on G' (S4's random_2gen_0, say)
+        # adds no run.  Every computation of a "d" entry on G' is counted
         G = group(text)
         derived = derived_subgroup(G).element_set()
-        calls, searches = [], []
-        ladder, search = rank._bracket, _Perms.search
+        calls, computes = [], []
+        ladder, memo = rank._bracket, Group.memo
 
         def counting(world, H, gens):
             if isinstance(world, _Perms) and H.element_set() == derived:
                 calls.append(world)
             return ladder(world, H, gens)
 
-        def searching(world, K, *args):
-            if K.element_set() == derived:
-                searches.append(K)
-            return search(world, K, *args)
+        def memoizing(H, key, compute, **limits):
+            if key == "d" and H.element_set() == derived:
+                def counted():
+                    computes.append(H)
+                    return compute()
+                return memo(H, key, counted, **limits)
+            return memo(H, key, compute, **limits)
         monkeypatch.setattr(rank, "_bracket", counting)
-        monkeypatch.setattr(_Perms, "search", searching)
+        monkeypatch.setattr(Group, "memo", memoizing)
         verdicts = {v.statement: v for v in evaluate_all(G)}
-        assert len(calls) == 1 and len(searches) == 1
+        assert len(calls) == 1 and len(computes) == 1
         assert verdicts["CK"].computable and verdicts["LK"].computable
 
     @pytest.mark.parametrize("text", [
@@ -862,7 +869,7 @@ class TestAbelianCountAgainstSympy:
     def test_corpus_group(self, spec):
         G = build_group(spec)
         assert rank._abelianization_d(
-            _Perms(G, DEFAULT_ENUMERATION_CAP), G, G.generators) == \
+            _Perms(G), G, G.generators) == \
             self._sympy_d(G)
         derived = derived_subgroup(G)
         for A in (G, center(G), derived):

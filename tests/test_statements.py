@@ -560,8 +560,9 @@ class TestBoundTable:
 
     @pytest.mark.parametrize("order", ["sweep", "reversed"])
     def test_every_cap_answer_on_shared_groups(self, order):
-        # the sweep above on one group per spec: remembered refusals and
-        # handles shared with G give each call its fresh-group answer
+        # the sweep above on one group per spec: memo hits re-admitted
+        # under each call's caps, refusals computed again and handles
+        # shared with G give each call its fresh-group answer
         calls = list(itertools.product(
             ("symmetric(4)", "dicyclic(8)",
              "direct_product(symmetric(3),dihedral(4))", "heisenberg(3)",
