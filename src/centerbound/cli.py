@@ -26,7 +26,8 @@ import sys
 from collections import Counter
 
 from .config import Config, build_config
-from .corpus import Corpus, build_group, default_corpus, parse_group_spec
+from .corpus import (Corpus, _utf8_lines, build_group, default_corpus,
+                     parse_group_spec)
 from .errors import (ArgOutOfRange, CapExceeded, CenterboundError,
                      DegreeMismatch, ParseError, UnknownFamily)
 from .group import Group
@@ -236,15 +237,14 @@ def _load_corpus(path: str | None) -> Corpus:
     if path is None:
         return default_corpus()
     specs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                specs.append(parse_group_spec(line))
-            except CenterboundError as exc:
-                raise ParseError(f"{exc}", line=lineno) from None
+    for lineno, raw in enumerate(_utf8_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            specs.append(parse_group_spec(line))
+        except CenterboundError as exc:
+            raise ParseError(f"{exc}", line=lineno) from None
     return Corpus(specs)
 
 

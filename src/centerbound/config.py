@@ -60,7 +60,7 @@ def _integer(raw: str, what: str) -> int:
 def parse_config_file(path: str) -> dict:
     """Parse a key=value file ('#' starts a comment, blank lines ignored)."""
     values: dict = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

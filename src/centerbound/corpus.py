@@ -232,6 +232,7 @@ def build_family(name: str, args) -> Group:
 
 
 _NAME_RE = re.compile(r"[a-z_]+")
+_NUMBER_RE = re.compile(r"[0-9]+")  # ASCII only: int() takes any digit
 
 
 def parse_family_expr(text: str) -> FamilyExpr:
@@ -258,8 +259,7 @@ def _parse_expr(text: str) -> tuple[FamilyExpr, str]:
         if rest.startswith(")"):
             rest = rest[1:]
             break
-        if rest[:1].isdigit():
-            m = re.match(r"\d+", rest)
+        if m := _NUMBER_RE.match(rest):
             args.append(int(m.group(0)))
             rest = rest[m.end():]
         else:
@@ -298,10 +298,19 @@ def build_group(spec: GroupSpec) -> Group:
 # -- generator files --------------------------------------------------------
 
 
+def _utf8_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; any other encoding is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} "
+                         f"cannot be decoded") from None
+
+
 def parse_group_file(path: str) -> Group:
     """Read a group from a generator file (see module docstring)."""
-    with open(path) as fh:
-        lines = fh.readlines()
+    lines = _utf8_lines(path)
     degree = None
     gens: list[Perm] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -309,7 +318,7 @@ def parse_group_file(path: str) -> Group:
         if not line:
             continue
         if degree is None:
-            m = re.fullmatch(r"degree\s+(\d+)", line)
+            m = re.fullmatch(r"degree\s+([0-9]+)", line)
             if not m:
                 raise ParseError("expected 'degree N' as the first entry",
                                  line=lineno)

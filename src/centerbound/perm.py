@@ -214,6 +214,7 @@ def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_POINT_RE = re.compile(r"[0-9]+")  # ASCII only: int() takes any digit
 
 
 def parse_perm(text: str, degree: int) -> Perm:
@@ -235,7 +236,7 @@ def parse_perm(text: str, degree: int) -> Perm:
             continue
         points = []
         for token in re.split(r"[\s,]+", body):
-            if not token.isdigit():
+            if not _POINT_RE.fullmatch(token):
                 raise ParseError(f"bad cycle entry {token!r} in {text!r}")
             points.append(int(token))
         if len(set(points)) != len(points):

@@ -17,11 +17,17 @@ bracket, even when a cap refuses d.  No rung but the tuple search lists H:
   largest log_p |H : H'H^p| over primes p dividing |H| (_frattini), which
   counts the invariant factors of an abelian H and is the Burnside basis
   theorem for a p-group;
-* otherwise d >= 2: lo = hi = 2 when a pruned generating set has size 2,
-  else lo = max(2, d(H/H')), hi is the pruned set's size, and the tuple
-  search tries element subsets in element order under a tuple cap, on a
-  Cayley table, so a group above TABLE_CAP elements gets d only when the
-  bracket closes.
+* otherwise d >= 2.  Above TABLE_CAP elements, d_bracket first tries a
+  certificate (_certified): CERTIFICATE_DRAWS pairs of H's elements from
+  a stream with a fixed key, never Config.seed, so the pairs depend on H's
+  generators alone.  A pair whose closure has order |H| proves d = 2 (every finite
+  simple group is 2-generated: Aschbacher and Guralnick 1984; a random
+  pair generates A_n with probability tending to 1: Dixon 1969).  On a
+  miss, and at any size in a lattice: lo = hi = 2 when a pruned generating
+  set has size 2, else lo = max(2, d(H/H')), hi is the pruned set's size,
+  and the tuple search tries element subsets in element order under a
+  tuple cap, on a Cayley table, so a group above TABLE_CAP elements that
+  the certificate misses gets d only when the bracket closes.
 
 The Cayley table is built from generator rows: n Perm products per
 generator, and every other entry is an index lookup (see ``table.py``).
@@ -42,13 +48,14 @@ caps as all_subgroups.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from math import gcd
 
 from .arith import integer_log, is_prime_power, prime_factors
 from .errors import CapExceeded, NotAbelian, NotGenerating, NotPGroup
 from .group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
-                    DEFAULT_TUPLE_CAP, Group, Subgroup, admit)
+                    DEFAULT_TUPLE_CAP, TABLE_CAP, Group, Subgroup, admit)
 from .perm import Perm, gather
 from .structure import _ambient, normal_closure, quotient
 from .table import _Perms, _Table, _table
@@ -76,6 +83,9 @@ class RankRefused(CapExceeded):
 
 
 # -- the d ladder -------------------------------------------------------------
+
+# seeded pairs _certified tries before the bracket of a group above TABLE_CAP
+CERTIFICATE_DRAWS = 16
 
 
 def _bracket(world, H, gens) -> tuple[int, int]:
@@ -108,6 +118,21 @@ def _abelianization_d(world, H, gens) -> int:
                 for p in prime_factors(size)), default=0)
 
 
+def _certified(H: Group) -> bool:
+    """Whether one of CERTIFICATE_DRAWS seeded pairs of H's elements
+    generates H, tried only for a non-abelian H above TABLE_CAP elements
+    with at least two primes dividing |H|: a hit proves d(H) = 2.  The
+    stream is keyed by a fixed string, so the pairs depend on H's
+    generators alone, never on a seed or on earlier calls."""
+    order = H.order()
+    if order <= TABLE_CAP or len(prime_factors(order)) < 2 or H.is_abelian():
+        return False
+    rng = random.Random("d-certificate")
+    return any(Subgroup(H, (H.random_element(rng), H.random_element(rng)),
+                        _trusted=True).order() == order
+               for _ in range(CERTIFICATE_DRAWS))
+
+
 def _prune(world, gens, size: int) -> list:
     """Greedily drop generators the rest still generate without."""
     kept = list(gens)
@@ -136,9 +161,10 @@ def frattini_p(G: Group, p: int,
 
 
 def d_bracket(H: Group, cap: int = DEFAULT_ENUMERATION_CAP):
-    """_bracket on the Perms of H's ambient group, memoized on H: shared by
-    min_generators and a statement whose d a cap refused."""
-    return H.memo("d_bracket", lambda: _bracket(
+    """(2, 2) when _certified(H), else _bracket on the Perms of H's ambient
+    group; memoized on H, so min_generators and a statement whose d a cap
+    refused share it."""
+    return H.memo("d_bracket", lambda: (2, 2) if _certified(H) else _bracket(
         _Perms(_ambient(H)), H, H.generators), elements=cap)
 
 

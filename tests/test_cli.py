@@ -306,6 +306,53 @@ class TestDegreeLimit:
             in err and "limit of 4096 points" in err
 
 
+class TestTextInput:
+    """Numbers are ASCII digits and files are UTF-8: any other digit or
+    encoding is a ParseError, exit 4 and one line, never a traceback."""
+
+    def _one_line(self, capsys, *fragments):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("cannot build group: ")
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_a_unicode_digit_in_a_family_argument(self, capsys):
+        # int() reads the Arabic-Indic three as 3
+        assert main(["info", "family:cyclic(\u0663)"]) == 4
+        self._one_line(capsys, "expected a family name at '\u0663)'")
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("degree 3\n(1 \u00b2)\n", "line 2: bad cycle entry '\u00b2'"),
+        ("degree \u0663\n(1 2)\n", "line 1: expected 'degree N'")])
+    def test_a_unicode_digit_in_a_group_file(self, tmp_path, capsys, text,
+                                             fragment):
+        path = tmp_path / "group.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["info", f"file:{path}"]) == 4
+        self._one_line(capsys, fragment)
+
+    def test_a_group_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "group.txt"
+        path.write_bytes(b"degree 3\n(1 2) # \xe9\n")
+        assert main(["info", f"file:{path}"]) == 4
+        self._one_line(capsys, f"{path} is not UTF-8 text: byte 17 ")
+
+    def test_a_corpus_file_that_is_not_utf8(self, tmp_path, capsys):
+        listing = tmp_path / "corpus.txt"
+        listing.write_bytes(b"family:cyclic(2)\n\xff\n")
+        assert main(["corpus", "--corpus", str(listing), "--out",
+                     str(tmp_path / "report.jsonl")]) == 4
+        self._one_line(capsys, f"{listing} is not UTF-8 text: byte 17 ")
+        assert not (tmp_path / "report.jsonl").exists()
+
+    def test_a_utf8_comment_is_read(self, tmp_path, capsys):
+        path = tmp_path / "group.txt"
+        path.write_text("degree 3  # \u00e9\n(1 2 3)\n", encoding="utf-8")
+        assert main(["info", f"file:{path}"]) == 0
+        assert ": 3" in capsys.readouterr().out
+
+
 class TestConfigSources:
     def test_env_override(self, tmp_path):
         import os
@@ -339,6 +386,12 @@ class TestConfigSources:
         assert capsys.readouterr().err == (
             f"bad configuration: {cfg}:2: subgroup_cap must be an integer, "
             "got 'abc'\n")
+        # a file that is not UTF-8 is a bad configuration too
+        cfg.write_bytes(b"subgroup_cap = 1 # \xe9\n")
+        capsys.readouterr()
+        assert main(["check", "family:cyclic(2)", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "bad configuration: 'utf-8' codec can't decode byte 0xe9")
         monkeypatch.setenv("CENTERBOUND_TUPLE_CAP", "x")
         assert main(["check", "family:cyclic(2)"]) == 4
         assert capsys.readouterr().err == (

@@ -1,4 +1,4 @@
-"""Seven source gates over the package's modules.
+"""Nine source gates over the package's modules.
 
 * Every name a module imports is used in that module.  ``__init__.py`` is
   left out: its imports are the package's public API.
@@ -23,6 +23,11 @@
   ``._order`` attribute.  A known order enters a group through the
   ``order`` argument of ``Group`` and ``Subgroup``, because the stabilizer
   chain stops verifying once it reaches that order.
+* Parsers take ASCII digits only: no module calls ``str.isdigit`` (or
+  ``isdecimal``, ``isnumeric``) or writes the regex class ``\\d``, which
+  accept every Unicode digit that ``int()`` then reads.
+* d(H) is a function of H alone: ``rank.py`` draws from one
+  ``random.Random``, keyed by a string literal, and reads no ``.seed``.
 """
 
 import ast
@@ -356,3 +361,77 @@ def test_gate_sees_a_second_order_owner():
         "._order = (line 2)", "._order = (line 3)", "._order = (line 4)",
         "._order = (line 7)"]
     assert _order_assignments((SRC / "group.py").read_text()) != []
+
+
+def _unicode_digits(source: str) -> list[str]:
+    """Lines that accept any Unicode digit as a decimal one: a call of
+    str.isdigit, isdecimal or isnumeric, or a string literal holding the
+    regex class \\d (which matches every Unicode digit unless re.ASCII)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("isdigit", "isdecimal", "isnumeric")):
+            found.append(f"{node.func.attr}() (line {node.lineno})")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "\\d" in node.value):
+            found.append(f"\\d (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parsers_take_ascii_digits_only(path):
+    assert _unicode_digits(path.read_text()) == []
+
+
+def test_gate_sees_a_unicode_digit():
+    assert _unicode_digits(
+        "import re\n"
+        "def f(text, token):\n"
+        "    m = re.match(r'\\d+', text)\n"
+        "    n = re.fullmatch('[0-9]+', token)\n"
+        "    return token.isdigit() or text[:1].isdecimal(), m, n\n"
+        "DEGREE = re.compile(r'degree\\s+(\\d+)')\n") == [
+        "\\d (line 3)", "\\d (line 6)", "isdecimal() (line 5)",
+        "isdigit() (line 5)"]
+
+
+def _unseeded_streams(source: str) -> list[str]:
+    """In rank.py: every random stream but one keyed by a string literal,
+    and every read of a .seed attribute (Config.seed and the like), so that
+    d(H) depends on H alone."""
+    found = []
+    streams = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "Random" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            streams += 1
+            args = node.args + [k.value for k in node.keywords]
+            if not (len(args) == 1 and isinstance(args[0], ast.Constant)
+                    and isinstance(args[0].value, str)):
+                found.append(f"Random without a literal key "
+                             f"(line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "seed":
+            found.append(f".seed (line {node.lineno})")
+    if streams != 1:
+        found.append(f"{streams} random streams")
+    return sorted(found)
+
+
+def test_d_draws_from_one_fixed_stream():
+    assert _unseeded_streams((SRC / "rank.py").read_text()) == []
+
+
+def test_gate_sees_a_seeded_stream():
+    assert _unseeded_streams(
+        "import random\n"
+        "from random import Random\n"
+        "def f(config, H):\n"
+        "    a = random.Random(config.seed)\n"
+        "    b = Random(f'{H}:d')\n"
+        "    c = random.Random('d-certificate')\n"
+        "    return a, b, c, random.Random(x='fixed')\n") == [
+        ".seed (line 4)", "4 random streams",
+        "Random without a literal key (line 4)",
+        "Random without a literal key (line 5)"]
+    assert _unseeded_streams("import random\n") == ["0 random streams"]

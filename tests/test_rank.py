@@ -691,9 +691,11 @@ class TestRefusalsComputeAgain:
     demand recorded up to the refusal joins the enclosing entry's."""
 
     def test_same_caps_refuse_again_from_one_bracket(self, monkeypatch):
-        # A7's G' handle prunes to 3 generators against a lower bound of 2,
-        # and the tuple search needs a table of all 2,520 elements.  The
-        # second call computes d again, from d_bracket's memo
+        # with no certificate drawn, A7's G' handle prunes to 3 generators
+        # against a lower bound of 2, and the tuple search needs a table of
+        # all 2,520 elements.  The second call computes d again, from
+        # d_bracket's memo
+        monkeypatch.setattr(rank, "CERTIFICATE_DRAWS", 0)
         runs = []
         ladder = rank._bracket
         monkeypatch.setattr(rank, "_bracket",
@@ -827,6 +829,53 @@ class TestOneDPath:
                   "direct_product(heisenberg(3),heisenberg(3)))")
         assert min_generators(G) == 6
         assert G._elements is None
+
+
+class TestDCertificate:
+    """Above TABLE_CAP, d_bracket first draws seeded pairs of elements of a
+    non-abelian H with at least two primes dividing |H|: a pair that
+    generates H proves d(H) = 2, and a miss runs the closure bracket."""
+
+    @pytest.mark.parametrize("spec", default_corpus().specs,
+                             ids=lambda spec: spec.label)
+    def test_every_size_against_the_table_search(self, spec, monkeypatch):
+        # with the size threshold at 0 every H the certificate may take
+        # gets it first, and d must be the exhaustive search's on H's own
+        # table.  G itself up to 200 elements adds S3xD4 and S4xD4, where
+        # d = 3 and every pair misses.  An abelian H or a p-group never
+        # takes it: their exhaustive search (H3xH3 has 729 elements and
+        # d = 4) is out of reach, and the abelianization count decides them
+        monkeypatch.setattr(rank, "TABLE_CAP", 0)
+        G = build_group(spec)
+        members = [derived_subgroup(G)] + [
+            H for _, H in _Evaluator(G, Config())._lk_library()]
+        if G.order() <= 200:
+            members.append(G)
+        for H in members:
+            if H.is_abelian() or is_prime_power(H.order()) is not None:
+                assert not rank._certified(H)
+                continue
+            table = _table(Group(H.degree, H.generators),
+                           DEFAULT_ENUMERATION_CAP)
+            assert min_generators(H) == table.search(
+                frozenset(range(table.n)), 0, len(H.generators),
+                DEFAULT_TUPLE_CAP)
+
+    @pytest.mark.parametrize("text", [
+        "alternating(7)", "direct_product(alternating(5),alternating(5))",
+        "direct_product(heisenberg(3),heisenberg(5))"])
+    def test_a_hit_builds_no_table(self, text):
+        H = group(text)
+        assert H.order() > TABLE_CAP and not H.is_abelian()
+        assert d_bracket(H) == (2, 2) and min_generators(H) == 2
+        assert "table" not in H._memo and H._elements is None
+
+    def test_an_abelian_group_takes_the_count(self):
+        # a random pair generates cyclic(1050), but d = 1: the certificate
+        # is only for non-abelian groups
+        G = group("cyclic(1050)")
+        assert G.order() > TABLE_CAP and not rank._certified(G)
+        assert d_bracket(G) == (1, 1)
 
 
 class TestDBracket:

@@ -5,6 +5,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -16,6 +21,7 @@ from centerbound.corpus import build_group, default_corpus, parse_group_spec
 from centerbound.errors import CapExceeded
 from centerbound.group import (DEFAULT_ENUMERATION_CAP, DEFAULT_SUBGROUP_CAP,
                                DEFAULT_TUPLE_CAP, TABLE_CAP, Group, Subgroup)
+from centerbound.perm import Perm
 from centerbound.rank import (UnknownRank, all_subgroups, group_rank,
                               min_generators, normal_subgroups)
 from centerbound.statements import (STATEMENT_TAGS, Verdict, evaluate,
@@ -466,9 +472,11 @@ class TestLkBracket:
     @pytest.mark.parametrize("text", [
         "alternating(7)", "direct_product(alternating(5),alternating(5))"])
     def test_lk_reads_the_bracket_t6_left(self, text, monkeypatch):
-        # G' = G is above TABLE_CAP with an open bracket, so T6 and CK are
-        # refused at the tuple search.  T6 prunes G''s generators once, and
-        # LK's refused d reads that bracket from G''s memo
+        # with no certificate drawn, G' = G is above TABLE_CAP with an open
+        # bracket, so T6 and CK are refused at the tuple search.  T6 prunes
+        # G''s generators once, and LK's refused d reads that bracket from
+        # G''s memo
+        monkeypatch.setattr(rank, "CERTIFICATE_DRAWS", 0)
         G = group(text)
         pruned, reads = [], []
         prune, bracket = rank._prune, statements.d_bracket
@@ -490,6 +498,60 @@ class TestLkBracket:
         assert "multiplication table" in verdicts["T6"].notes
         assert "; worst: H=G' (d=2, lower bound), |K|=1;" in \
             verdicts["LK"].notes
+
+
+class TestCertifiedD:
+    """d(G') = 2 on A7 and A5xA5 from a seeded pair that generates G', so T6
+    and CK decide there and LK reads an exact d."""
+
+    CASES = [("alternating(7)", 2520),
+             ("direct_product(alternating(5),alternating(5))", 3600)]
+    TAGS = ("T6", "CK", "LK")
+
+    @staticmethod
+    def _records(G, config=CFG):
+        return [evaluate(tag, G, config).to_json()
+                for tag in TestCertifiedD.TAGS]
+
+    @pytest.mark.parametrize("text, order", CASES)
+    def test_t6_ck_and_lk_decide(self, text, order):
+        t6, ck, lk = (evaluate(tag, group(text), CFG) for tag in self.TAGS)
+        assert (t6.applicable, t6.computable, t6.holds) == (True, True, True)
+        assert (t6.lhs, t6.rhs) == (order, order ** 3)
+        assert t6.notes == "d=2; tightness=0.3333"
+        assert (ck.computable, ck.holds, ck.lhs, ck.rhs) == \
+            (True, True, order, order ** 2)
+        assert ck.notes == "d=2; tightness=0.5000"
+        assert lk.computable and "; worst: H=G' (d=2), |K|=1;" in lk.notes
+        assert "lower bound" not in lk.notes
+
+    @pytest.mark.parametrize("text, order", CASES)
+    def test_relabelled_points_give_the_same_records(self, text, order):
+        # as the bench relabels: the generators conjugated by a seeded
+        # permutation of the points, and the seed passed to Config
+        G = group(text)
+        records = self._records(G)
+        for seed in (1, 2, 3):
+            points = list(range(1, G.degree + 1))
+            random.Random(f"{seed}:{text}").shuffle(points)
+            sigma = Perm(points)
+            moved = Group(G.degree, [g.conjugate(sigma)
+                                     for g in G.generators])
+            assert self._records(moved, Config(seed=seed)) == records
+
+    def test_another_hash_seed_gives_the_same_records(self):
+        script = ("import json, sys; sys.path.insert(0, 'tests'); "
+                  "from test_statements import TestCertifiedD as T, group; "
+                  "print(json.dumps([T._records(group(text)) "
+                  "for text, _ in T.CASES]))")
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        assert json.loads(proc.stdout) == [
+            self._records(group(text)) for text, _ in self.CASES]
 
 
 class TestBoundTable:
